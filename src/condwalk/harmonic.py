@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import CensoringExcess, DriftedLaw, QuadratureFailure
 from .increments import IncrementLaw, TiltedLaw, left_exit_prob
-from .rngstream import chunk_generator, mix64, resolve_threads
+from .rngstream import mix64
 from .special import quad
-from .walk import McEstimate, Statistic, _block_len, _chunk_sizes, \
-    _combine, _run_chunks
+from .walk import McEstimate, Statistic, _advance, _chunked, _mc_many
 
 
 @dataclass(frozen=True)
@@ -50,39 +49,25 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     if cap < 10 ** 3:
         raise ValueError("cap must be at least 1e3")
     _require_zero_mean(law)
-    threads = resolve_threads(threads)
-    n_chunks, sizes = _chunk_sizes(samples)
 
-    def worker(i):
-        rng = chunk_generator(seed, i)
-        pos = np.full(sizes[i], float(x))
-        done = 0
+    def work(rng, m):
         s = q = 0.0
-        while pos.size and done < cap:
-            b = _block_len(pos.size, cap - done)
-            d = law.sample_block(rng, (pos.size, b))
-            if dual:
-                np.negative(d, out=d)
-            np.cumsum(d, axis=1, out=d)
-            d += pos[:, None]
-            neg = d < 0.0
-            died = neg.any(axis=1)
+
+        def exit_values(d, done, neg, died):
+            nonlocal s, q
             if died.any():
                 rows = np.nonzero(died)[0]
-                first = neg[rows].argmax(axis=1)
-                vals = x - d[rows, first]
+                vals = x - d[rows, neg[rows].argmax(axis=1)]
                 s += float(vals.sum())
                 q += float((vals * vals).sum())
-                pos = d[~died, b - 1]
-            else:
-                pos = d[:, b - 1]
-            done += b
-        return [(s, q)], pos.size
 
-    raw = _run_chunks(worker, n_chunks, threads)
-    est = _combine([r[0] for r in raw], samples, seed)[0]
-    censored = sum(r[1] for r in raw)
-    rate = censored / samples
+        pos = _advance(law, np.full(m, float(x)), cap, rng, negate=dual,
+                       observe=exit_values)
+        censored = float(pos.size)
+        return [(s, q), (censored, censored)]
+
+    est, censored = _chunked(samples, seed, threads, work)
+    rate = censored.mean
     if rate > 1e-3:
         warnings.warn(f"ladder estimate censored {rate:.2%} of paths",
                       CensoringExcess)
@@ -93,10 +78,9 @@ def estimate_V_killed(law, x: float, n: int, samples: int, seed: int,
                       dual: bool = False, threads: int | None = None) -> McEstimate:
     """E(x + S_n; tau_x > n), a monotone-in-n lower approximant of V(x)."""
     _require_zero_mean(law)
-    sigma = law.sigma
-    from .walk import _mc_many
-    return _mc_many(law, sigma, x, n, [Statistic.killed_position(dual=dual)],
-                    samples, seed, threads)[0]
+    return _mc_many(law, law.sigma, x, n,
+                    [Statistic.killed_position(dual=dual)], samples, seed,
+                    threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +190,17 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
     bounded by the table's own error budget.
     """
     sampler = tilt.sampler if tilt is not None else law
-    n_chunks, sizes = _chunk_sizes(samples)
     vx = table(x)
 
-    def worker(i):
-        rng = chunk_generator(seed, i)
-        step = sampler.sample_block(rng, sizes[i])
+    def work(rng, m):
+        step = sampler.sample_block(rng, m)
         if table.dual:
             step = -step
         pos = x + step
         vals = np.where(pos >= 0.0, table(pos), 0.0)
         return [(float(vals.sum()), float((vals * vals).sum()))]
 
-    parts = _run_chunks(worker, n_chunks, resolve_threads(None))
-    est = _combine(parts, samples, seed)[0]
+    est = _chunked(samples, seed, None, work)[0]
     return McEstimate(est.mean - vx, est.stderr, est.count, est.seed)
 
 

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,12 +115,28 @@ class IngredientCache:
         return self.root / (hashlib.sha256(blob.encode()).hexdigest()[:24] + ".json")
 
     def get_or_compute(self, key: dict, compute):
+        """The cached value for ``key``, else ``compute()`` stored under it.
+
+        An entry that cannot be decoded, such as one cut short by a crash,
+        is a miss and is overwritten.  A new entry is written to a
+        temporary file and renamed into place, so a reader never sees a
+        partial entry.
+        """
         path = self._path(key)
-        if path.exists():
+        try:
             return json.loads(path.read_text())
+        except (FileNotFoundError, ValueError):
+            pass
         value = compute()
         self.root.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(value))
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(json.dumps(value))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return value
 
 

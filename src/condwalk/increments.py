@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
-from .errors import DomainError, NoTiltExists, QuadratureFailure
+from .errors import DomainError, NoTiltExists
+from .special import quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -196,20 +196,6 @@ class MomentSummary:
     abs_moment_2_delta: float
 
 
-def _quad(f, a, b, tol=1e-11, points=None):
-    import warnings
-
-    kw = {"epsabs": tol, "epsrel": 1e-12, "limit": 400}
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        kw["points"] = points
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, **kw)
-    if not np.isfinite(val):
-        raise QuadratureFailure(f"integral not finite on [{a}, {b}]")
-    return val
-
-
 def law_moments(law: IncrementLaw, delta: float) -> MomentSummary:
     """Mean, variance and E|X|^(2+delta).
 
@@ -233,7 +219,7 @@ def law_moments(law: IncrementLaw, delta: float) -> MomentSummary:
         m = math.gamma(p + 1) * law.b ** p
     else:
         lo, hi = law.support_bounds()
-        m = _quad(lambda x: abs(x) ** p * law.density(x), lo, hi)
+        m = quad(lambda x: abs(x) ** p * law.density(x), lo, hi, tol=1e-11)
     return MomentSummary(law.mean, law.variance, float(m))
 
 
@@ -334,7 +320,7 @@ def _tilted_mean_shifted(law, lam):
         x, w, _ = _finite_exp_terms(law, lam)
         return float(np.dot(x, w))
     lo, hi, shift = _tilt_bounds(law, lam)
-    return _quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-14)
+    return quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-14)
 
 
 def tilted_mean(law: IncrementLaw, lam: float) -> float:
@@ -346,8 +332,8 @@ def tilted_mean(law: IncrementLaw, lam: float) -> float:
         x = np.asarray(law.points)
         return float(np.dot(x * np.exp(lam * x), law.probs))
     lo, hi, _ = _tilt_bounds(law, lam)
-    return _quad(lambda x: x * math.exp(lam * x) * float(law.density(x)),
-                 lo, hi, tol=1e-14)
+    return quad(lambda x: x * math.exp(lam * x) * float(law.density(x)),
+                lo, hi, tol=1e-14)
 
 
 def log_mgf(law: IncrementLaw, lam: float) -> float:
@@ -360,7 +346,7 @@ def log_mgf(law: IncrementLaw, lam: float) -> float:
         _, w, shift = _finite_exp_terms(law, lam)
         return shift + math.log(float(np.sum(w)))
     lo, hi, shift = _tilt_bounds(law, lam)
-    val = _quad(_tilted_integrand(law, lam, shift, 0), lo, hi, tol=1e-14)
+    val = quad(_tilted_integrand(law, lam, shift, 0), lo, hi, tol=1e-14)
     return shift + math.log(val)
 
 
@@ -446,8 +432,8 @@ def _materialize_tilt(law, lam, lg):
         return tilted, tilted.variance
     lo, hi, shift = _tilt_bounds(law, lam)
     scale = math.exp(shift - lg)  # total tilted mass carried by the shift
-    var = scale * _quad(_tilted_integrand(law, lam, shift, 2), lo, hi, tol=1e-13)
-    mean = scale * _quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-13)
+    var = scale * quad(_tilted_integrand(law, lam, shift, 2), lo, hi, tol=1e-13)
+    mean = scale * quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-13)
     return _InverseCdfTilt(law, lam, float(mean), float(var)), var
 
 

@@ -14,6 +14,8 @@ import os
 
 import numpy as np
 
+from .errors import DomainError
+
 CHUNK_SIZE = 1 << 16
 
 _MASK64 = (1 << 64) - 1
@@ -48,5 +50,6 @@ def resolve_threads(threads: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            return 1
+            raise DomainError(f"CONDWALK_THREADS must be an integer, got "
+                              f"{env!r}") from None
     return 1

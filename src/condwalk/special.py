@@ -12,15 +12,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import DomainError, QuadratureFailure
-from .increments import IncrementLaw
 
-SQRT2PI = math.sqrt(2.0 * math.pi)
+if TYPE_CHECKING:
+    from .increments import IncrementLaw
 
 KAPPA0 = 3.0 / (8.0 * math.pi)  # normalizer of the sinc^4 kernel
 
@@ -28,12 +29,6 @@ KAPPA0 = 3.0 / (8.0 * math.pi)  # normalizer of the sinc^4 kernel
 def norm_cdf(x):
     """Standard normal distribution function, |error| <= 1e-15."""
     return ndtr(x)
-
-
-def norm_pdf(x):
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / SQRT2PI
-    return float(out) if out.ndim == 0 else out
 
 
 def gauss_density(z, v=1.0):

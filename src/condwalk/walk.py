@@ -1,12 +1,16 @@
 """Monte Carlo engine for the killed walk x + S_k.
 
-Paths are partitioned into fixed chunks of 2^16; chunk i draws from a
-Philox stream keyed by (seed, i) and partial sums are combined in chunk
-order, so every estimate is bit-identical for a given seed regardless of
-the worker-thread count.  Within a chunk the walk advances in step blocks
-(cumulative sums of an increments matrix); paths are compacted away as
-they cross below zero, which keeps the cost proportional to the number of
-alive path-steps.
+Every estimator runs on two pieces.  ``_advance`` walks an array of
+positions forward in step blocks: it draws a block of increments, turns
+it into positions by a cumulative sum, and compacts away the paths that
+crossed below zero, so the cost follows the number of alive path-steps.
+Whatever an estimator needs beyond the surviving positions (exits at the
+horizon, the value at first exit, a running maximum) it reads from each
+block through a small observer.  ``_chunked`` splits the paths into
+fixed chunks of 2^16; chunk i draws from a Philox stream keyed by
+(seed, i), and the chunks' (sum, sumsq) pairs are combined in chunk
+order, so every estimate is bit-identical for a given seed whatever the
+worker-thread count.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedTilt
+from .errors import DomainError, MismatchedTilt
 from .increments import IncrementLaw, TiltedLaw
 from .rngstream import CHUNK_SIZE, chunk_generator, resolve_threads
 from .targets import TargetFunction, eval_target
@@ -108,43 +112,59 @@ def _stat_eval(stat: Statistic, sigma: float, n: int):
     raise ValueError(f"unknown statistic kind {stat.kind!r}")
 
 
-def _block_len(alive: int, remaining: int) -> int:
-    return int(min(max(16, _BLOCK_ELEMS // max(alive, 1)), remaining))
+def _check_start(x, n):
+    if not (math.isfinite(x) and x >= 0.0) or n < 1:
+        raise DomainError(f"require finite x >= 0 and n >= 1, got x={x!r}, "
+                          f"n={n!r}")
 
 
-def _simulate_chunk(sampler, x, horizon, m, rng, negate, kill=True):
-    pos = np.full(m, float(x))
+def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
+    """Walk the paths at ``pos`` for up to ``steps`` steps; returns survivors.
+
+    Each block is one increments matrix turned into positions in place.
+    ``observe(d, done, neg, died)`` sees every block before the paths that
+    crossed below zero are compacted away: ``d`` holds the positions after
+    steps done+1 .. done+b, ``neg`` marks d < 0 and ``died`` its rows (both
+    None without killing).
+    """
     done = 0
-    exit_terms = []
-    while pos.size and done < horizon:
-        b = _block_len(pos.size, horizon - done)
+    while pos.size and done < steps:
+        b = int(min(max(16, _BLOCK_ELEMS // pos.size), steps - done))
         d = sampler.sample_block(rng, (pos.size, b))
         if negate:
             np.negative(d, out=d)
         np.cumsum(d, axis=1, out=d)
         d += pos[:, None]
+        neg = died = None
         if kill:
             neg = d < 0.0
             died = neg.any(axis=1)
-            if died.any():
-                if done + b == horizon:
-                    rows = np.nonzero(died)[0]
-                    first = neg[rows].argmax(axis=1)
-                    at_end = first == b - 1
-                    if at_end.any():
-                        exit_terms.append(d[rows[at_end], b - 1])
-                pos = d[~died, b - 1]
-            else:
-                pos = d[:, b - 1]
-        else:
-            pos = d[:, b - 1]
+        if observe is not None:
+            observe(d, done, neg, died)
+        pos = d[~died, b - 1] if kill and died.any() else d[:, b - 1]
         done += b
-    exits = np.concatenate(exit_terms) if exit_terms else np.empty(0)
-    return pos, exits
+    return pos
 
 
-def _combine(parts, samples, seed):
-    """Chunk-ordered reduction of (sum, sumsq) pairs into estimates."""
+def _chunked(samples, seed, threads, work):
+    """Estimates from ``work(rng, m)``, run on each chunk of ``samples`` paths.
+
+    ``work`` returns the chunk's (sum, sumsq) pairs, one per estimate; the
+    pairs are summed in chunk order, whatever the thread count.
+    """
+    threads = resolve_threads(threads)
+    n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
+    last = samples - (n_chunks - 1) * CHUNK_SIZE
+
+    def run(i):
+        m = last if i == n_chunks - 1 else CHUNK_SIZE
+        return work(chunk_generator(seed, i), m)
+
+    if threads <= 1 or n_chunks <= 1:
+        parts = [run(i) for i in range(n_chunks)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, range(n_chunks)))
     out = []
     for j in range(len(parts[0])):
         s = 0.0
@@ -161,21 +181,6 @@ def _combine(parts, samples, seed):
     return out
 
 
-def _run_chunks(worker, n_chunks, threads):
-    if threads <= 1 or n_chunks <= 1:
-        return [worker(i) for i in range(n_chunks)]
-    results = [None] * n_chunks
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in enumerate(pool.map(worker, range(n_chunks))):
-            results[i] = res
-    return results
-
-
-def _chunk_sizes(samples):
-    n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
-    return n_chunks, [CHUNK_SIZE] * (n_chunks - 1) + [samples - (n_chunks - 1) * CHUNK_SIZE]
-
-
 def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
              kill=True, weight=None):
     """Shared-path estimates of several statistics at once.
@@ -183,17 +188,24 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
     ``weight`` maps terminal positions to path weights (importance
     sampling); it applies to survivor and horizon-exit evaluations alike.
     """
-    threads = resolve_threads(threads)
-    n_chunks, sizes = _chunk_sizes(samples)
+    _check_start(x, n)
     evals = [_stat_eval(s, sigma, n) for s in stats]
     negate = [s.dual for s in stats]
     if any(negate) and not all(negate):
         raise ValueError("cannot mix dual and primal statistics in one pass")
 
-    def worker(i):
-        rng = chunk_generator(seed, i)
-        surv, exits = _simulate_chunk(sampler, x, n, sizes[i], rng,
-                                      negate[0], kill=kill)
+    def work(rng, m):
+        exits = np.empty(0)
+
+        def horizon_exits(d, done, neg, died):
+            nonlocal exits
+            b = d.shape[1]
+            if done + b == n and died.any():
+                rows = np.nonzero(died)[0]
+                exits = d[rows[neg[rows].argmax(axis=1) == b - 1], b - 1]
+
+        surv = _advance(sampler, np.full(m, float(x)), n, rng, negate[0],
+                        kill, horizon_exits if kill else None)
         w_s = weight(surv) if (weight is not None and surv.size) else None
         w_e = weight(exits) if (weight is not None and exits.size) else None
         pairs = []
@@ -214,8 +226,7 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
             pairs.append((s, q))
         return pairs
 
-    parts = _run_chunks(worker, n_chunks, threads)
-    return _combine(parts, samples, seed)
+    return _chunked(samples, seed, threads, work)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +236,7 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
 def simulate_exit(law: IncrementLaw, x: float, horizon: int,
                   rng: np.random.Generator) -> ExitSample:
     """Walk a single path step by step until exit or the horizon."""
-    if x < 0 or horizon < 1:
-        raise ValueError("require x >= 0 and horizon >= 1")
+    _check_start(x, horizon)
     pos = float(x)
     for k in range(1, horizon + 1):
         pos += float(law.sample_block(rng, 1)[0])
@@ -298,26 +308,14 @@ def mc_scaled_cdf_curve(law: IncrementLaw, x: float, n: int, t_grid,
 def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
                     seed: int, threads: int | None = None) -> McEstimate:
     """P(max_{k<=n} |S_k| > u) for the free (unkilled) walk."""
-    threads = resolve_threads(threads)
-    n_chunks, sizes = _chunk_sizes(samples)
-
-    def worker(i):
-        rng = chunk_generator(seed, i)
-        m = sizes[i]
-        pos = np.zeros(m)
+    def work(rng, m):
         best = np.zeros(m)
-        done = 0
-        while done < n:
-            b = _block_len(m, n - done)
-            d = law.sample_block(rng, (m, b))
-            np.cumsum(d, axis=1, out=d)
-            d += pos[:, None]
+
+        def running_max(d, done, neg, died):
             np.maximum(best, np.abs(d).max(axis=1), out=best)
-            pos = d[:, b - 1]
-            done += b
-        v = (best > u).astype(float)
-        s = float(v.sum())
+
+        _advance(law, np.zeros(m), n, rng, kill=False, observe=running_max)
+        s = float(np.count_nonzero(best > u))
         return [(s, s)]
 
-    parts = _run_chunks(worker, n_chunks, threads)
-    return _combine(parts, samples, seed)[0]
+    return _chunked(samples, seed, threads, work)[0]

@@ -112,6 +112,17 @@ def test_cache_round_trip(tmp_path):
     assert len(calls) == 1
 
 
+def test_cache_recomputes_truncated_entry(tmp_path):
+    cache = IngredientCache(tmp_path)
+    key = {"kind": "demo", "x": 2}
+    cache.get_or_compute(key, lambda: {"v": [1.0, 2.0]})
+    (entry,) = tmp_path.iterdir()
+    entry.write_text('{"v": [1.0,')
+    assert cache.get_or_compute(key, lambda: {"v": [3.0]}) == {"v": [3.0]}
+    assert cache.get_or_compute(key, lambda: None) == {"v": [3.0]}
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
 def test_config_from_json_round_trip(tmp_path):
     raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "ICLT-S",
            "n_list": [100], "samples": 1000, "seed": 3,

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import pytest
 
-from condwalk import (Censored, IncrementLaw, MismatchedTilt, Statistic,
-                      TargetFunction, cramer_tilt, mc_estimate, mc_estimates,
-                      mc_scaled_cdf_curve, mc_tilted_survival,
-                      mc_unconditioned, simulate_exit)
+from condwalk import (CensoringExcess, Censored, DomainError, HarmonicTable,
+                      IncrementLaw, LadderEstimate, McEstimate, MismatchedTilt,
+                      Statistic, TargetFunction, cramer_tilt, estimate_V_ladder,
+                      harmonicity_residual, mc_estimate, mc_estimates,
+                      mc_max_abs_walk, mc_scaled_cdf_curve,
+                      mc_tilted_survival, mc_unconditioned, simulate_exit)
 from condwalk.oracle import sparre_andersen_survival
 from condwalk.rngstream import chunk_generator
 
@@ -20,6 +23,30 @@ def test_simulate_exit_deterministic_paths():
     up = IncrementLaw.finite([1.0], [1.0])
     s = simulate_exit(up, 0.0, 10, chunk_generator(0, 0))
     assert s.survived and s.exit_time == Censored(10) and s.terminal == 10.0
+
+
+@pytest.mark.parametrize("x, n", [(math.nan, 10), (math.inf, 10),
+                                  (-1.0, 10), (0.0, 0)])
+def test_invalid_start_rejected(gauss_law, x, n):
+    tilt = cramer_tilt(gauss_law)
+    calls = [
+        lambda: mc_estimate(gauss_law, x, n, Statistic.survival(), 1000, 1),
+        lambda: mc_tilted_survival(gauss_law, tilt, x, n,
+                                   Statistic.survival(), 1000, 1),
+        lambda: simulate_exit(gauss_law, x, n, chunk_generator(0, 0)),
+    ]
+    if x == 0.0:
+        calls.append(lambda: mc_unconditioned(gauss_law, n,
+                                              Statistic.survival(), 1000, 1))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_bad_thread_setting_rejected(gauss_law, monkeypatch):
+    monkeypatch.setenv("CONDWALK_THREADS", "abc")
+    with pytest.raises(DomainError, match="CONDWALK_THREADS"):
+        mc_estimate(gauss_law, 0.0, 5, Statistic.survival(), 1000, seed=1)
 
 
 def test_tie_at_zero_survives():
@@ -190,3 +217,108 @@ def test_unconditioned_interval_matches_normal_mass(gauss_law):
                            4 * 10 ** 5, seed=55)
     exact = float(norm_cdf(0.5) - norm_cdf(0.0))
     assert within_stderr(est, exact)
+
+
+# -- stream pin ----------------------------------------------------------------
+
+PIN_SAMPLES = 2 ** 16 + 777  # one whole chunk and a partial last chunk
+
+
+def _pin_case(name):
+    """The estimates of one pinned call, as (mean, stderr[, censor_rate])."""
+    gauss = IncrementLaw.gaussian(0.0, 1.0)
+    n = PIN_SAMPLES
+    if name == "gauss_n400":
+        return mc_estimates(gauss, 0.0, 400, [
+            Statistic.survival(), Statistic.exit_at_n(),
+            Statistic.killed_position()], n, seed=11, threads=2)
+    if name == "pm1_n60":
+        pm1 = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
+        return mc_estimates(pm1, 0.0, 60, [
+            Statistic.survival(), Statistic.exit_at_n(),
+            Statistic.killed_position(), Statistic.interval(2.0, 2.0)],
+            n, seed=12)
+    if name == "uniform_dual_killed":
+        unif = IncrementLaw.uniform(-1.0, 1.0)
+        dual_killed = Statistic.killed_position(dual=True)
+        return [mc_estimate(unif, 0.5, 50, dual_killed, n, seed=13)]
+    if name == "unconditioned":
+        return [mc_unconditioned(gauss, 30, Statistic.interval(0.0, 3.0), n,
+                                 seed=14, threads=2)]
+    if name == "tilted":
+        drifted = IncrementLaw.laplace(-0.3, 1.0)
+        return [mc_tilted_survival(drifted, cramer_tilt(drifted), 0.0, 40,
+                                   Statistic.survival(), n, seed=15)]
+    if name == "max_abs":
+        return [mc_max_abs_walk(gauss, 50, 10.0, n, seed=16, threads=2)]
+    if name in ("ladder", "ladder_dual"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CensoringExcess)
+            est = estimate_V_ladder(gauss, 1.0, cap=1000, samples=n, seed=17,
+                                    dual=name == "ladder_dual",
+                                    threads=2 if name == "ladder" else 1)
+        return [est]
+    if name == "residual":
+        table = HarmonicTable((0.0, 1.0, 2.0), tuple(
+            McEstimate(v, 0.0, 1, 0) for v in (0.6, 1.5, 2.5)),
+            extrapolation_offset=0.5)
+        return [harmonicity_residual(gauss, table, 0.5, n, seed=19)]
+    raise KeyError(name)
+
+
+def _pin_values(estimates):
+    out = []
+    for e in estimates:
+        out += [e.mean, e.stderr]
+        if isinstance(e, LadderEstimate):
+            out.append(e.censor_rate)
+    return [v.hex() for v in out]
+
+
+# float.hex of every mean and stderr (and the ladder's censor rate) at the
+# current block schedule, sampler calls, summation order and Philox streams;
+# a change here is a change of the random stream
+_PINNED = {
+    "gauss_n400": [
+        "0x1.beb42f1d00f81p-6", "0x1.4b911bfa99be5p-11",
+        "0x1.fa00355e05a0fp-15", "0x1.f9fd473d560dfp-16",
+        "0x1.53a886cc74aa6p-1", "0x1.1f9797a58ea73p-6",
+    ],
+    "pm1_n60": [
+        "0x1.9f33cbca767e6p-4", "0x1.333eb5faafa7ap-10", "0x0.0p+0",
+        "0x0.0p+0", "0x1.c6a80bf3b942bp-1", "0x1.8b23780153635p-7",
+        "0x1.71dd670259dd4p-6", "0x1.2e6e7e74572cdp-11",
+    ],
+    "uniform_dual_killed": [
+        "0x1.84f3eb51849e7p-1", "0x1.0672bf300ff38p-7",
+    ],
+    "unconditioned": [
+        "0x1.ac73953030bc1p-3", "0x1.9e0efaaa7a861p-10",
+    ],
+    "tilted": [
+        "0x1.314e2f3cc7e0fp-7", "0x1.49c71dbf31b80p-13",
+    ],
+    "max_abs": [
+        "0x1.143d91227e4eap-2", "0x1.c3d2be7999208p-10",
+    ],
+    "ladder": [
+        "0x1.86dbf028c1778p+0", "0x1.2537015f2d6a1p-9", "0x1.37ed40e605d84p-5",
+    ],
+    "ladder_dual": [
+        "0x1.85b780532d3ddp+0", "0x1.286777129064dp-9", "0x1.47dce2944be5ap-5",
+    ],
+    "residual": [
+        "0x1.7af69a08af300p-7", "0x1.cb2dad84cc5c2p-9",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_stream_pinned(name):
+    got = _pin_values(_pin_case(name))
+    if name == "tilted":
+        # the tilt's quadratures may move in the last digits
+        assert [float.fromhex(v) for v in got] == pytest.approx(
+            [float.fromhex(v) for v in _PINNED[name]], rel=1e-9)
+    else:
+        assert got == _PINNED[name]
