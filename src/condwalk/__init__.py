@@ -7,10 +7,7 @@ the limit theorems, and exact combinatorial oracles for verifying all of
 it at small scale.
 """
 
-from .asymptotics import Prediction, Regime, THEOREM_IDS, predict, \
-    predict_exit_local, predict_exp_functional, predict_integral_cdf, \
-    predict_interval_prob, predict_survival, predict_target_expectation, \
-    predict_unconditioned_llt
+from .asymptotics import Prediction, THEOREM_IDS, predict
 from .errors import CensoringExcess, CondwalkError, DivergentIntegral, \
     DomainError, DriftedLaw, InsufficientSweep, MismatchedTilt, \
     MissingIngredient, NoTiltExists, QuadratureFailure, StateExplosion, \

@@ -6,8 +6,13 @@ number; nothing is estimated here.  Branches are chosen explicitly by a
 stable theorem identifier, never inferred from parameter magnitudes,
 because neighbouring validity ranges overlap.
 
-Identifier registry (small x means x = o(sqrt n); large x means
-x of order sqrt n; tilde denotes division by sigma*sqrt(n)):
+The registry is ``THEOREMS``: each identifier maps to a ``Theorem`` that
+names its kernel, the ingredients the kernel needs, its validity range,
+the Monte Carlo left side an experiment compares it against and the walk
+that left side runs on.  Nothing else in the package lists identifiers.
+
+Identifiers (small x means x = o(sqrt n); large x means x of order
+sqrt n; tilde denotes division by sigma*sqrt(n)):
 
   AA001     E(f(x+S_n - y); surv) ~ 2V(x)/(sqrt(2pi) s^2 n) phi+(y~) If
   AA001D    interval version: Delta * AA001 density
@@ -38,21 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import MissingIngredient, UnknownTheorem
 from .special import levy_psi, norm_cdf, quad, rayleigh_cdf
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class Regime:
-    kind: str  # "small_x" | "large_x"
-    drift: object = None
-
-    def __post_init__(self):
-        if self.kind not in ("small_x", "large_x"):
-            raise ValueError("regime kind must be small_x or large_x")
 
 
 @dataclass(frozen=True)
@@ -63,143 +59,123 @@ class Prediction:
     validity: str = ""
 
 
-def _need(kwargs, *names):
-    missing = [k for k in names if kwargs.get(k) is None]
+@dataclass(frozen=True)
+class Theorem:
+    """One registry entry.
+
+    ``needs`` names the ingredients ``kernel`` reads; ``drift.k`` is key
+    ``k`` of the ``drift`` dict.  ``left`` names the Monte Carlo statistic
+    an experiment compares the prediction with (survival, exit_at_n,
+    interval, scaled_cdf, or the exponential target); it is None when the
+    theorem cannot run as an experiment.  ``walk`` is the walk that
+    statistic is estimated on: killed, tilted (importance sampling under
+    the Cramer tilt) or free (never killed).
+    """
+    kernel: Callable[[dict], float]
+    needs: tuple
+    validity: str
+    left: str | None = None
+    walk: str = "killed"
+
+
+def _ingredient(ing, name):
+    head, _, key = name.partition(".")
+    value = ing.get(head)
+    if key:
+        return value.get(key) if isinstance(value, dict) else None
+    return value
+
+
+def predict(theorem_id: str, **ing) -> Prediction:
+    """Evaluate one theorem's right-hand side from named ingredients."""
+    theorem = THEOREMS.get(theorem_id)
+    if theorem is None:
+        raise UnknownTheorem(f"theorem id {theorem_id!r} not registered")
+    missing = [k for k in theorem.needs if _ingredient(ing, k) is None]
     if missing:
-        raise MissingIngredient(f"missing ingredient(s): {', '.join(missing)}")
-    return [kwargs[k] for k in names]
+        raise MissingIngredient(
+            f"{theorem_id} missing ingredient(s): {', '.join(missing)}")
+    return Prediction(float(theorem.kernel(ing)), theorem_id, dict(ing),
+                      theorem.validity)
+
+
+# -- kernels ---------------------------------------------------------------
+# Kernels index the ingredients their entry needs, which predict has
+# checked; the optional t and the drift factor's x have defaults.
 
 
 def _rayleigh_density(s):
     return s * math.exp(-0.5 * s * s) if s >= 0 else 0.0
 
 
-_VALIDITY = {
-    "AA001": "x in [0, a_n sqrt(n)], y in [eta sqrt(n), sigma sqrt(q n log n)]",
-    "AA001D": "as AA001; Delta in [Delta_0, n^(1/2-eps)]",
-    "AA002.1": "x in [0, a_n sqrt(n)], y in [0, a]",
-    "AA002.2": "x in [0, a_n sqrt(n)], y in [1/a_n, a_n sqrt(n)]",
-    "AA002bis": "as AA002.2; Delta in [Delta_0, o(y)]",
-    "MD-C": "y = sigma sqrt(q n log n) with small q; slow convergence",
-    "EXPF": "x in [0, a_n sqrt(n)]",
-    "BB001": "x ~ sqrt(n), y in [sqrt(n)/eta, sigma sqrt(q n log n)]",
-    "BB001D": "as BB001; Delta in [Delta_0, n^(1/2-eps)]",
-    "MD-L": "x = eta sigma sqrt(n), y = sigma sqrt(q n log n)",
-    "BB002.1": "x ~ sqrt(n), y in [0, a]",
-    "BB002.2": "x ~ sqrt(n), y in [1/a_n, a_n sqrt(n)]",
-    "BB002bis": "as BB002.2; Delta in [Delta_0, o(y)]",
-    "ICLT-S": "x = o(sqrt n)",
-    "ICLT-L": "x of order sqrt(n) or larger",
-    "TAU-S": "x in [0, a_n sqrt(n)]",
-    "TAU-L": "x ~ sqrt(n)",
-    "TAU-S-TILT": "drifted walk, x in [0, a_n sqrt(n)]",
-    "TAU-L-TILT": "drifted walk, x ~ sqrt(n)",
-    "IGL1": "negative drift, x in [0, a_n sqrt(n)]",
-    "IGL2": "negative drift, x ~ sqrt(n)",
-    "LLT": "narrow target around y",
-    "MD": "y = sigma sqrt(q n log n)",
-}
-
-
-def _finish(theorem_id, value, ingredients):
-    return Prediction(float(value), theorem_id, dict(ingredients),
-                      _VALIDITY.get(theorem_id, ""))
-
-
-def predict(theorem_id: str, **ing) -> Prediction:
-    """Evaluate one theorem's right-hand side from named ingredients."""
-    fn = _DISPATCH.get(theorem_id)
-    if fn is None:
-        raise UnknownTheorem(f"theorem id {theorem_id!r} not registered")
-    return _finish(theorem_id, fn(ing), ing)
-
-
-# -- kernels ---------------------------------------------------------------
+def _interval(kernel):
+    """P(x + S_n in y + [0, Delta], surv): Delta times the density form."""
+    return lambda ing: kernel({**ing, "f_int": 1.0}) * ing["delta"]
 
 
 def _aa001(ing):
-    v_x, sigma, n, y, f_int = _need(ing, "v_x", "sigma", "n", "y", "f_int")
-    yt = y / (sigma * math.sqrt(n))
-    return 2.0 * v_x / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(yt) * f_int
-
-
-def _aa001d(ing):
-    delta, = _need(ing, "delta")
-    return _aa001({**ing, "f_int": 1.0}) * delta
+    v_x, sigma, n = ing["v_x"], ing["sigma"], ing["n"]
+    yt = ing["y"] / (sigma * math.sqrt(n))
+    return 2.0 * v_x / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(yt) * ing["f_int"]
 
 
 def _aa002_1(ing):
-    v_x, sigma, n, fv = _need(ing, "v_x", "sigma", "n", "f_vstar_int")
-    return 2.0 * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * fv
+    v_x, sigma, n = ing["v_x"], ing["sigma"], ing["n"]
+    return 2.0 * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * ing["f_vstar_int"]
 
 
 def _aa002_2(ing):
-    v_x, sigma, n, y, f_int = _need(ing, "v_x", "sigma", "n", "y", "f_int")
-    return 2.0 * y * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * f_int
-
-
-def _aa002bis(ing):
-    delta, = _need(ing, "delta")
-    return _aa002_2({**ing, "f_int": 1.0}) * delta
+    v_x, sigma, n = ing["v_x"], ing["sigma"], ing["n"]
+    return 2.0 * ing["y"] * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * ing["f_int"]
 
 
 def _md_c(ing):
-    v_x, sigma, n, q, delta = _need(ing, "v_x", "sigma", "n", "q", "delta")
+    v_x, sigma, n, q = ing["v_x"], ing["sigma"], ing["n"], ing["q"]
     return (2.0 * v_x / (SQRT2PI * sigma ** 2)
-            * delta * math.sqrt(q * math.log(n)) / n ** (1.0 + q / 2.0))
+            * ing["delta"] * math.sqrt(q * math.log(n)) / n ** (1.0 + q / 2.0))
 
 
 def _expf(ing):
-    ev, = _need(ing, "exp_vstar_int")
-    return _aa002_1({**ing, "f_vstar_int": ev})
+    if ing["a"] <= 0:
+        raise MissingIngredient("decay rate a must be positive")
+    return _aa002_1({**ing, "f_vstar_int": ing["exp_vstar_int"]})
 
 
 def _bb001(ing):
-    sigma, n, x, y, f_int = _need(ing, "sigma", "n", "x", "y", "f_int")
-    c = sigma * math.sqrt(n)
-    return levy_psi(y / c, x / c) / c * f_int
-
-
-def _bb001d(ing):
-    delta, = _need(ing, "delta")
-    return _bb001({**ing, "f_int": 1.0}) * delta
+    c = ing["sigma"] * math.sqrt(ing["n"])
+    return levy_psi(ing["y"] / c, ing["x"] / c) / c * ing["f_int"]
 
 
 def _md_l(ing):
-    sigma, n, x, q, delta = _need(ing, "sigma", "n", "x", "q", "delta")
-    eta = x / (sigma * math.sqrt(n))
+    sigma, n, q = ing["sigma"], ing["n"], ing["q"]
+    eta = ing["x"] / (sigma * math.sqrt(n))
     expo = -0.5 * eta * eta + eta * math.sqrt(q * math.log(n))
-    return delta * math.exp(expo) / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
+    return ing["delta"] * math.exp(expo) / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
 
 
 def _bb002_1(ing):
-    sigma, n, x, fv = _need(ing, "sigma", "n", "x", "f_vstar_int")
-    xt = x / (sigma * math.sqrt(n))
-    return 2.0 / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt) * fv
+    sigma, n = ing["sigma"], ing["n"]
+    xt = ing["x"] / (sigma * math.sqrt(n))
+    return 2.0 / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt) * ing["f_vstar_int"]
 
 
 def _bb002_2(ing):
-    sigma, n, x, y, f_int = _need(ing, "sigma", "n", "x", "y", "f_int")
-    xt = x / (sigma * math.sqrt(n))
-    return 2.0 * y / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt) * f_int
-
-
-def _bb002bis(ing):
-    delta, = _need(ing, "delta")
-    return _bb002_2({**ing, "f_int": 1.0}) * delta
+    sigma, n = ing["sigma"], ing["n"]
+    xt = ing["x"] / (sigma * math.sqrt(n))
+    return (2.0 * ing["y"] / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt)
+            * ing["f_int"])
 
 
 def _iclt_s(ing):
-    v_x, sigma, n = _need(ing, "v_x", "sigma", "n")
+    sigma, n = ing["sigma"], ing["n"]
     t = ing.get("t", math.inf)
     shape = 1.0 if t == math.inf else rayleigh_cdf(t)
-    return 2.0 * v_x / (sigma * math.sqrt(2.0 * math.pi * n)) * shape
+    return 2.0 * ing["v_x"] / (sigma * math.sqrt(2.0 * math.pi * n)) * shape
 
 
 def _iclt_l(ing):
-    sigma, n, x = _need(ing, "sigma", "n", "x")
     t = ing.get("t", math.inf)
-    xt = x / (sigma * math.sqrt(n))
+    xt = ing["x"] / (ing["sigma"] * math.sqrt(ing["n"]))
     if t == math.inf:
         return 2.0 * float(norm_cdf(xt)) - 1.0
     if t <= 0.0:
@@ -207,166 +183,131 @@ def _iclt_l(ing):
     return quad(lambda s: levy_psi(s, xt), 0.0, t, tol=1e-11)
 
 
-def _exit_prefactor(ing):
-    """exp(n Lambda + lam x) and the tilted (sigma, v) replacements."""
-    drift = ing.get("drift")
-    if drift is None:
-        return 1.0, ing.get("sigma"), ing.get("v_x")
-    lam, lg, s_lam = (drift[k] for k in ("lam", "log_mgf", "tilted_sigma"))
-    factor = math.exp(ing["n"] * lg + lam * ing.get("x", 0.0))
-    return factor, s_lam, drift.get("v_lambda_x")
+def _drift_factor(ing):
+    """exp(n Lambda + lam x) and the tilted sigma of a drifted walk."""
+    d = ing["drift"]
+    factor = math.exp(ing["n"] * d["log_mgf"] + d["lam"] * ing.get("x", 0.0))
+    return factor, d["tilted_sigma"]
+
+
+def _positive_kappa(ing):
+    if ing["kappa"] <= 0:
+        raise MissingIngredient("kappa must be positive")
+    return ing["kappa"]
 
 
 def _tau_s(ing):
-    kappa, n = _need(ing, "kappa", "n")
-    factor, sigma, v_x = _exit_prefactor(ing)
-    if sigma is None or v_x is None:
-        raise MissingIngredient("TAU-S needs sigma and v_x (tilted when drifted)")
-    return 2.0 * kappa * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * factor
+    kappa, sigma, n = _positive_kappa(ing), ing["sigma"], ing["n"]
+    return 2.0 * kappa * ing["v_x"] / (SQRT2PI * sigma ** 3 * n ** 1.5)
 
 
 def _tau_l(ing):
-    kappa, n, x = _need(ing, "kappa", "n", "x")
-    factor, sigma, _ = _exit_prefactor(ing)
-    if sigma is None:
-        raise MissingIngredient("TAU-L needs sigma (tilted when drifted)")
-    xt = x / (sigma * math.sqrt(n))
-    return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt) * factor
+    kappa, sigma, n = _positive_kappa(ing), ing["sigma"], ing["n"]
+    xt = ing["x"] / (sigma * math.sqrt(n))
+    return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt)
+
+
+def _tau_s_tilt(ing):
+    factor, s_lam = _drift_factor(ing)
+    return _tau_s({**ing, "sigma": s_lam,
+                   "v_x": ing["drift"]["v_lambda_x"]}) * factor
+
+
+def _tau_l_tilt(ing):
+    factor, s_lam = _drift_factor(ing)
+    return _tau_l({**ing, "sigma": s_lam}) * factor
 
 
 def _igl1(ing):
-    n, = _need(ing, "n")
-    drift = ing.get("drift")
-    if drift is None:
-        raise MissingIngredient("IGL1 needs drift ingredients")
-    lam, lg, s_lam = (drift[k] for k in ("lam", "log_mgf", "tilted_sigma"))
-    v_lam = drift.get("v_lambda_x")
-    i_int = drift.get("i_integral")
-    if v_lam is None or i_int is None:
-        raise MissingIngredient("IGL1 needs v_lambda_x and i_integral")
-    factor = math.exp(n * lg + lam * ing.get("x", 0.0))
-    return 2.0 * v_lam * factor / (SQRT2PI * s_lam ** 3 * n ** 1.5) * i_int
+    factor, s_lam = _drift_factor(ing)
+    d, n = ing["drift"], ing["n"]
+    return (2.0 * d["v_lambda_x"] * factor / (SQRT2PI * s_lam ** 3 * n ** 1.5)
+            * d["i_integral"])
 
 
 def _igl2(ing):
-    n, x = _need(ing, "n", "x")
-    drift = ing.get("drift")
-    if drift is None:
-        raise MissingIngredient("IGL2 needs drift ingredients")
-    lam, lg, s_lam = (drift[k] for k in ("lam", "log_mgf", "tilted_sigma"))
-    i_int = drift.get("i_integral")
-    if i_int is None:
-        raise MissingIngredient("IGL2 needs i_integral")
-    factor = math.exp(n * lg + lam * x)
-    xt = x / (s_lam * math.sqrt(n))
+    factor, s_lam = _drift_factor(ing)
+    n = ing["n"]
+    xt = ing["x"] / (s_lam * math.sqrt(n))
     return (2.0 * factor / (SQRT2PI * s_lam ** 2 * n)
-            * _rayleigh_density(xt) * i_int)
+            * _rayleigh_density(xt) * ing["drift"]["i_integral"])
 
 
 def _llt(ing):
-    sigma, n, y, f_int = _need(ing, "sigma", "n", "y", "f_int")
-    c = sigma * math.sqrt(n)
-    return f_int * math.exp(-0.5 * (y / c) ** 2) / (SQRT2PI * c)
+    c = ing["sigma"] * math.sqrt(ing["n"])
+    return ing["f_int"] * math.exp(-0.5 * (ing["y"] / c) ** 2) / (SQRT2PI * c)
 
 
 def _md(ing):
-    sigma, n, q, delta = _need(ing, "sigma", "n", "q", "delta")
-    return delta / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
+    sigma, n, q = ing["sigma"], ing["n"], ing["q"]
+    return ing["delta"] / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
 
 
-_DISPATCH = {
-    "AA001": _aa001, "AA001D": _aa001d, "AA002.1": _aa002_1,
-    "AA002.2": _aa002_2, "AA002bis": _aa002bis, "MD-C": _md_c,
-    "EXPF": _expf, "BB001": _bb001, "BB001D": _bb001d, "MD-L": _md_l,
-    "BB002.1": _bb002_1, "BB002.2": _bb002_2, "BB002bis": _bb002bis,
-    "ICLT-S": _iclt_s, "ICLT-L": _iclt_l, "TAU-S": _tau_s, "TAU-L": _tau_l,
-    "TAU-S-TILT": _tau_s, "TAU-L-TILT": _tau_l, "IGL1": _igl1, "IGL2": _igl2,
-    "LLT": _llt, "MD": _md,
+# -- registry --------------------------------------------------------------
+
+_SMALL = ("v_x", "sigma", "n")
+_LARGE = ("sigma", "n", "x")
+_TILT = ("n", "drift.lam", "drift.log_mgf", "drift.tilted_sigma")
+
+THEOREMS = {
+    "AA001": Theorem(
+        _aa001, (*_SMALL, "y", "f_int"),
+        "x in [0, a_n sqrt(n)], y in [eta sqrt(n), sigma sqrt(q n log n)]"),
+    "AA001D": Theorem(
+        _interval(_aa001), (*_SMALL, "y", "delta"),
+        "as AA001; Delta in [Delta_0, n^(1/2-eps)]", "interval"),
+    "AA002.1": Theorem(
+        _aa002_1, (*_SMALL, "f_vstar_int"), "x in [0, a_n sqrt(n)], y in [0, a]"),
+    "AA002.2": Theorem(
+        _aa002_2, (*_SMALL, "y", "f_int"),
+        "x in [0, a_n sqrt(n)], y in [1/a_n, a_n sqrt(n)]"),
+    "AA002bis": Theorem(
+        _interval(_aa002_2), (*_SMALL, "y", "delta"),
+        "as AA002.2; Delta in [Delta_0, o(y)]", "interval"),
+    "MD-C": Theorem(
+        _md_c, (*_SMALL, "q", "delta"),
+        "y = sigma sqrt(q n log n) with small q; slow convergence", "interval"),
+    "EXPF": Theorem(
+        _expf, (*_SMALL, "a", "exp_vstar_int"), "x in [0, a_n sqrt(n)]",
+        "exp_target"),
+    "BB001": Theorem(
+        _bb001, (*_LARGE, "y", "f_int"),
+        "x ~ sqrt(n), y in [sqrt(n)/eta, sigma sqrt(q n log n)]"),
+    "BB001D": Theorem(
+        _interval(_bb001), (*_LARGE, "y", "delta"),
+        "as BB001; Delta in [Delta_0, n^(1/2-eps)]", "interval"),
+    "MD-L": Theorem(
+        _md_l, (*_LARGE, "q", "delta"),
+        "x = eta sigma sqrt(n), y = sigma sqrt(q n log n)", "interval"),
+    "BB002.1": Theorem(
+        _bb002_1, (*_LARGE, "f_vstar_int"), "x ~ sqrt(n), y in [0, a]"),
+    "BB002.2": Theorem(
+        _bb002_2, (*_LARGE, "y", "f_int"), "x ~ sqrt(n), y in [1/a_n, a_n sqrt(n)]"),
+    "BB002bis": Theorem(
+        _interval(_bb002_2), (*_LARGE, "y", "delta"),
+        "as BB002.2; Delta in [Delta_0, o(y)]", "interval"),
+    "ICLT-S": Theorem(_iclt_s, _SMALL, "x = o(sqrt n)", "scaled_cdf"),
+    "ICLT-L": Theorem(_iclt_l, _LARGE, "x of order sqrt(n) or larger",
+                      "scaled_cdf"),
+    "TAU-S": Theorem(_tau_s, ("kappa", *_SMALL), "x in [0, a_n sqrt(n)]",
+                     "exit_at_n"),
+    "TAU-L": Theorem(_tau_l, ("kappa", *_LARGE), "x ~ sqrt(n)", "exit_at_n"),
+    "TAU-S-TILT": Theorem(
+        _tau_s_tilt, ("kappa", *_TILT, "drift.v_lambda_x"),
+        "drifted walk, x in [0, a_n sqrt(n)]", "exit_at_n", "tilted"),
+    "TAU-L-TILT": Theorem(
+        _tau_l_tilt, ("kappa", *_TILT, "x"), "drifted walk, x ~ sqrt(n)",
+        "exit_at_n", "tilted"),
+    "IGL1": Theorem(
+        _igl1, (*_TILT, "drift.v_lambda_x", "drift.i_integral"),
+        "negative drift, x in [0, a_n sqrt(n)]", "survival", "tilted"),
+    "IGL2": Theorem(
+        _igl2, (*_TILT, "x", "drift.i_integral"), "negative drift, x ~ sqrt(n)",
+        "survival", "tilted"),
+    "LLT": Theorem(_llt, ("sigma", "n", "y", "f_int"), "narrow target around y",
+                   "interval", "free"),
+    "MD": Theorem(_md, ("sigma", "n", "q", "delta"), "y = sigma sqrt(q n log n)",
+                  "interval", "free"),
 }
 
-THEOREM_IDS = tuple(sorted(_DISPATCH))
-
-
-# ---------------------------------------------------------------------------
-# Structured operations (thin wrappers over the registry)
-
-
-def predict_target_expectation(regime: Regime, v_x, sigma, n, y, f_int,
-                               f_vstar_int=None, x=None,
-                               branch: str | None = None) -> Prediction:
-    """Asymptotics of E(f(x + S_n - y); tau_x > n); branch per theorem id."""
-    if branch is None:
-        branch = "AA001" if regime.kind == "small_x" else "BB001"
-    if branch in ("AA002.1", "BB002.1") and f_vstar_int is None:
-        raise MissingIngredient(f"{branch} needs f_vstar_int")
-    return predict(branch, v_x=v_x, sigma=sigma, n=n, y=y, f_int=f_int,
-                   f_vstar_int=f_vstar_int, x=x)
-
-
-def predict_interval_prob(regime: Regime, v_x, sigma, n, y, delta, x=None,
-                          q=None, branch: str | None = None) -> Prediction:
-    """Asymptotics of P(x + S_n in y + [0, Delta], tau_x > n)."""
-    if branch is None:
-        branch = "AA001D" if regime.kind == "small_x" else "BB001D"
-    return predict(branch, v_x=v_x, sigma=sigma, n=n, y=y, delta=delta,
-                   x=x, q=q)
-
-
-def predict_survival(regime: Regime, v_x=None, sigma=None, n=None, x=None,
-                     drift_ingredients: dict | None = None) -> Prediction:
-    """P(tau_x > n): ICLT-S / ICLT-L when driftless, IGL1 / IGL2 otherwise."""
-    if drift_ingredients is not None:
-        branch = "IGL1" if regime.kind == "small_x" else "IGL2"
-        drift = _normalize_drift(drift_ingredients)
-        return predict(branch, n=n, x=x, drift=drift)
-    branch = "ICLT-S" if regime.kind == "small_x" else "ICLT-L"
-    return predict(branch, v_x=v_x, sigma=sigma, n=n, x=x)
-
-
-def predict_exit_local(regime: Regime, kappa, v_x=None, sigma=None, n=None,
-                       x=None, drift_ingredients: dict | None = None) -> Prediction:
-    """P(tau_x = n) with the explicit constant kappa (kappa_lam if drifted)."""
-    if kappa is None or kappa <= 0:
-        raise MissingIngredient("kappa must be positive")
-    if drift_ingredients is not None:
-        branch = "TAU-S-TILT" if regime.kind == "small_x" else "TAU-L-TILT"
-        drift = _normalize_drift(drift_ingredients)
-        return predict(branch, kappa=kappa, n=n, x=x, drift=drift)
-    branch = "TAU-S" if regime.kind == "small_x" else "TAU-L"
-    return predict(branch, kappa=kappa, v_x=v_x, sigma=sigma, n=n, x=x)
-
-
-def predict_integral_cdf(regime: Regime, v_x=None, sigma=None, n=None,
-                         x=None, t=0.0) -> Prediction:
-    """P((x+S_n)/(sigma sqrt n) <= t, tau_x > n)."""
-    branch = "ICLT-S" if regime.kind == "small_x" else "ICLT-L"
-    return predict(branch, v_x=v_x, sigma=sigma, n=n, x=x, t=t)
-
-
-def predict_unconditioned_llt(f_int, sigma, n, y,
-                              moderate_dev: dict | None = None) -> Prediction:
-    """Main term of the plain local limit theorem, or its moderate-deviation
-    closed form when (q, delta) are supplied."""
-    if moderate_dev is not None:
-        return predict("MD", sigma=sigma, n=n, q=moderate_dev["q"],
-                       delta=moderate_dev["delta"])
-    return predict("LLT", f_int=f_int, sigma=sigma, n=n, y=y)
-
-
-def predict_exp_functional(v_x, sigma, n, a, exp_vstar_int) -> Prediction:
-    """E(exp(-a (x + S_n)); tau_x > n) via the weighted dual-harmonic integral."""
-    if a <= 0:
-        raise MissingIngredient("decay rate a must be positive")
-    return predict("EXPF", v_x=v_x, sigma=sigma, n=n, a=a,
-                   exp_vstar_int=exp_vstar_int)
-
-
-def _normalize_drift(d: dict) -> dict:
-    out = {"lam": d.get("lam", d.get("lambda")),
-           "log_mgf": d.get("log_mgf"),
-           "tilted_sigma": d.get("tilted_sigma"),
-           "v_lambda_x": d.get("v_lambda_x"),
-           "i_integral": d.get("i_integral")}
-    if out["lam"] is None or out["log_mgf"] is None or out["tilted_sigma"] is None:
-        raise MissingIngredient("drift ingredients need lam, log_mgf, tilted_sigma")
-    return out
+THEOREM_IDS = tuple(sorted(THEOREMS))

@@ -24,7 +24,8 @@ from .errors import CensoringExcess, DriftedLaw, QuadratureFailure
 from .increments import IncrementLaw, TiltedLaw, left_exit_prob
 from .rngstream import mix64
 from .special import quad
-from .walk import McEstimate, Statistic, _advance, _chunked, _mc_many
+from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
+    _mc_many
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,7 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     rate; their bias is bounded by the survival probability at the cap
     times (x + overshoot scale).
     """
+    _check_start(x, cap)
     if cap < 10 ** 3:
         raise ValueError("cap must be at least 1e3")
     _require_zero_mean(law)

@@ -13,6 +13,7 @@ of their estimation parameters.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -21,12 +22,13 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .asymptotics import predict
-from .errors import InsufficientSweep, UnknownTheorem
+from .asymptotics import THEOREMS, predict
+from .errors import InsufficientSweep, MissingIngredient, UnknownTheorem
 from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
     estimate_V_killed, estimate_V_ladder, kappa_constant, weighted_table_integral
 from .increments import cramer_tilt, parse_law
 from .rngstream import mix64
+from .targets import TargetFunction
 from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
     mc_unconditioned
 
@@ -168,30 +170,22 @@ def _table_for(law_str, law, dual, tilt, seed, threads, cache):
 # Experiment runner
 
 
-_TILTED = {"IGL1", "IGL2", "TAU-S-TILT", "TAU-L-TILT"}
-_UNCONDITIONED = {"LLT", "MD"}
-_NEEDS_V = {"AA001D", "AA002bis", "MD-C", "ICLT-S", "TAU-S", "EXPF"}
-_NEEDS_KAPPA = {"TAU-S", "TAU-L", "TAU-S-TILT", "TAU-L-TILT"}
-_SUPPORTED = _TILTED | _UNCONDITIONED | _NEEDS_V | _NEEDS_KAPPA | {
-    "BB001D", "BB002bis", "MD-L", "ICLT-L"}
-
-
-def _statistic_for(cfg: ExperimentConfig) -> Statistic:
-    tid = cfg.theorem_id
-    if tid in ("TAU-S", "TAU-L", "TAU-S-TILT", "TAU-L-TILT"):
-        return Statistic.exit_at_n()
-    if tid in ("ICLT-S", "ICLT-L"):
-        if cfg.t is not None:
-            return Statistic.scaled_cdf(cfg.t)
-        return Statistic.survival()
-    if tid in ("IGL1", "IGL2"):
-        return Statistic.survival()
-    if tid == "EXPF":
-        from .targets import TargetFunction
+def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
+    """The Monte Carlo statistic a registry entry's left side names."""
+    if left == "interval":
+        if cfg.y is None or cfg.delta is None:
+            raise MissingIngredient(
+                f"{cfg.theorem_id} requires y and delta in the config")
+        return Statistic.interval(cfg.y, cfg.delta)
+    if left == "exp_target":
+        if cfg.a is None:
+            raise MissingIngredient(f"{cfg.theorem_id} requires a in the config")
         return Statistic.target(TargetFunction.exponential(cfg.a), 0.0)
-    if cfg.y is None or cfg.delta is None:
-        raise UnknownTheorem(f"{tid} requires y and delta in the config")
-    return Statistic.interval(cfg.y, cfg.delta)
+    if left == "exit_at_n":
+        return Statistic.exit_at_n()
+    if left == "scaled_cdf" and cfg.t is not None:
+        return Statistic.scaled_cdf(cfg.t)
+    return Statistic.survival()
 
 
 def _estimate_v(cfg, law, x, threads):
@@ -207,62 +201,61 @@ def _estimate_v(cfg, law, x, threads):
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
                    cache: IngredientCache | None = None):
-    """One row per horizon; raises for unknown theorem ids."""
-    if cfg.theorem_id not in _SUPPORTED:
-        raise UnknownTheorem(
-            f"{cfg.theorem_id!r} is not runnable as an experiment "
-            f"(supported: {sorted(_SUPPORTED)})")
-    law = parse_law(cfg.law)
-    tid = cfg.theorem_id
-    stat = None if tid in _UNCONDITIONED else _statistic_for(cfg)
+    """One row per horizon; raises for ids that cannot run as experiments.
 
+    The theorem's registry entry decides everything: the ingredients to
+    estimate are the estimable ones it needs, the dual table is built only
+    when one of them is read off it, and the statistic and the walk come
+    from its left side.
+    """
+    tid = cfg.theorem_id
+    theorem = THEOREMS.get(tid)
+    if theorem is None or theorem.left is None:
+        runnable = sorted(k for k, v in THEOREMS.items() if v.left)
+        raise UnknownTheorem(f"{tid!r} is not runnable as an experiment "
+                             f"(supported: {runnable})")
+    law = parse_law(cfg.law)
+    stat = _left_statistic(cfg, theorem.left)
+    needs = theorem.needs
+    # f_int is the integral of the indicator of [y, y + delta]
     ing = {"sigma": law.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
            "q": cfg.q, "t": cfg.t if cfg.t is not None else math.inf,
-           "f_int": 1.0}
+           "a": cfg.a, "f_int": cfg.delta}
+    tilt = cramer_tilt(law) if theorem.walk == "tilted" else None
 
-    tilt = None
-    if tid in _TILTED:
-        tilt = cramer_tilt(law)
-        dual_tab = _table_for(cfg.law, law, True, tilt, mix64(cfg.seed ^ 0xD0),
-                              threads, cache)
-        i_int = cfg.i_value if cfg.i_value is not None else \
-            weighted_table_integral(dual_tab, tilt.lam)
+    @functools.cache
+    def dual_table():
+        seed = mix64(cfg.seed ^ (0xD0 if tilt else 0xD1))
+        return _table_for(cfg.law, law, True, tilt, seed, threads, cache)
+
+    if "v_x" in needs:
+        ing["v_x"] = _estimate_v(cfg, law, cfg.x, threads)
+    if "kappa" in needs:
+        ing["kappa"] = cfg.kappa_value if cfg.kappa_source == "supplied" \
+            else kappa_constant(law, dual_table(), tilt=tilt)
+    if "exp_vstar_int" in needs:
+        ing["exp_vstar_int"] = weighted_table_integral(dual_table(), cfg.a)
+    if tilt is not None:
         drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-                 "tilted_sigma": tilt.tilted_sigma, "i_integral": i_int}
-        if tid in ("IGL1", "TAU-S-TILT"):
+                 "tilted_sigma": tilt.tilted_sigma}
+        if "drift.v_lambda_x" in needs:
             drift["v_lambda_x"] = _estimate_v(cfg, tilt.sampler, cfg.x, threads)
-        if tid in ("TAU-S-TILT", "TAU-L-TILT"):
-            ing["kappa"] = cfg.kappa_value if cfg.kappa_source == "supplied" \
-                else kappa_constant(law, dual_tab, tilt=tilt)
+        if "drift.i_integral" in needs:
+            drift["i_integral"] = cfg.i_value if cfg.i_value is not None \
+                else weighted_table_integral(dual_table(), tilt.lam)
         ing["drift"] = drift
-    else:
-        if tid in _NEEDS_V:
-            ing["v_x"] = _estimate_v(cfg, law, cfg.x, threads)
-        if tid in _NEEDS_KAPPA:
-            if cfg.kappa_source == "supplied":
-                ing["kappa"] = cfg.kappa_value
-            else:
-                dual_tab = _table_for(cfg.law, law, True, None,
-                                      mix64(cfg.seed ^ 0xD1), threads, cache)
-                ing["kappa"] = kappa_constant(law, dual_tab)
-        if tid == "EXPF":
-            dual_tab = _table_for(cfg.law, law, True, None,
-                                  mix64(cfg.seed ^ 0xD1), threads, cache)
-            ing["exp_vstar_int"] = weighted_table_integral(dual_tab, cfg.a)
-            ing["a"] = cfg.a
 
     rows = []
     for j, n in enumerate(cfg.n_list):
         seed_n = mix64(cfg.seed ^ mix64(7000 + j))
-        if tid in _UNCONDITIONED:
-            mc = mc_unconditioned(law, n, Statistic.interval(cfg.y, cfg.delta),
-                                  cfg.samples, seed_n, threads)
-        elif tid in _TILTED:
+        pred = predict(tid, **{**ing, "n": n}).value
+        if theorem.walk == "free":
+            mc = mc_unconditioned(law, n, stat, cfg.samples, seed_n, threads)
+        elif tilt is not None:
             mc = mc_tilted_survival(law, tilt, cfg.x, n, stat, cfg.samples,
                                     seed_n, threads)
         else:
             mc = mc_estimate(law, cfg.x, n, stat, cfg.samples, seed_n, threads)
-        pred = predict(tid, **{**ing, "n": n}).value
         ratio = mc.mean / pred
         half = 4.0 * mc.stderr / pred
         rows.append(ReportRow(cfg.name, tid, n, mc, pred, ratio,

@@ -193,6 +193,8 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
     negate = [s.dual for s in stats]
     if any(negate) and not all(negate):
         raise ValueError("cannot mix dual and primal statistics in one pass")
+    if not kill and any(s.kind == "exit_at_n" for s in stats):
+        raise ValueError("exit_at_n needs the killed walk")
 
     def work(rng, m):
         exits = np.empty(0)

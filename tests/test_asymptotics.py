@@ -1,14 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from condwalk import (MissingIngredient, Regime, THEOREM_IDS, UnknownTheorem,
-                      predict, predict_exit_local, predict_exp_functional,
-                      predict_integral_cdf, predict_interval_prob,
-                      predict_survival, predict_target_expectation,
-                      predict_unconditioned_llt)
+from condwalk import MissingIngredient, THEOREM_IDS, UnknownTheorem, predict
 from condwalk.special import levy_psi, levy_psi_integral, norm_cdf
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 V0 = 2 ** -0.5
@@ -52,77 +51,71 @@ def test_moderate_deviation_conditioned():
 
 
 def test_survival_formulas():
-    p = predict_survival(Regime("small_x"), v_x=V0, sigma=1.0, n=400)
+    p = predict("ICLT-S", v_x=V0, sigma=1.0, n=400)
     assert p.value == pytest.approx(2 * V0 / math.sqrt(2 * math.pi * 400),
                                     rel=1e-14)
     assert p.value == pytest.approx(0.0282095, rel=1e-5)
-    p = predict_survival(Regime("large_x"), sigma=1.0, n=400, x=20.0)
+    p = predict("ICLT-L", sigma=1.0, n=400, x=20.0)
     assert p.value == pytest.approx(2 * float(norm_cdf(1.0)) - 1.0, rel=1e-14)
 
 
 def test_survival_drift_iglehart():
     drift = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
              "v_lambda_x": V0, "i_integral": 1.0}
-    p = predict_survival(Regime("small_x"), n=30, x=0.0,
-                         drift_ingredients=drift)
+    p = predict("IGL1", n=30, x=0.0, drift=drift)
     byhand = 2 * V0 * math.exp(-3.75) / (SQRT2PI * 30 ** 1.5)
     assert p.value == pytest.approx(byhand, rel=1e-12)
     assert p.value == pytest.approx(8.075e-5, rel=1e-3)
-    p2 = predict_survival(Regime("large_x"), n=30, x=5.0,
-                          drift_ingredients={**drift, "i_integral": 2.0})
+    p2 = predict("IGL2", n=30, x=5.0, drift={**drift, "i_integral": 2.0})
     assert p2.value > 0
 
 
 def test_exit_local_formulas():
-    p = predict_exit_local(Regime("small_x"), kappa=0.5, v_x=V0, sigma=1.0,
-                           n=100)
+    p = predict("TAU-S", kappa=0.5, v_x=V0, sigma=1.0, n=100)
     assert p.value == pytest.approx(2 * 0.5 * V0 / (SQRT2PI * 1000), rel=1e-14)
     assert p.value == pytest.approx(2.8210e-4, rel=1e-4)
-    p = predict_exit_local(Regime("large_x"), kappa=0.5, sigma=1.0, n=100,
-                           x=10.0)
+    p = predict("TAU-L", kappa=0.5, sigma=1.0, n=100, x=10.0)
     assert p.value == pytest.approx(2 * 0.5 / (SQRT2PI * 100) * ray(1.0),
                                     rel=1e-14)
     drift = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
              "v_lambda_x": V0}
-    p_tilt = predict_exit_local(Regime("small_x"), kappa=0.5, n=30, x=0.0,
-                                drift_ingredients=drift)
-    p_plain = predict_exit_local(Regime("small_x"), kappa=0.5, v_x=V0,
-                                 sigma=1.0, n=30)
+    p_tilt = predict("TAU-S-TILT", kappa=0.5, n=30, x=0.0, drift=drift)
+    p_plain = predict("TAU-S", kappa=0.5, v_x=V0, sigma=1.0, n=30)
     assert p_tilt.value == pytest.approx(p_plain.value * math.exp(-3.75),
                                          rel=1e-12)
 
 
 def test_integral_cdf_formulas():
-    p = predict_integral_cdf(Regime("small_x"), v_x=V0, sigma=1.0, n=400, t=1.0)
+    p = predict("ICLT-S", v_x=V0, sigma=1.0, n=400, t=1.0)
     byhand = 2 * V0 / math.sqrt(2 * math.pi * 400) * (1 - math.exp(-0.5))
     assert p.value == pytest.approx(byhand, rel=1e-14)
-    p = predict_integral_cdf(Regime("large_x"), sigma=1.0, n=400, x=20.0,
-                             t=math.inf)
+    p = predict("ICLT-L", sigma=1.0, n=400, x=20.0, t=math.inf)
     assert p.value == pytest.approx(2 * float(norm_cdf(1.0)) - 1.0, rel=1e-14)
-    p = predict_integral_cdf(Regime("large_x"), sigma=1.0, n=400, x=20.0, t=1.0)
+    p = predict("ICLT-L", sigma=1.0, n=400, x=20.0, t=1.0)
     assert p.value == pytest.approx(levy_psi_integral(1.0, 1.0), abs=1e-10)
-    for regime in ("small_x", "large_x"):
-        assert predict_integral_cdf(Regime(regime), v_x=V0, sigma=1.0, n=400,
-                                    x=20.0, t=0.0).value == 0.0
+    for tid in ("ICLT-S", "ICLT-L"):
+        assert predict(tid, v_x=V0, sigma=1.0, n=400, x=20.0,
+                       t=0.0).value == 0.0
 
 
 def test_unconditioned_llt():
-    p = predict_unconditioned_llt(1.0, 1.0, 400, 0.0)
+    p = predict("LLT", f_int=1.0, sigma=1.0, n=400, y=0.0)
     assert p.value == pytest.approx(1.0 / (SQRT2PI * 20.0), rel=1e-14)
-    p = predict_unconditioned_llt(1.0, 1.0, 400, 0.0,
-                                  moderate_dev={"q": 0.1, "delta": 1.0})
+    p = predict("MD", sigma=1.0, n=400, q=0.1, delta=1.0)
     assert p.value == pytest.approx(1.0 / (SQRT2PI * 400 ** 0.55), rel=1e-14)
-    half = predict_unconditioned_llt(1.0, 2.0, 400, 0.0)
+    half = predict("LLT", f_int=1.0, sigma=2.0, n=400, y=0.0)
     assert half.value == pytest.approx(p.value * 0 + 1.0 / (SQRT2PI * 40.0),
                                        rel=1e-14)
 
 
 def test_exp_functional():
-    p = predict_exp_functional(V0, 1.0, 400, a=0.5, exp_vstar_int=3.0)
+    p = predict("EXPF", v_x=V0, sigma=1.0, n=400, a=0.5, exp_vstar_int=3.0)
     assert p.value == pytest.approx(2 * V0 / (SQRT2PI * 8000) * 3.0, rel=1e-14)
-    small = predict_exp_functional(V0, 1.0, 400, a=50.0, exp_vstar_int=1e-12)
+    small = predict("EXPF", v_x=V0, sigma=1.0, n=400, a=50.0,
+                    exp_vstar_int=1e-12)
     assert small.value < 1e-16
-    quad_n = predict_exp_functional(V0, 1.0, 1600, a=0.5, exp_vstar_int=3.0)
+    quad_n = predict("EXPF", v_x=V0, sigma=1.0, n=1600, a=0.5,
+                     exp_vstar_int=3.0)
     assert quad_n.value == pytest.approx(p.value / 8.0, rel=1e-12)
 
 
@@ -180,20 +173,28 @@ def test_missing_ingredient_and_unknown_theorem():
     with pytest.raises(MissingIngredient):
         predict("AA002.1", v_x=V0, sigma=1.0, n=400)
     with pytest.raises(MissingIngredient):
-        predict_target_expectation(Regime("small_x"), V0, 1.0, 400, 0.0, 1.0,
-                                   branch="AA002.1")
+        predict("AA002.1", v_x=V0, sigma=1.0, n=400, y=0.0, f_int=1.0)
     with pytest.raises(MissingIngredient):
-        predict_survival(Regime("small_x"), n=30, x=0.0,
-                         drift_ingredients={"lam": 0.5})
+        predict("IGL1", n=30, x=0.0, drift={"lam": 0.5})
+    with pytest.raises(MissingIngredient, match="drift.tilted_sigma"):
+        predict("TAU-L-TILT", kappa=0.5, n=30, x=5.0,
+                drift={"lam": 0.5, "log_mgf": -0.125})
     with pytest.raises(UnknownTheorem):
         predict("ZZZ", n=1)
     with pytest.raises(MissingIngredient):
-        predict_exit_local(Regime("small_x"), kappa=0.0, v_x=V0, sigma=1.0,
-                           n=10)
+        predict("TAU-S", kappa=0.0, v_x=V0, sigma=1.0, n=10)
+    with pytest.raises(MissingIngredient):
+        predict("TAU-S", kappa=-0.5, v_x=0.7, sigma=1.0, n=30)
+    with pytest.raises(MissingIngredient):
+        predict("EXPF", v_x=V0, sigma=1.0, n=400, a=-1.0, exp_vstar_int=3.0)
 
 
 def test_registry_covers_documented_ids():
-    for tid in ("AA001", "AA002.1", "AA002bis", "BB001", "BB001D", "BB002.1",
-                "BB002.2", "BB002bis", "IGL1", "IGL2", "TAU-S", "TAU-L",
-                "TAU-S-TILT", "TAU-L-TILT", "ICLT-S", "ICLT-L", "LLT", "MD"):
-        assert tid in THEOREM_IDS
+    text = README.read_text().split("## Theorem identifiers", 1)[1]
+    table = text.split("\n## ", 1)[0]
+    documented = set()
+    for line in table.splitlines():
+        cell = line.split("|")[1].strip() if line.startswith("|") else ""
+        if cell and cell != "id" and not cell.startswith("-"):
+            documented.update(t.strip() for t in cell.split("/"))
+    assert documented == set(THEOREM_IDS)

@@ -55,6 +55,12 @@ def test_predict_bad_json_is_config_error(capsys):
     assert code == 2
 
 
+def test_predict_incomplete_drift_is_config_error(capsys):
+    code, _ = run_cli(capsys, "predict", "--theorem", "IGL1", "--ingredients",
+                      json.dumps({"n": 30, "x": 0, "drift": {"lam": 0.5}}))
+    assert code == 2
+
+
 def test_oracle_subcommands(capsys):
     code, out = run_cli(capsys, "oracle", "sa", "--n", "10")
     assert code == 0

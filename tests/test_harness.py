@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from condwalk import (CensoringExcess, ExperimentConfig, IngredientCache,
-                      InsufficientSweep, UnknownTheorem, band_pass,
-                      convergence_sweep, emit_report, parse_report,
+                      InsufficientSweep, MissingIngredient, UnknownTheorem,
+                      band_pass, convergence_sweep, emit_report, parse_report,
                       run_experiment)
 from condwalk.harness import row_record
 
@@ -30,6 +30,12 @@ def test_run_experiment_basic_row():
     assert 0.9 <= r.ratio <= 1.1
 
 
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+def test_llt_interval_width(delta):
+    rows = run_experiment(_fast_cfg(theorem_id="LLT", y=0.0, delta=delta))
+    assert 0.9 <= rows[0].ratio <= 1.1
+
+
 def test_run_experiment_zero_count_event_no_crash():
     cfg = _fast_cfg(theorem_id="BB001D", x=20.0, y=200.0, delta=1.0,
                     samples=10 ** 3, n_list=(50,), band=(0.0, math.inf))
@@ -41,6 +47,13 @@ def test_run_experiment_zero_count_event_no_crash():
 def test_unknown_theorem_rejected():
     with pytest.raises(UnknownTheorem):
         run_experiment(_fast_cfg(theorem_id="AA317"))
+
+
+@pytest.mark.parametrize("tid, over", [("MD-C", {"q": 0.1, "delta": 1.0}),
+                                       ("EXPF", {})])
+def test_left_side_needs_its_config_fields(tid, over):
+    with pytest.raises(MissingIngredient):
+        run_experiment(_fast_cfg(theorem_id=tid, **over))
 
 
 def test_sweep_needs_two_horizons():

@@ -38,6 +38,9 @@ def test_invalid_start_rejected(gauss_law, x, n):
     if x == 0.0:
         calls.append(lambda: mc_unconditioned(gauss_law, n,
                                               Statistic.survival(), 1000, 1))
+    else:
+        calls.append(lambda: estimate_V_ladder(gauss_law, x, cap=1000,
+                                               samples=1000, seed=1))
     for call in calls:
         with pytest.raises(DomainError):
             call()
@@ -217,6 +220,8 @@ def test_unconditioned_interval_matches_normal_mass(gauss_law):
                            4 * 10 ** 5, seed=55)
     exact = float(norm_cdf(0.5) - norm_cdf(0.0))
     assert within_stderr(est, exact)
+    with pytest.raises(ValueError, match="killed walk"):
+        mc_unconditioned(gauss_law, 10, Statistic.exit_at_n(), 1000, seed=1)
 
 
 # -- stream pin ----------------------------------------------------------------
