@@ -168,15 +168,15 @@ def _bb002_2(ing):
 
 def _iclt_s(ing):
     sigma, n = ing["sigma"], ing["n"]
-    t = ing.get("t", math.inf)
-    shape = 1.0 if t == math.inf else rayleigh_cdf(t)
+    t = ing.get("t")  # missing or None means t = inf
+    shape = 1.0 if t is None or t == math.inf else rayleigh_cdf(t)
     return 2.0 * ing["v_x"] / (sigma * math.sqrt(2.0 * math.pi * n)) * shape
 
 
 def _iclt_l(ing):
-    t = ing.get("t", math.inf)
+    t = ing.get("t")  # missing or None means t = inf
     xt = ing["x"] / (ing["sigma"] * math.sqrt(ing["n"]))
-    if t == math.inf:
+    if t is None or t == math.inf:
         return 2.0 * float(norm_cdf(xt)) - 1.0
     if t <= 0.0:
         return 0.0

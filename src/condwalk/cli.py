@@ -25,8 +25,15 @@ from .targets import parse_target
 from .walk import Statistic, mc_estimate
 
 
+_STAT_NEEDS = {"interval": ("y", "delta"), "scaled_cdf": ("t",)}
+
+
 def _parse_stat(args) -> Statistic:
     kind = args.stat
+    missing = [f"--{a}" for a in _STAT_NEEDS.get(kind, ())
+               if getattr(args, a) is None]
+    if missing:
+        raise CondwalkError(f"--stat {kind} needs {' and '.join(missing)}")
     if kind == "survival":
         return Statistic.survival(dual=args.dual)
     if kind == "exit_at_n":
@@ -56,6 +63,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_predict(args) -> int:
     ing = json.loads(args.ingredients) if not args.ingredients.startswith("@") \
         else json.loads(open(args.ingredients[1:]).read())
+    if not isinstance(ing, dict):
+        raise CondwalkError("--ingredients must be a JSON object")
     p = predict(args.theorem, **ing)
     print(json.dumps({"theorem": p.theorem_id, "value": p.value,
                       "validity": p.validity, "ingredients": p.ingredients}))
@@ -112,32 +121,34 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+# name -> (number of required --args, evaluator)
 _SPECIAL = {
-    "rayleigh": lambda a: sp.rayleigh(a[0]),
-    "levy-psi": lambda a: sp.levy_psi(a[0], a[1], a[2] if len(a) > 2 else 1.0),
-    "psi-normalizer": lambda a: sp.psi_normalizer(a[0]),
-    "conv-normal-levy": lambda a: sp.conv_normal_levy(
-        a[0], a[1], a[2], bool(a[3]) if len(a) > 3 else False),
-    "conv-normal-rayleigh": lambda a: sp.conv_normal_rayleigh(a[0], a[1]),
-    "rayleigh-levy-integral": lambda a: sp.rayleigh_levy_integral(a[0], a[1]),
-    "brownian-exit": lambda a: sp.brownian_exit(
+    "rayleigh": (1, lambda a: sp.rayleigh(a[0])),
+    "levy-psi": (2, lambda a: sp.levy_psi(a[0], a[1], a[2] if len(a) > 2 else 1.0)),
+    "psi-normalizer": (1, lambda a: sp.psi_normalizer(a[0])),
+    "conv-normal-levy": (3, lambda a: sp.conv_normal_levy(
+        a[0], a[1], a[2], bool(a[3]) if len(a) > 3 else False)),
+    "conv-normal-rayleigh": (2, lambda a: sp.conv_normal_rayleigh(a[0], a[1])),
+    "rayleigh-levy-integral": (2, lambda a: sp.rayleigh_levy_integral(a[0], a[1])),
+    "brownian-exit": (3, lambda a: sp.brownian_exit(
         a[0], a[1], a[2], a[3] if len(a) > 3 else 0.0,
-        a[4] if len(a) > 4 else math.inf),
-    "kernel": lambda a: sp.smoothing_kernel(sp.KernelSpec(a[0]), a[1]),
-    "kernel-fourier": lambda a: sp.kernel_fourier(sp.KernelSpec(a[0]), a[1]),
-    "fuk-nagaev": None,  # handled separately (law argument)
+        a[4] if len(a) > 4 else math.inf)),
+    "kernel": (2, lambda a: sp.smoothing_kernel(sp.KernelSpec(a[0]), a[1])),
+    "kernel-fourier": (2, lambda a: sp.kernel_fourier(sp.KernelSpec(a[0]), a[1])),
+    "fuk-nagaev": (3, None),  # handled separately (law argument)
 }
 
 
 def _cmd_special(args) -> int:
     vals = [float(v) for v in args.args]
-    if args.fn == "fuk-nagaev":
+    need, fn = _SPECIAL[args.fn]
+    if len(vals) < need:
+        raise CondwalkError(
+            f"{args.fn} needs at least {need} --args, got {len(vals)}")
+    if fn is None:
         law = parse_law(args.law)
         out = sp.fuk_nagaev_bound(vals[0], vals[1], int(vals[2]), law)
     else:
-        fn = _SPECIAL.get(args.fn)
-        if fn is None:
-            raise CondwalkError(f"unknown special function {args.fn!r}")
         out = fn(vals)
     if isinstance(out, tuple):
         print(json.dumps(list(out)))

@@ -140,10 +140,6 @@ class HarmonicTable:
         out = np.where(x < self.grid[0], self._means[0], out)
         return float(out) if out.ndim == 0 else out
 
-    def stderr_at(self, x: float) -> float:
-        i = int(np.searchsorted(self.grid, x).clip(0, len(self.grid) - 1))
-        return self.values[i].stderr
-
 
 def build_harmonic_table(law, grid=None, method: str = "ladder",
                          params: TableParams | None = None, dual: bool = False,

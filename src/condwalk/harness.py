@@ -13,13 +13,14 @@ of their estimation parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .asymptotics import THEOREMS, predict
@@ -59,6 +60,15 @@ class ExperimentConfig:
             raise ValueError("n_list must be non-empty and ascending")
         if self.samples < 10 ** 3:
             raise ValueError("samples must be at least 1e3")
+        for name, allowed, value in (
+                ("v_source", ("ladder", "killed", "supplied"), self.v_value),
+                ("kappa_source", ("computed", "supplied"), self.kappa_value)):
+            source = getattr(self, name)
+            if source not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, "
+                                 f"got {source!r}")
+            if source == "supplied" and value is None:
+                raise ValueError(f"{name} 'supplied' needs a value")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -142,12 +152,16 @@ class IngredientCache:
         return value
 
 
+# Bumped with any change to the table estimators, TableParams.point_budget
+# or the random stream, so that tables cached before it are misses.
+_CACHE_VERSION = 1
+
+
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):
     params = TableParams(seed=seed)
-    key = {"kind": "table", "law": law_str, "dual": dual,
-           "tilt": tilt.lam if tilt else None, "method": params.method,
-           "accuracy": params.accuracy, "rel": params.rel_accuracy,
-           "seed": seed}
+    key = {"kind": "table", "version": _CACHE_VERSION, "law": law_str,
+           "dual": dual, "tilt": tilt.lam if tilt else None,
+           "params": dataclasses.asdict(params)}
 
     def compute():
         tab = build_harmonic_table(law, dual=dual, tilt=tilt,
@@ -219,8 +233,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     needs = theorem.needs
     # f_int is the integral of the indicator of [y, y + delta]
     ing = {"sigma": law.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
-           "q": cfg.q, "t": cfg.t if cfg.t is not None else math.inf,
-           "a": cfg.a, "f_int": cfg.delta}
+           "q": cfg.q, "t": cfg.t, "a": cfg.a, "f_int": cfg.delta}
     tilt = cramer_tilt(law) if theorem.walk == "tilted" else None
 
     @functools.cache

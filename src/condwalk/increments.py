@@ -379,10 +379,11 @@ def _bracket_root(g, sigma, strip):
 def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     """Solve E[X e^{lam X}] = 0 and package the tilted law.
 
-    Analytic for gaussian and finite support; bracketed bisection on the
-    quadrature-evaluated tilted mean otherwise.  The tilted mean is an
-    increasing function of lam (derivative of a strictly convex cumulant),
-    so bisection is safe once a sign change is bracketed.
+    Analytic for gaussian; bracketed bisection on the tilted mean
+    otherwise (a finite sum for finite support, quadrature for the
+    continuous laws).  The tilted mean is an increasing function of lam
+    (derivative of a strictly convex cumulant), so bisection is safe
+    once a sign change is bracketed.
     """
     if abs(law.mean) <= 1e-13 * max(1.0, law.sigma):
         return TiltedLaw(0.0, 0.0, law.variance, law, law)

@@ -13,6 +13,7 @@ exact oracle for the continuous laws.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,13 +112,11 @@ def _survival_threshold(partial_sums) -> float:
 def _pc_product_integral(h: TargetFunction, g: TargetFunction, shift: float,
                          lo: float) -> float:
     """Exact integral over [lo, inf) of h(x) g(x + shift) for step targets."""
-    kh, bh, vh = h.canonical()
-    kg, bg, vg = g.canonical()
-    if kh != "pc" or kg != "pc":
+    if h.rate or g.rate:
         raise ValueError("duality verification needs step-function targets")
-    if vh[-1] != 0.0 or vg[-1] != 0.0:
+    if h.values[-1] != 0.0 or g.values[-1] != 0.0:
         raise ValueError("targets must have compact support")
-    pts = sorted(set(bh) | {b - shift for b in bg} | {lo})
+    pts = sorted(set(h.breaks) | {b - shift for b in g.breaks} | {lo})
     pts = [p for p in pts if p >= lo]
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
@@ -148,21 +147,14 @@ def verify_duality(law: IncrementLaw, h: TargetFunction, g: TargetFunction,
 
     def one_side(hh, gg, sign):
         total = 0.0
-        idx = [0] * n
-        while True:
+        for path in itertools.product(range(k), repeat=n):
+            idx = list(path)
             steps = pts[idx] * sign
             sums = np.cumsum(steps)
             prob = float(np.prod(prs[idx]))
             if prob > 0.0:
                 m = _survival_threshold(sums)
                 total += prob * _pc_product_integral(hh, gg, float(sums[-1]), m)
-            j = n - 1
-            while j >= 0 and idx[j] == k - 1:
-                idx[j] = 0
-                j -= 1
-            if j < 0:
-                break
-            idx[j] += 1
         return total
 
     lhs = one_side(h, g, 1.0)

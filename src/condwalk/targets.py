@@ -1,52 +1,44 @@
 """Non-negative target functions, their ladder envelopes and weighted integrals.
 
-A target is one of four shapes: an indicator of a half-open interval, a
-one-sided exponential, a piecewise-constant step function, or a shift of
-another target.  Internally every target canonicalizes to either a step
-function (sorted breakpoints, one value per cell, last value on the final
-unbounded cell) or a shifted exponential, which keeps envelope
-construction and the closed-form integrals uniform.
+A target is stored in one of two forms: a step function (sorted
+``breaks``, one of ``values`` per cell from its break to the next, the
+last value on the final unbounded cell, zero left of the first break) or,
+when ``rate > 0``, the exponential exp(-rate (t - origin)) on
+[origin, inf).  The indicator, exponential, piecewise and shifted
+constructors each build one of these forms, so envelope construction and
+the closed-form integrals read the fields directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammaincc, gammaln
 
 from .errors import DivergentIntegral, DomainError
 from .special import quad
 
-INDICATOR = "indicator"
-EXPONENTIAL = "exponential"
-PIECEWISE = "piecewise_constant"
-SHIFTED = "shifted"
-
 
 @dataclass(frozen=True)
 class TargetFunction:
-    shape: str
-    lo: float = 0.0
-    hi: float = 0.0
-    rate: float = 0.0
     breaks: tuple = ()
     values: tuple = ()
-    inner: "TargetFunction | None" = None
-    y: float = 0.0
+    rate: float = 0.0
+    origin: float = 0.0
 
     @classmethod
     def indicator(cls, lo: float, hi: float) -> "TargetFunction":
         if not lo < hi:
             raise DomainError("indicator requires lo < hi")
-        return cls(INDICATOR, lo=float(lo), hi=float(hi))
+        return cls(breaks=(float(lo), float(hi)), values=(1.0, 0.0))
 
     @classmethod
     def exponential(cls, a: float) -> "TargetFunction":
         if a <= 0:
             raise DomainError("exponential rate must be positive")
-        return cls(EXPONENTIAL, rate=float(a))
+        return cls(rate=float(a))
 
     @classmethod
     def piecewise(cls, breaks, values) -> "TargetFunction":
@@ -58,60 +50,43 @@ class TargetFunction:
             raise DomainError("breaks must be strictly increasing")
         if any(v < 0 for v in vals):
             raise DomainError("values must be non-negative")
-        return cls(PIECEWISE, breaks=br, values=vals)
+        return cls(breaks=br, values=vals)
 
     @classmethod
     def shifted(cls, inner: "TargetFunction", y: float) -> "TargetFunction":
-        return cls(SHIFTED, inner=inner, y=float(y))
-
-    # -- canonical form -------------------------------------------------
-
-    def canonical(self):
-        """("pc", breaks, values) or ("exp", rate, origin)."""
-        if self.shape == INDICATOR:
-            return "pc", (self.lo, self.hi), (1.0, 0.0)
-        if self.shape == EXPONENTIAL:
-            return "exp", self.rate, 0.0
-        if self.shape == PIECEWISE:
-            return "pc", self.breaks, self.values
-        kind, a, b = self.inner.canonical()
-        if kind == "pc":
-            return "pc", tuple(x + self.y for x in a), b
-        return "exp", a, b + self.y
+        """t -> inner(t - y)."""
+        y = float(y)
+        if inner.rate:
+            return replace(inner, origin=inner.origin + y)
+        return replace(inner, breaks=tuple(b + y for b in inner.breaks))
 
     def support_lo(self) -> float:
-        kind, a, b = self.canonical()
-        if kind == "exp":
-            return b
-        for br, v in zip(a, b):
+        if self.rate:
+            return self.origin
+        for br, v in zip(self.breaks, self.values):
             if v > 0:
                 return br
-        return a[0]
+        return self.breaks[0]
 
     def support_hi(self, mass_tol: float = 1e-12) -> float:
         """Right end of the window holding all but mass_tol of the mass."""
-        kind, a, b = self.canonical()
-        if kind == "exp":
-            return b + math.log(1.0 / mass_tol) / a
-        last = a[0]
-        for br, v in zip(a, b):
-            if v > 0:
-                last = br
-        if b[-1] > 0:
+        if self.rate:
+            return self.origin + math.log(1.0 / mass_tol) / self.rate
+        if self.values[-1] > 0:
             raise DivergentIntegral("step function does not vanish at infinity")
-        idx = max(i for i, v in enumerate(b) if v > 0)
-        return a[idx + 1]
+        idx = max(i for i, v in enumerate(self.values) if v > 0)
+        return self.breaks[idx + 1]
 
 
 def eval_target(f: TargetFunction, t):
     """f(t), vectorized over t."""
-    kind, a, b = f.canonical()
     t = np.asarray(t, dtype=float)
-    if kind == "exp":
-        out = np.where(t >= b, np.exp(-a * np.maximum(t - b, 0.0)), 0.0)
+    if f.rate:
+        y0 = f.origin
+        out = np.where(t >= y0, np.exp(-f.rate * np.maximum(t - y0, 0.0)), 0.0)
     else:
-        idx = np.searchsorted(np.asarray(a), t, side="right") - 1
-        vals = np.asarray(b + (0.0,))
+        idx = np.searchsorted(np.asarray(f.breaks), t, side="right") - 1
+        vals = np.asarray(f.values + (0.0,))
         out = np.where(idx >= 0, vals[idx], 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -122,14 +97,13 @@ def eval_target(f: TargetFunction, t):
 
 def _range_extremum(f, a, b, upper):
     """Exact sup (or inf) of f over the half-open cell [a, b)."""
-    kind, p, q = f.canonical()
-    if kind == "exp":
-        rate, y0 = p, q
+    if f.rate:
+        rate, y0 = f.rate, f.origin
         if upper:
             return math.exp(-rate * max(a - y0, 0.0)) if b > y0 else 0.0
         return math.exp(-rate * (b - y0)) if a >= y0 else 0.0
-    breaks = p
-    vals = q + (0.0,)
+    breaks = f.breaks
+    vals = f.values + (0.0,)
     lo_idx = np.searchsorted(breaks, a, side="right") - 1
     hi_idx = np.searchsorted(breaks, b, side="left") - 1
     cand = []
@@ -275,28 +249,22 @@ def weighted_integral(f: TargetFunction, w: WeightSpec) -> float:
     Raises DivergentIntegral when a non-vanishing step tail meets a
     non-decaying weight.
     """
-    kind, a, b = f.canonical()
-    if kind == "exp":
-        return _exp_tail_weighted(a, b, w)
-    if b[-1] > 0 and w.kind not in ("exp_decay", "exp_decay_power"):
+    if f.rate:
+        return _exp_tail_weighted(f.rate, f.origin, w)
+    if f.values[-1] > 0 and w.kind not in ("exp_decay", "exp_decay_power"):
         raise DivergentIntegral(
             "step function with non-zero tail needs an exponentially decaying weight")
     total = 0.0
-    edges = list(a) + [math.inf]
-    for i, v in enumerate(b):
+    edges = list(f.breaks) + [math.inf]
+    for i, v in enumerate(f.values):
         if v == 0.0:
             continue
         hi = edges[i + 1]
         if hi == math.inf:
-            # exp_decay(_power) only; reuse the exponential tail with rate -> 0+
-            if w.kind == "exp_decay":
-                total += v * math.exp(-w.lam * edges[i]) / w.lam
-            else:
-                lam, g = w.lam, w.gamma + 1.0
-                total += v * math.exp(lam) * lam ** (-g) \
-                    * _gamma_upper(g, lam * (1.0 + edges[i]))
-            continue
-        total += v * _weight_integral_cell(w, edges[i], hi)
+            # exp_decay(_power) only: the exponential tail at rate 0
+            total += v * _exp_tail_weighted(0.0, edges[i], w)
+        else:
+            total += v * _weight_integral_cell(w, edges[i], hi)
     return total
 
 
@@ -316,10 +284,8 @@ def weighted_integral_quad(f: TargetFunction, w: WeightSpec,
 
     lo = f.support_lo()
     hi = f.support_hi(1e-16)
-    kind, a, _ = f.canonical()
-    pts = list(a) if kind == "pc" else None
     return quad(lambda t: float(eval_target(f, t)) * wf(t), lo, hi,
-                tol=tol, points=pts)
+                tol=tol, points=f.breaks or None)
 
 
 def dri_defect(f: TargetFunction, delta: float, epsilon: float) -> float:

@@ -59,7 +59,6 @@ class Statistic:
 
     kind: str
     f: TargetFunction | None = None
-    y_shift: float = 0.0
     y: float = 0.0
     delta: float = 0.0
     t: float = 0.0
@@ -75,7 +74,7 @@ class Statistic:
 
     @classmethod
     def target(cls, f: TargetFunction, y_shift: float = 0.0, dual=False):
-        return cls("target", f=f, y_shift=float(y_shift), dual=dual)
+        return cls("target", f=TargetFunction.shifted(f, y_shift), dual=dual)
 
     @classmethod
     def interval(cls, y: float, delta: float, dual=False):
@@ -102,8 +101,8 @@ def _stat_eval(stat: Statistic, sigma: float, n: int):
         lo, hi = stat.y, stat.y + stat.delta
         return (lambda p: ((p >= lo) & (p <= hi)).astype(float)), None
     if stat.kind == "target":
-        f, y = stat.f, stat.y_shift
-        return (lambda p: np.asarray(eval_target(f, p - y), dtype=float)), None
+        f = stat.f
+        return (lambda p: np.asarray(eval_target(f, p), dtype=float)), None
     if stat.kind == "scaled_cdf":
         thr = stat.t * sigma * math.sqrt(n)
         return (lambda p: (p <= thr).astype(float)), None

@@ -98,6 +98,12 @@ def test_integral_cdf_formulas():
                        t=0.0).value == 0.0
 
 
+def test_iclt_t_none_means_no_t():
+    ing = dict(v_x=V0, sigma=1.0, n=400, x=20.0)
+    for tid in ("ICLT-S", "ICLT-L"):
+        assert predict(tid, **ing, t=None).value == predict(tid, **ing).value
+
+
 def test_unconditioned_llt():
     p = predict("LLT", f_int=1.0, sigma=1.0, n=400, y=0.0)
     assert p.value == pytest.approx(1.0 / (SQRT2PI * 20.0), rel=1e-14)

@@ -61,6 +61,21 @@ def test_predict_incomplete_drift_is_config_error(capsys):
     assert code == 2
 
 
+_SIM = ["simulate", "--law", "gaussian:0,1", "--n", "3", "--samples", "1000",
+        "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--theorem", "ICLT-S", "--ingredients", "[1]"],
+    [*_SIM, "--stat", "interval", "--y", "1"],
+    [*_SIM, "--stat", "scaled_cdf"],
+    ["special", "eval", "--fn", "rayleigh"],
+], ids=["ingredients-not-object", "interval-no-delta", "scaled-cdf-no-t",
+        "special-no-args"])
+def test_missing_input_is_config_error(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 2
+
+
 def test_oracle_subcommands(capsys):
     code, out = run_cli(capsys, "oracle", "sa", "--n", "10")
     assert code == 0

@@ -9,7 +9,11 @@ from condwalk import (CensoringExcess, ExperimentConfig, IngredientCache,
                       InsufficientSweep, MissingIngredient, UnknownTheorem,
                       band_pass, convergence_sweep, emit_report, parse_report,
                       run_experiment)
+from condwalk import harness
+from condwalk.harmonic import HarmonicTable
 from condwalk.harness import row_record
+from condwalk.increments import parse_law
+from condwalk.walk import McEstimate
 
 EXPERIMENTS = sorted(Path(__file__).resolve().parents[1].glob("experiments/*.json"))
 
@@ -134,6 +138,33 @@ def test_cache_recomputes_truncated_entry(tmp_path):
     assert cache.get_or_compute(key, lambda: {"v": [3.0]}) == {"v": [3.0]}
     assert cache.get_or_compute(key, lambda: None) == {"v": [3.0]}
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+
+
+def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
+    builds = []
+
+    def fake_build(law, dual, tilt, params, threads):
+        builds.append(params)
+        return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
+
+    monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
+    args = ("gaussian:0,1", parse_law("gaussian:0,1"), True, None, 5, 1,
+            IngredientCache(tmp_path))
+    first = harness._table_for(*args)
+    assert harness._table_for(*args) == first and len(builds) == 1
+    monkeypatch.setattr(harness, "_CACHE_VERSION", harness._CACHE_VERSION + 1)
+    assert harness._table_for(*args) == first and len(builds) == 2
+
+
+@pytest.mark.parametrize("policy", [{"v_source": "killd"},
+                                    {"kappa_source": "bogus"},
+                                    {"kappa_source": "supplied"}])
+def test_unknown_ingredient_source_rejected(policy):
+    raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "TAU-S",
+           "n_list": [100], "samples": 1000, "seed": 3,
+           "ingredient_policy": policy}
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_config_from_json_round_trip(tmp_path):
