@@ -14,9 +14,9 @@ Run:  python demos/02_harmonic_function_and_kappa.py
 import math
 import warnings
 
-from condwalk import (CensoringExcess, IncrementLaw, TableParams,
-                      build_harmonic_table, estimate_V_killed,
-                      estimate_V_ladder, harmonicity_residual, kappa_constant,
+from condwalk import (CensoringExcess, IncrementLaw, build_harmonic_table,
+                      estimate_V_killed, estimate_V_ladder,
+                      harmonicity_residual, kappa_constant,
                       kappa_extension_form)
 
 warnings.simplefilter("ignore", CensoringExcess)
@@ -24,7 +24,7 @@ warnings.simplefilter("ignore", CensoringExcess)
 law = IncrementLaw.gaussian(0.0, 1.0)
 
 print("=" * 72)
-print("Two estimators of V(0) for the standard gaussian walk")
+print("Two Monte Carlo estimators of V(0) for the standard gaussian walk")
 print("=" * 72)
 ladder = estimate_V_ladder(law, 0.0, cap=10 ** 6, samples=2 * 10 ** 5, seed=1)
 print(f"  ladder (walk to exit):    {ladder.mean:.5f} +- {ladder.stderr:.5f}"
@@ -37,10 +37,12 @@ print(f"  sigma/sqrt(2) =           {2 ** -0.5:.5f}")
 print()
 print("=" * 72)
 print("A table of V on a geometric grid; V(x) - x approaches a constant")
+print("(solved from the integral equation; error estimate in brackets)")
 print("=" * 72)
-table = build_harmonic_table(law, params=TableParams(seed=10))
+table = build_harmonic_table(law)
 for x, v in zip(table.grid, table.values):
-    print(f"  x={x:7.3f}   V={v.mean:8.4f}   V-x={v.mean - x:+.4f}")
+    print(f"  x={x:7.3f}   V={v.mean:8.4f}   V-x={v.mean - x:+.4f}"
+          f"   [{v.stderr:.1e}]")
 print(f"  extrapolation offset: {table.extrapolation_offset:.4f}")
 print(f"  query beyond the grid: V(64) ~ {table(64.0):.4f}")
 
@@ -55,7 +57,7 @@ print("=" * 72)
 print("kappa from its two integral forms (they agree by harmonicity)")
 print("=" * 72)
 for name, l2 in (("gaussian", law), ("uniform(-1,1)", IncrementLaw.uniform(-1, 1))):
-    tab = build_harmonic_table(l2, params=TableParams(seed=11))
+    tab = build_harmonic_table(l2)
     k1 = kappa_constant(l2, tab)
     k2 = kappa_extension_form(l2, tab)
     print(f"  {name:14s} killing form {k1:.5f}   extension form {k2:.5f}"

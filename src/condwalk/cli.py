@@ -74,11 +74,10 @@ def _cmd_predict(args) -> int:
 def _cmd_harmonic(args) -> int:
     law = parse_law(args.law)
     tilt = cramer_tilt(law) if abs(law.mean) > 1e-13 else None
-    params = TableParams(method=args.method, seed=args.seed)
+    tab = build_harmonic_table(law, params=TableParams(seed=args.seed),
+                               dual=args.dual or args.action == "kappa",
+                               tilt=tilt, threads=args.threads)
     if args.action == "build":
-        tab = build_harmonic_table(law, method=args.method, params=params,
-                                   dual=args.dual, tilt=tilt,
-                                   threads=args.threads)
         lines = ["x,v_mean,v_stderr,count"]
         for x, v in zip(tab.grid, tab.values):
             lines.append(f"{x!r},{v.mean!r},{v.stderr!r},{v.count}")
@@ -88,9 +87,6 @@ def _cmd_harmonic(args) -> int:
         else:
             sys.stdout.write(out)
         return 0
-    # kappa
-    tab = build_harmonic_table(law, method=args.method, params=params,
-                               dual=True, tilt=tilt, threads=args.threads)
     k1 = kappa_constant(law, tab, tilt=tilt)
     k2 = kappa_extension_form(law, tab, tilt=tilt)
     print(json.dumps({"kappa": k1, "kappa_extension_form": k2,
@@ -212,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     hm = sub.add_parser("harmonic", help="harmonic-function tables and kappa")
     hm.add_argument("action", choices=["build", "kappa"])
     hm.add_argument("--law", required=True)
-    hm.add_argument("--method", default="ladder", choices=["ladder", "killed"])
     hm.add_argument("--seed", type=int, default=0)
     hm.add_argument("--dual", action="store_true")
     hm.add_argument("--threads", type=int, default=None)

@@ -152,9 +152,10 @@ class IngredientCache:
         return value
 
 
-# Bumped with any change to the table estimators, TableParams.point_budget
-# or the random stream, so that tables cached before it are misses.
-_CACHE_VERSION = 1
+# Bumped with any change to the table solver or estimators,
+# TableParams.point_budget or the random stream, so that tables cached
+# before it are misses.
+_CACHE_VERSION = 2
 
 
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):

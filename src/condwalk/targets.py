@@ -74,8 +74,11 @@ class TargetFunction:
             return self.origin + math.log(1.0 / mass_tol) / self.rate
         if self.values[-1] > 0:
             raise DivergentIntegral("step function does not vanish at infinity")
-        idx = max(i for i, v in enumerate(self.values) if v > 0)
-        return self.breaks[idx + 1]
+        positive = [i for i, v in enumerate(self.values) if v > 0]
+        if not positive:
+            raise DomainError(f"{self!r} is zero everywhere and has no "
+                              "support")
+        return self.breaks[positive[-1] + 1]
 
 
 def eval_target(f: TargetFunction, t):
@@ -243,13 +246,23 @@ def _exp_tail_weighted(rate: float, y0: float, w: WeightSpec) -> float:
     return math.exp(rate * y0) * math.exp(r) * r ** (-g) * _gamma_upper(g, r * (1.0 + y0))
 
 
+def _check_weight_domain(w: WeightSpec, lo: float) -> None:
+    """(1 + t)^gamma is a real, non-negative weight only for t >= -1."""
+    if w.kind in ("linear_growth", "power_growth", "exp_decay_power") \
+            and lo < -1.0:
+        raise DomainError(f"weight {w.kind} is not defined below -1, "
+                          f"but the target is positive from {lo!r}")
+
+
 def weighted_integral(f: TargetFunction, w: WeightSpec) -> float:
     """Closed-form integral of f against the weight over the real line.
 
     Raises DivergentIntegral when a non-vanishing step tail meets a
-    non-decaying weight.
+    non-decaying weight, and DomainError when a growth weight meets a
+    target that is positive below -1.
     """
     if f.rate:
+        _check_weight_domain(w, f.origin)
         return _exp_tail_weighted(f.rate, f.origin, w)
     if f.values[-1] > 0 and w.kind not in ("exp_decay", "exp_decay_power"):
         raise DivergentIntegral(
@@ -259,6 +272,7 @@ def weighted_integral(f: TargetFunction, w: WeightSpec) -> float:
     for i, v in enumerate(f.values):
         if v == 0.0:
             continue
+        _check_weight_domain(w, edges[i])
         hi = edges[i + 1]
         if hi == math.inf:
             # exp_decay(_power) only: the exponential tail at rate 0
@@ -283,6 +297,7 @@ def weighted_integral_quad(f: TargetFunction, w: WeightSpec,
         return math.exp(-w.lam * t) * (1.0 + t) ** w.gamma
 
     lo = f.support_lo()
+    _check_weight_domain(w, lo)
     hi = f.support_hi(1e-16)
     return quad(lambda t: float(eval_target(f, t)) * wf(t), lo, hi,
                 tol=tol, points=f.breaks or None)

@@ -2,12 +2,14 @@ import math
 import warnings
 
 import pytest
+from scipy.special import zeta
 
 from condwalk import (CensoringExcess, DriftedLaw, IncrementLaw, TableParams,
                       build_harmonic_table, cramer_tilt, estimate_V_killed,
                       estimate_V_ladder, harmonicity_residual, kappa_constant,
-                      kappa_extension_form, weighted_table_integral)
+                      kappa_extension_form, parse_law, weighted_table_integral)
 from condwalk.harmonic import default_grid
+from condwalk.rngstream import mix64
 
 from conftest import within_stderr
 
@@ -120,6 +122,74 @@ def test_tilted_table_matches_plain_gaussian(gauss_table):
         assert a.mean == b.mean
 
 
+# -- solved tables --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["gaussian:0,1", "gaussian:0,2",
+                                  "uniform:-1,1", "laplace:0,1"])
+def test_solved_value_at_zero_spitzer(spec):
+    # V(0) = sigma / sqrt(2) for every symmetric continuous law
+    law = parse_law(spec)
+    for dual in (False, True):
+        v0 = build_harmonic_table(law, dual=dual).values[0]
+        err = abs(v0.mean - law.sigma / math.sqrt(2.0))
+        assert err <= 1e-6 and err <= v0.stderr + 1e-12
+        assert v0.count == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_solved_laplace_is_linear(scale):
+    # exponential overshoot: V(x) = x + b exactly
+    tab = build_harmonic_table(IncrementLaw.laplace(0.0, scale))
+    for x, v in zip(tab.grid, tab.values):
+        assert abs(v.mean - (x + scale)) <= 1e-8
+    assert abs(tab.extrapolation_offset - scale) <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_solved_gaussian_offset(sigma):
+    # V(x) - x -> -zeta(1/2) sigma / sqrt(2 pi), the mean ladder overshoot
+    tab = build_harmonic_table(IncrementLaw.gaussian(0.0, sigma))
+    exact = -zeta(0.5) * sigma / math.sqrt(2.0 * math.pi)
+    assert abs(tab.extrapolation_offset - exact) <= 1e-6
+
+
+@pytest.mark.parametrize("spec,dual,tilted", [
+    ("gaussian:0,1", False, False), ("gaussian:0,1", True, False),
+    ("uniform:-1,1", False, False), ("uniform:-1,1", True, False),
+    ("laplace:0,1", False, False), ("laplace:0,1", True, False),
+    ("laplace:-0.3,1", True, True), ("uniform:-1,2", False, True)])
+def test_solved_table_matches_ladder(spec, dual, tilted):
+    # the only check of the tilted closed-form densities.  Censored ladder
+    # paths count zero, which biases the estimate low by about the censor
+    # rate times (x + V(0))
+    law = parse_law(spec)
+    tilt = cramer_tilt(law) if tilted else None
+    sampler = tilt.sampler if tilted else law
+    tab = build_harmonic_table(law, dual=dual, tilt=tilt)
+    for k, x in enumerate((0.0, sampler.sigma, 4.0 * sampler.sigma)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CensoringExcess)
+            est = estimate_V_ladder(sampler, x, cap=10 ** 5,
+                                    samples=2 * 10 ** 4,
+                                    seed=mix64(9_000 + k), dual=dual,
+                                    threads=2)
+        bias = est.censor_rate * (x + tab(0.0))
+        assert abs(est.mean - tab(x)) <= 4.0 * est.stderr + bias, (x, est)
+
+
+def test_finite_support_table_is_estimated():
+    law = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CensoringExcess)
+        tab = build_harmonic_table(law, grid=(0.0, 1.0),
+                                   params=TableParams(accuracy=0.05, seed=3))
+    assert all(v.count > 0 for v in tab.values)
+    # simple symmetric walk: V(x) = floor(x) + 1
+    for x, v in zip(tab.grid, tab.values):
+        assert abs(v.mean - (x + 1.0)) <= 4.0 * v.stderr + 0.01
+
+
 # -- harmonicity ------------------------------------------------------------------
 
 
@@ -132,6 +202,17 @@ def test_harmonicity_residual_consistent_with_zero(gauss_law, gauss_table):
 def test_harmonicity_residual_deep_extrapolation(gauss_law, gauss_table):
     r = harmonicity_residual(gauss_law, gauss_table, 50.0, 2 * 10 ** 5, seed=72)
     assert abs(r.mean) <= 0.05
+
+
+def test_harmonicity_residual_takes_threads(gauss_law, gauss_table,
+                                            monkeypatch):
+    # an explicit thread count overrides CONDWALK_THREADS, and the
+    # estimate does not depend on it
+    monkeypatch.setenv("CONDWALK_THREADS", "abc")
+    one, two = (harmonicity_residual(gauss_law, gauss_table, 1.0,
+                                     2 * 10 ** 5, seed=74, threads=t)
+                for t in (1, 2))
+    assert one == two
 
 
 def test_degenerate_zero_table_is_fixed_point(gauss_law, gauss_table):

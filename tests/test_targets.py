@@ -124,6 +124,30 @@ def test_divergent_pair_raises():
     assert weighted_integral(tailed, WeightSpec.exp_decay(1.0)) > 0
 
 
+@pytest.mark.parametrize("w", [WeightSpec.linear_growth(),
+                               WeightSpec.power_growth(1.7),
+                               WeightSpec.exp_decay_power(0.5, 1.5)])
+@pytest.mark.parametrize("f", [
+    TargetFunction.indicator(-3, -2),
+    TargetFunction.piecewise([-1.5, 0.0, 1.0], [1.0, 2.0, 0.0]),
+    TargetFunction.shifted(TargetFunction.exponential(1.0), -2.0),
+])
+def test_growth_weight_rejects_support_below_minus_one(f, w):
+    # (1 + t)^gamma is complex or negative below -1
+    with pytest.raises(DomainError):
+        weighted_integral(f, w)
+    with pytest.raises(DomainError):
+        weighted_integral_quad(f, w)
+
+
+def test_support_hi_of_zero_step_function():
+    zero = TargetFunction.piecewise([0, 1], [0, 0])
+    with pytest.raises(DomainError, match="zero everywhere"):
+        zero.support_hi()
+    with pytest.raises(DomainError):
+        weighted_integral_quad(zero, WeightSpec.unit())
+
+
 def test_envelope_integral_ordering():
     f = TargetFunction.exponential(1.0)
     up = envelope(f, 0.1, 0.01, "upper")
