@@ -27,7 +27,7 @@ from .asymptotics import THEOREMS, predict
 from .errors import InsufficientSweep, MissingIngredient, UnknownTheorem
 from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
     estimate_V_killed, estimate_V_ladder, kappa_constant, weighted_table_integral
-from .increments import cramer_tilt, parse_law
+from .increments import FINITE, cramer_tilt, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
@@ -160,9 +160,12 @@ _CACHE_VERSION = 2
 
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):
     params = TableParams(seed=seed)
+    # only finite-support tables are estimated under params; the solved
+    # tables of density laws read none of them, so every seed shares one
     key = {"kind": "table", "version": _CACHE_VERSION, "law": law_str,
            "dual": dual, "tilt": tilt.lam if tilt else None,
-           "params": dataclasses.asdict(params)}
+           "params": dataclasses.asdict(params) if law.family == FINITE
+           else None}
 
     def compute():
         tab = build_harmonic_table(law, dual=dual, tilt=tilt,

@@ -8,7 +8,7 @@ from condwalk import (CensoringExcess, DriftedLaw, IncrementLaw, TableParams,
                       build_harmonic_table, cramer_tilt, estimate_V_killed,
                       estimate_V_ladder, harmonicity_residual, kappa_constant,
                       kappa_extension_form, parse_law, weighted_table_integral)
-from condwalk.harmonic import default_grid
+from condwalk.harmonic import _density_law, _node_step, default_grid
 from condwalk.rngstream import mix64
 
 from conftest import within_stderr
@@ -154,11 +154,29 @@ def test_solved_gaussian_offset(sigma):
     assert abs(tab.extrapolation_offset - exact) <= 1e-6
 
 
+@pytest.mark.parametrize("spec,tilted", [("laplace:1e-11,1", False),
+                                         ("laplace:0.01,1", True)])
+def test_solved_kink_near_zero(spec, tilted):
+    # a density kink just right of 0 stays off the nodes rather than
+    # shrinking the node step (and with it the matrix); left of the kink the
+    # undershoot below 0 is exponential at rate 1/b + lam, so V(x) = x + 1/rate
+    law = parse_law(spec)
+    tilt = cramer_tilt(law) if tilted else None
+    sampler = tilt.sampler if tilted else law
+    step = _node_step(_density_law(sampler, False), sampler.sigma)
+    assert step >= 0.05 * sampler.sigma
+    tab = build_harmonic_table(law, tilt=tilt)
+    offset = 1.0 / (1.0 / law.b + (tilt.lam if tilted else 0.0))
+    for x, v in zip(tab.grid, tab.values):
+        assert abs(v.mean - (x + offset)) <= 1e-6
+
+
 @pytest.mark.parametrize("spec,dual,tilted", [
     ("gaussian:0,1", False, False), ("gaussian:0,1", True, False),
     ("uniform:-1,1", False, False), ("uniform:-1,1", True, False),
     ("laplace:0,1", False, False), ("laplace:0,1", True, False),
-    ("laplace:-0.3,1", True, True), ("uniform:-1,2", False, True)])
+    ("laplace:-0.3,1", True, True), ("laplace:-0.01,1", False, True),
+    ("uniform:-1,2", False, True)])
 def test_solved_table_matches_ladder(spec, dual, tilted):
     # the only check of the tilted closed-form densities.  Censored ladder
     # paths count zero, which biases the estimate low by about the censor
