@@ -33,7 +33,8 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.special import ndtr
 
-from .errors import CensoringExcess, DriftedLaw, QuadratureFailure
+from .errors import CensoringExcess, DomainError, DriftedLaw, \
+    QuadratureFailure
 from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
     TiltedLaw, left_exit_prob
 from .rngstream import mix64
@@ -63,7 +64,7 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     """
     _check_start(x, cap)
     if cap < 10 ** 3:
-        raise ValueError("cap must be at least 1e3")
+        raise DomainError(f"cap must be at least 1e3, got {cap!r}")
     _require_zero_mean(law)
 
     def work(rng, m):
@@ -105,6 +106,15 @@ def estimate_V_killed(law, x: float, n: int, samples: int, seed: int,
 
 _SOLVE_SPAN = 40.0  # L in units of sigma, beyond the default grid's 32
 _SOLVE_STEP = 0.1   # coarse node spacing in units of sigma
+
+
+def is_solved(sampler) -> bool:
+    """Whether V under ``sampler`` is solved rather than ladder-estimated.
+
+    True for the density laws and their Cramér tilts, False for
+    finite-support laws.  Tables and single values of V follow this rule.
+    """
+    return _density_law(sampler, False) is not None
 
 
 def _density_law(sampler, dual):
@@ -305,6 +315,14 @@ class HarmonicTable:
         return float(out) if out.ndim == 0 else out
 
 
+def _check_grid(grid):
+    g = np.asarray(grid, dtype=float)
+    if not (g.size and np.isfinite(g).all() and g[0] >= 0.0
+            and (np.diff(g) > 0.0).all()):
+        raise DomainError("grid must be non-empty, finite, non-negative and "
+                          f"strictly ascending, got {grid!r}")
+
+
 def build_harmonic_table(law, grid=None, params: TableParams | None = None,
                          dual: bool = False, tilt: TiltedLaw | None = None,
                          threads: int | None = None) -> HarmonicTable:
@@ -321,6 +339,7 @@ def build_harmonic_table(law, grid=None, params: TableParams | None = None,
     _require_zero_mean(sampler)
     sigma = sampler.sigma
     grid = tuple(grid) if grid is not None else default_grid(sigma)
+    _check_grid(grid)
     lam = tilt.lam if tilt is not None else None
     density = _density_law(sampler, dual)
     if density is not None:
@@ -462,8 +481,8 @@ def weighted_table_integral(table: HarmonicTable, decay: float) -> float:
     the linear extrapolation, used for the drifted survival constant and
     the exponential-functional ingredient.
     """
-    if decay <= 0:
-        raise ValueError("decay rate must be positive")
+    if not decay > 0:
+        raise DomainError(f"decay rate must be positive, got {decay!r}")
     T = table.grid[-1]
     head = quad(lambda t: math.exp(-decay * t) * float(table(t)), 0.0, T,
                 tol=1e-11, points=list(table.grid))

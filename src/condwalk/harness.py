@@ -7,8 +7,10 @@ Monte Carlo statistic for every horizon in n_list, and emits rows with
 the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
-Expensive ingredients (tables, kappa) are cached on disk keyed by a hash
-of their estimation parameters.
+Harmonic tables are cached on disk, keyed by a hash of the law, the
+table kind and, for finite-support laws, their estimation parameters.
+kappa and the weighted integrals are quadratures over the cached dual
+table; they are not cached themselves.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from pathlib import Path
 from .asymptotics import THEOREMS, predict
 from .errors import InsufficientSweep, MissingIngredient, UnknownTheorem
 from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
-    estimate_V_killed, estimate_V_ladder, kappa_constant, weighted_table_integral
-from .increments import FINITE, cramer_tilt, parse_law
+    estimate_V_killed, estimate_V_ladder, is_solved, kappa_constant, \
+    weighted_table_integral
+from .increments import cramer_tilt, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
@@ -164,8 +167,7 @@ def _table_for(law_str, law, dual, tilt, seed, threads, cache):
     # tables of density laws read none of them, so every seed shares one
     key = {"kind": "table", "version": _CACHE_VERSION, "law": law_str,
            "dual": dual, "tilt": tilt.lam if tilt else None,
-           "params": dataclasses.asdict(params) if law.family == FINITE
-           else None}
+           "params": None if is_solved(law) else dataclasses.asdict(params)}
 
     def compute():
         tab = build_harmonic_table(law, dual=dual, tilt=tilt,
@@ -207,12 +209,19 @@ def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
 
 
 def _estimate_v(cfg, law, x, threads):
+    """V(x) under ``law`` (a base law or a tilted sampler) per ``v_source``.
+
+    ``ladder`` solves V's harmonic equation for density laws, as the
+    tables do, and draws ladder paths only for finite-support laws.
+    """
     if cfg.v_source == "supplied":
         return cfg.v_value
     seed = mix64(cfg.seed ^ 0xA5A5)
     if cfg.v_source == "killed":
         return estimate_V_killed(law, x, 10 ** 4, 10 ** 5, seed,
                                  threads=threads).mean
+    if is_solved(law):
+        return build_harmonic_table(law, grid=(x,)).values[0].mean
     return estimate_V_ladder(law, x, samples=10 ** 5, seed=seed,
                              threads=threads).mean
 

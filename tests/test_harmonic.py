@@ -1,10 +1,12 @@
 import math
+import re
 import warnings
 
 import pytest
 from scipy.special import zeta
 
-from condwalk import (CensoringExcess, DriftedLaw, IncrementLaw, TableParams,
+from condwalk import (CensoringExcess, DomainError, DriftedLaw,
+                      HarmonicTable, IncrementLaw, McEstimate, TableParams,
                       build_harmonic_table, cramer_tilt, estimate_V_killed,
                       estimate_V_ladder, harmonicity_residual, kappa_constant,
                       kappa_extension_form, parse_law, weighted_table_integral)
@@ -52,6 +54,11 @@ def test_ladder_censoring_warning():
     law = IncrementLaw.gaussian(0, 1)
     with pytest.warns(CensoringExcess):
         estimate_V_ladder(law, 50.0, cap=10 ** 3, samples=2 * 10 ** 3, seed=3)
+
+
+def test_ladder_rejects_small_cap(gauss_law):
+    with pytest.raises(DomainError, match="999"):
+        estimate_V_ladder(gauss_law, 0.0, cap=999, samples=10 ** 3)
 
 
 def test_killed_exact_small_cases():
@@ -196,6 +203,14 @@ def test_solved_table_matches_ladder(spec, dual, tilted):
         assert abs(est.mean - tab(x)) <= 4.0 * est.stderr + bias, (x, est)
 
 
+@pytest.mark.parametrize("grid", [(-1.0,), (math.nan,), (0.0, math.inf),
+                                  (1.0, 0.5), (0.0, 0.0), ()])
+def test_table_rejects_bad_grid(gauss_law, grid):
+    # HarmonicTable interpolates with np.interp, which needs ascending points
+    with pytest.raises(DomainError):
+        build_harmonic_table(gauss_law, grid=grid)
+
+
 def test_finite_support_table_is_estimated():
     law = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
     with warnings.catch_warnings():
@@ -291,3 +306,10 @@ def test_weighted_table_integral_linear_oracle(gauss_table):
     got = weighted_table_integral(gauss_table, rate)
     assert got == pytest.approx(linear, rel=0.1)
     assert weighted_table_integral(gauss_table, 5.0) < got
+
+
+@pytest.mark.parametrize("decay", [0.0, -0.5, math.nan])
+def test_weighted_table_integral_rejects_bad_decay(decay):
+    tab = HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.0, 0, 0),) * 2)
+    with pytest.raises(DomainError, match=re.escape(repr(decay))):
+        weighted_table_integral(tab, decay)

@@ -7,12 +7,14 @@ import pytest
 
 from condwalk import (CensoringExcess, ExperimentConfig, IngredientCache,
                       InsufficientSweep, MissingIngredient, UnknownTheorem,
-                      band_pass, convergence_sweep, emit_report, parse_report,
-                      run_experiment)
+                      band_pass, build_harmonic_table, convergence_sweep,
+                      cramer_tilt, emit_report, estimate_V_ladder,
+                      parse_report, run_experiment)
 from condwalk import harness
-from condwalk.harmonic import HarmonicTable
+from condwalk.harmonic import HarmonicTable, LadderEstimate
 from condwalk.harness import row_record
 from condwalk.increments import parse_law
+from condwalk.rngstream import mix64
 from condwalk.walk import McEstimate
 
 EXPERIMENTS = sorted(Path(__file__).resolve().parents[1].glob("experiments/*.json"))
@@ -187,3 +189,95 @@ def test_bundled_experiments_pass_their_bands(path, tmp_path):
         rows = run_experiment(cfg, threads=2, cache=IngredientCache(tmp_path))
     assert rows, path
     assert band_pass(cfg, rows), [row_record(r) for r in rows]
+
+
+# -- V(x) for v_source "ladder" ----------------------------------------------
+
+
+@pytest.fixture
+def no_ladder(monkeypatch):
+    def ladder(*args, **kwargs):
+        raise AssertionError("V of a density law must be solved, not estimated")
+
+    monkeypatch.setattr(harness, "estimate_V_ladder", ladder)
+
+
+def _predict_inputs(cfg, monkeypatch):
+    """The ingredients run_experiment hands to predict for cfg's first n."""
+    seen = []
+    real = harness.predict
+
+    def record(tid, **ing):
+        seen.append(ing)
+        return real(tid, **ing)
+
+    monkeypatch.setattr(harness, "predict", record)
+    run_experiment(cfg)
+    return seen[0]
+
+
+def _solved_cfg(**over):
+    return _fast_cfg(**{"samples": 10 ** 3, "v_source": "ladder",
+                        "v_value": None, **over})
+
+
+def test_default_v_source_solves_density_law(no_ladder):
+    solved = run_experiment(_solved_cfg(theorem_id="TAU-S"))
+    supplied = run_experiment(_fast_cfg(theorem_id="TAU-S", samples=10 ** 3,
+                                        v_value=0.7071067811865476))
+    assert solved[0].predicted == pytest.approx(supplied[0].predicted,
+                                                rel=1e-6)
+
+
+def test_igl1_solves_tilted_v(no_ladder, monkeypatch):
+    ing = _predict_inputs(_solved_cfg(law="gaussian:-0.5,1", theorem_id="IGL1"),
+                          monkeypatch)
+    assert abs(ing["drift"]["v_lambda_x"] - 2 ** -0.5) <= 1e-6
+
+
+def test_tau_s_tilt_solved_v_matches_ladder(monkeypatch):
+    # censored ladder paths count zero, which biases the estimate low by
+    # about the censor rate times V(0)
+    cfg = _solved_cfg(law="laplace:-0.3,1", theorem_id="TAU-S-TILT")
+    v = _predict_inputs(cfg, monkeypatch)["drift"]["v_lambda_x"]
+    tilt = cramer_tilt(parse_law(cfg.law))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CensoringExcess)
+        est = estimate_V_ladder(tilt.sampler, 0.0, cap=10 ** 5,
+                                samples=2 * 10 ** 4, seed=mix64(9_100),
+                                threads=2)
+    assert abs(est.mean - v) <= 4.0 * est.stderr + est.censor_rate * v, est
+
+
+def test_finite_support_v_keeps_ladder(monkeypatch):
+    calls = []
+
+    def ladder(law, x, **kwargs):
+        calls.append((law, x, kwargs))
+        return LadderEstimate(1.0, 0.01, 10 ** 5, kwargs["seed"], 0.0)
+
+    monkeypatch.setattr(harness, "estimate_V_ladder", ladder)
+    cfg = _solved_cfg(name="fin", law="finite:-1,0.5;0.5,0.25;1.5,0.25",
+                      theorem_id="TAU-S", n_list=(21,), samples=4096, seed=11,
+                      kappa_source="supplied", kappa_value=0.5)
+    rows = run_experiment(cfg, threads=1)
+    assert calls == [(parse_law(cfg.law), 0.0, {
+        "samples": 10 ** 5, "seed": mix64(11 ^ 0xA5A5), "threads": 1})]
+    # the row written when every law's V(x) was a ladder estimate
+    assert row_record(rows[0]) == {
+        "name": "fin", "theorem": "TAU-S", "n": 21,
+        "mc_mean": "0.003173828125", "mc_stderr": "0.00087897083509396237",
+        "samples": 4096, "seed": 11170666506824076319,
+        "predicted": "0.0034741801937189301", "ratio": "0.91354735449187541",
+        "ratio_lo": "-0.098456382888331695", "ratio_hi": "1.9255510918720824"}
+
+
+def test_solved_v_beyond_solve_span(no_ladder, monkeypatch):
+    # the solve spans [0, 40 sigma]; beyond it V(x) = x + the table offset
+    law = "gaussian:0,2"
+    x = 60.0 * parse_law(law).sigma
+    ing = _predict_inputs(_solved_cfg(law=law, theorem_id="TAU-S", x=x,
+                                      kappa_source="supplied",
+                                      kappa_value=2.0), monkeypatch)
+    offset = build_harmonic_table(parse_law(law)).extrapolation_offset
+    assert abs(ing["v_x"] - (x + offset)) <= 1e-6
