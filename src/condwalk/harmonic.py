@@ -6,8 +6,9 @@ for the density laws (gaussian, laplace, uniform, their duals and their
 Cramér tilts) solve that equation deterministically: V is piecewise linear
 on a uniform node grid over [0, L], L ~ 40 sigma, and linear beyond L;
 product-integration (Nyström) weights come from the law's distribution
-function and partial first moment, and one Richardson step combines the
-solves at steps h and h/2 (Atkinson, The Numerical Solution of Integral
+function F and partial first moment M, whose closed forms, tilted or
+not, ``increments`` owns; one Richardson step combines the solves at
+steps h and h/2 (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4).
 
 Finite-support laws, and the independent cross-check, use two Monte Carlo
@@ -31,12 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
-from scipy.special import ndtr
 
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
 from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
-    TiltedLaw, left_exit_prob
+    TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
 from .rngstream import mix64
 from .special import quad
 from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
@@ -118,11 +118,11 @@ def is_solved(sampler) -> bool:
 
 
 def _density_law(sampler, dual):
-    """(family, a, b, lam) of one step of a density law, or None.
+    """The tilted density law (family, a, b, lam) of one step, or None.
 
-    The step has the density of ``IncrementLaw(family, a, b)`` times
-    exp(lam u - Lambda(lam)); the dual step is the mirrored law.
-    Finite-support laws have no density and give None.
+    The tuple is the one ``increments``' closed forms take; the dual step
+    is the mirrored law.  Finite-support laws have no density and give
+    None.
     """
     if isinstance(sampler, IncrementLaw):
         if sampler.family == FINITE:
@@ -132,43 +132,6 @@ def _density_law(sampler, dual):
         base = sampler.base
         law = (base.family, base.a, base.b, sampler.lam)
     return _mirror(law) if dual else law
-
-
-def _mirror(law):
-    """The law of -X."""
-    family, a, b, lam = law
-    if family == UNIFORM:
-        return family, -b, -a, -lam
-    return family, -a, b, -lam
-
-
-def _cdf_partial_mean(law, t):
-    """F(t) = P(X <= t) and M(t) = E[X; X <= t], vectorized in t.
-
-    Both are accurate to relative precision in the left tail, where they
-    are small.
-    """
-    family, a, b, lam = law
-    if family == GAUSSIAN:
-        z = (t - a) / b
-        f = ndtr(z)
-        return f, a * f - b * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if family == LAPLACE:
-        # density c e^{al (t-a)} left of a and c e^{-be (t-a)} right of it
-        al, be = 1.0 / b + lam, 1.0 / b - lam
-        c = 0.5 * al * be * b
-        left = c / al * np.exp(al * np.minimum(t - a, 0.0))
-        right = c / be * np.exp(-be * np.maximum(t - a, 0.0))
-        mean = a + c * (1.0 / be ** 2 - 1.0 / al ** 2)
-        return (np.where(t <= a, left, 1.0 - right),
-                np.where(t <= a, left * (t - 1.0 / al),
-                         mean - right * (t + 1.0 / be)))
-    tc = np.clip(t, a, b)
-    if lam == 0.0:
-        return (tc - a) / (b - a), (tc * tc - a * a) / (2.0 * (b - a))
-    e = np.expm1(lam * (tc - a))
-    scale = math.expm1(lam * (b - a))
-    return e / scale, (tc * (e + 1.0) - a - e / lam) / scale
 
 
 def _node_weights(law, t, h):
@@ -434,29 +397,21 @@ def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
     over t < 0, with V* continued below zero by one harmonic step.
 
     The continuation V*(s) = E_tilted[V*(s - X); s - X >= 0] uses the
-    tilted density (the base density when no tilt is given).
+    step density of the tilted sampler (of the base law when no tilt is
+    given).
     """
     lam = tilt.lam if tilt is not None else 0.0
     sampler = tilt.sampler if tilt is not None else law
     mass = math.exp(tilt.log_mgf) if tilt is not None else 1.0
 
-    if isinstance(sampler, IncrementLaw) and sampler.family == "finite_support":
+    if isinstance(sampler, IncrementLaw) and sampler.family == FINITE:
         def v_ext(s):
             return sum(p * float(dual_table(s - xi))
                        for xi, p in zip(sampler.points, sampler.probs)
                        if s - xi >= 0.0)
     else:
-        if isinstance(sampler, IncrementLaw):
-            dens = sampler.density
-            step_lo, step_hi = sampler.support_bounds()
-        else:
-            base, tl = sampler.base, sampler.lam
-            lg = tilt.log_mgf
-            step_lo, step_hi = base.support_bounds()
-
-            def dens(u):
-                return math.exp(tl * u - lg) * float(base.density(u))
-
+        dens = sampler.density
+        step_lo, step_hi = sampler.support_bounds()
         knots = list(dual_table.grid)
 
         def v_ext(s):

@@ -8,8 +8,11 @@ and the exponential change of measure
     P_lam(X in dx) = exp(lam*x - Lambda(lam)) P(X in dx),
 
 where ``lam`` is the Cramér root solving E[X exp(lam*X)] = 0 and
-``Lambda(lam) = log E[exp(lam*X)]``.  The tilted law always has mean zero;
-its variance is reported as the normalized second moment under P_lam.
+``Lambda(lam) = log E[exp(lam*X)]``.  The tilted law always has mean zero.
+Every closed form of a density family under a tilt lives here: density,
+F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's weights) and
+Lambda with its first two derivatives, so the tilt needs no quadrature.
+A lam outside the strip where E[exp(lam*X)] is finite raises DomainError.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ class IncrementLaw:
     points: tuple = ()
     probs: tuple = ()
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b) + self.points + self.probs)):
+            raise DomainError(f"law parameters must be finite: {self!r}")
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -62,7 +69,7 @@ class IncrementLaw:
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "IncrementLaw":
-        if not lo < hi:
+        if lo >= hi:  # NaN passes on to the finiteness check
             raise DomainError("uniform requires lo < hi")
         return cls(UNIFORM, float(lo), float(hi))
 
@@ -144,16 +151,9 @@ class IncrementLaw:
 
     def density(self, x):
         """Density of the continuous families, vectorized."""
-        x = np.asarray(x, dtype=float)
-        if self.family == GAUSSIAN:
-            z = (x - self.a) / self.b
-            return np.exp(-0.5 * z * z) / (self.b * _SQRT2PI)
-        if self.family == LAPLACE:
-            return np.exp(-np.abs(x - self.a) / self.b) / (2.0 * self.b)
-        if self.family == UNIFORM:
-            return np.where((x >= self.a) & (x <= self.b),
-                            1.0 / (self.b - self.a), 0.0)
-        raise DomainError("finite-support laws have no density")
+        if self.family == FINITE:
+            raise DomainError("finite-support laws have no density")
+        return _density((self.family, self.a, self.b, 0.0), x)
 
     def abs_tail(self, v: float) -> float:
         """P(|X| > v)."""
@@ -224,6 +224,108 @@ def law_moments(law: IncrementLaw, delta: float) -> MomentSummary:
 
 
 # ---------------------------------------------------------------------------
+# Closed forms of the density laws (family, a, b, lam): the density of
+# IncrementLaw(family, a, b) times exp(lam u - Lambda(lam)); lam = 0 is the law.
+
+
+def _mirror(law):
+    """The law of -X."""
+    family, a, b, lam = law
+    if family == UNIFORM:
+        return family, -b, -a, -lam
+    return family, -a, b, -lam
+
+
+def _cdf_partial_mean(law, t):
+    """F(t) = P(X <= t) and M(t) = E[X; X <= t], vectorized in t.
+
+    Both are accurate to relative precision in the left tail, where they
+    are small.
+    """
+    family, a, b, lam = law
+    if family == GAUSSIAN:
+        z = (t - a) / b
+        f = ndtr(z)
+        return f, a * f - b * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    if family == LAPLACE:
+        # density c e^{al (t-a)} left of a and c e^{-be (t-a)} right of it
+        al, be = 1.0 / b + lam, 1.0 / b - lam
+        c = 0.5 * al * be * b
+        left = c / al * np.exp(al * np.minimum(t - a, 0.0))
+        right = c / be * np.exp(-be * np.maximum(t - a, 0.0))
+        mean = a + c * (1.0 / be ** 2 - 1.0 / al ** 2)
+        return (np.where(t <= a, left, 1.0 - right),
+                np.where(t <= a, left * (t - 1.0 / al),
+                         mean - right * (t + 1.0 / be)))
+    tc = np.clip(t, a, b)
+    if lam == 0.0:
+        return (tc - a) / (b - a), (tc * tc - a * a) / (2.0 * (b - a))
+    e = np.expm1(lam * (tc - a))
+    scale = math.expm1(lam * (b - a))
+    return e / scale, (tc * (e + 1.0) - a - e / lam) / scale
+
+
+def _density(law, u):
+    """The density at u, vectorized."""
+    family, a, b, lam = law
+    u = np.asarray(u, dtype=float)
+    if family == GAUSSIAN:
+        z = (u - a - lam * b ** 2) / b
+        return np.exp(-0.5 * z * z) / (b * _SQRT2PI)
+    if family == LAPLACE:
+        d = u - a
+        if lam == 0.0:
+            return np.exp(-np.abs(d) / b) / (2.0 * b)
+        return np.exp(-np.abs(d) * (1.0 / b - lam * np.sign(d))) \
+            * (1.0 - (lam * b) ** 2) / (2.0 * b)
+    inside = (u >= a) & (u <= b)
+    if lam == 0.0:
+        return np.where(inside, 1.0 / (b - a), 0.0)
+    edge = b if lam > 0.0 else a  # lam (u - edge) <= 0 on [a, b]
+    scale = abs(lam) / -math.expm1(-abs(lam) * (b - a))
+    return np.where(inside, scale * np.exp(np.minimum(lam * (u - edge), 0.0)), 0.0)
+
+
+def _cumulants(law: IncrementLaw, lam: float):
+    """Lambda(lam) = log E[e^{lam X}] of a density law, with Lambda'(lam)
+    and Lambda''(lam): the mean and the variance of the tilted law."""
+    a, b = law.a, law.b
+    if law.family == GAUSSIAN:
+        return lam * a + 0.5 * lam * lam * b ** 2, a + lam * b ** 2, b ** 2
+    if law.family == LAPLACE:
+        # E e^{lam X} = e^{lam a} / (1 - lam^2 b^2) on |lam| < 1/b
+        r = (lam * b) ** 2
+        return (lam * a - math.log1p(-r), a + 2.0 * lam * b * b / (1.0 - r),
+                2.0 * b * b * (1.0 + r) / (1.0 - r) ** 2)
+    # uniform, midpoint c, half-width w, y = lam w: E e^{lam X} = e^{lam c}
+    # sinh(y)/y, Lambda' = c + w L(y), L(y) = coth y - 1/y, Lambda'' = w^2 L'(y).
+    # Below |y| = 0.1 Taylor series (truncated under 1e-15 relative) replace
+    # forms that cancel: L' = 1/y^2 - 1/sinh^2 y loses 4.9e-7 at y = -1.5e-5.
+    c, w = 0.5 * (a + b), 0.5 * (b - a)
+    y = lam * w
+    if abs(y) < 0.1:
+        q = y * y
+        log_sinhc = q * (1 / 6 - q * (1 / 180 - q * (1 / 2835 - q / 37800)))
+        p = 1 / 3 - q * (1 / 45 - q * (2 / 945 - q * (1 / 4725 - q * 2 / 93555)))
+        lang, dlang = y * p, 1.0 - q * p * p - 2.0 * p  # L' = 1 - L^2 - 2L/y
+    else:
+        s = abs(y)
+        m = -math.expm1(-2.0 * s)  # 1 - e^{-2|y|}
+        log_sinhc = s + math.log(m / (2.0 * s))
+        lang = math.copysign((2.0 - m) / m, y) - 1.0 / y
+        dlang = 1.0 / (y * y) - 4.0 * math.exp(-2.0 * s) / (m * m)
+    return lam * c + log_sinhc, c + w * lang, w * w * dlang
+
+
+def _check_strip(law: IncrementLaw, lam: float):
+    """Raise DomainError unless E[e^{lam X}] is finite."""
+    edge = 1.0 / law.b if law.family == LAPLACE else math.inf
+    if not (math.isfinite(lam) and abs(lam) < edge):
+        raise DomainError(f"lam={lam!r} lies outside the mgf strip "
+                          f"({-edge!r}, {edge!r}) of {format_law(law)}")
+
+
+# ---------------------------------------------------------------------------
 # Cramér tilt
 
 
@@ -254,6 +356,16 @@ class _InverseCdfTilt:
         upper = mu + np.log((1.0 - u) / (1.0 - p_below)) / (lam - 1.0 / b)
         return np.where(u < p_below, lower, upper)
 
+    def density(self, x):
+        return _density((self.base.family, self.base.a, self.base.b, self.lam), x)
+
+    def support_bounds(self):
+        """(lo, hi) carrying all but ~1e-30 of the tilted mass."""
+        a, b, lam = self.base.a, self.base.b, self.lam
+        if self.base.family == UNIFORM:
+            return a, b
+        return a - 80.0 / (1.0 / b + lam), a + 80.0 / (1.0 / b - lam)
+
 
 @dataclass(frozen=True)
 class TiltedLaw:
@@ -278,112 +390,57 @@ def _finite_exp_terms(law, lam):
     return x, w, shift
 
 
-def _tilt_bounds(law, lam, margin=80.0):
-    """Quadrature window and exponent shift for integrands f(x) e^{lam x}.
-
-    The window keeps every point whose exponent (tilt plus log-density)
-    is within ``margin`` of its peak, so the shifted integrand neither
-    overflows nor hides its mass from the adaptive rule.
-    """
-    if law.family == UNIFORM:
-        lo, hi = law.a, law.b
-        shift = max(lam * lo, lam * hi)
-        if lam > 0:
-            lo = max(lo, (shift - margin) / lam)
-        elif lam < 0:
-            hi = min(hi, (shift - margin) / lam)
-        return lo, hi, shift
-    if law.family == LAPLACE:
-        mu, b = law.a, law.b
-        lo = mu - margin / (lam + 1.0 / b)
-        hi = mu + margin / (1.0 / b - lam)
-        return lo, hi, lam * mu
-    lo, hi = law.support_bounds()
-    return lo, hi, 0.0
-
-
-def _tilted_integrand(law, lam, shift, power):
-    """x^power * e^{lam x - shift} * density(x) with a fused, safe exponent."""
-    if law.family == LAPLACE:
-        mu, b = law.a, law.b
-        return lambda x: x ** power * math.exp(
-            lam * x - shift - abs(x - mu) / b) / (2.0 * b)
-    lo, hi = law.a, law.b
-    return lambda x: x ** power * math.exp(lam * x - shift) / (hi - lo)
-
-
-def _tilted_mean_shifted(law, lam):
-    """E[X e^{lam X}] up to a positive factor; sign-exact for root finding."""
-    if law.family == GAUSSIAN:
-        return law.a + lam * law.b ** 2
-    if law.family == FINITE:
-        x, w, _ = _finite_exp_terms(law, lam)
-        return float(np.dot(x, w))
-    lo, hi, shift = _tilt_bounds(law, lam)
-    return quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-14)
-
-
 def tilted_mean(law: IncrementLaw, lam: float) -> float:
     """E[X e^{lam X}], the function whose root is the Cramér tilt."""
-    if law.family == GAUSSIAN:
-        mu, s2 = law.a, law.b ** 2
-        return (mu + lam * s2) * math.exp(lam * mu + 0.5 * lam * lam * s2)
+    _check_strip(law, lam)
     if law.family == FINITE:
         x = np.asarray(law.points)
         return float(np.dot(x * np.exp(lam * x), law.probs))
-    lo, hi, _ = _tilt_bounds(law, lam)
-    return quad(lambda x: x * math.exp(lam * x) * float(law.density(x)),
-                lo, hi, tol=1e-14)
+    lg, mean, _ = _cumulants(law, lam)
+    return mean * math.exp(lg)
 
 
 def log_mgf(law: IncrementLaw, lam: float) -> float:
     """Lambda(lam) = log E[e^{lam X}]."""
+    _check_strip(law, lam)
     if lam == 0.0:
         return 0.0
-    if law.family == GAUSSIAN:
-        return lam * law.a + 0.5 * lam * lam * law.b ** 2
     if law.family == FINITE:
         _, w, shift = _finite_exp_terms(law, lam)
         return shift + math.log(float(np.sum(w)))
-    lo, hi, shift = _tilt_bounds(law, lam)
-    val = quad(_tilted_integrand(law, lam, shift, 0), lo, hi, tol=1e-14)
-    return shift + math.log(val)
+    return _cumulants(law, lam)[0]
 
 
-def _mgf_strip(law):
-    """lam interval searched for the root; the mgf must be finite on it."""
-    if law.family == LAPLACE:
-        margin = 1e-3 / law.b
-        return -1.0 / law.b + margin, 1.0 / law.b - margin
-    return -math.inf, math.inf
-
-
-def _bracket_root(g, sigma, strip):
+def _increasing_root(g, sigma):
+    """The root of an increasing g: a bracket doubled out from +-8/sigma,
+    then bisection to the last bit."""
     lo, hi = -8.0 / sigma, 8.0 / sigma
-    lo, hi = max(lo, strip[0]), min(hi, strip[1])
-    glo, ghi = g(lo), g(hi)
-    for _ in range(80):
-        if glo <= 0.0 <= ghi:
-            return lo, hi
-        if glo > 0.0:
-            lo = 2.0 * lo if strip[0] == -math.inf else 0.5 * (lo + strip[0])
-            glo = g(lo)
-        else:
-            hi = 2.0 * hi if strip[1] == math.inf else 0.5 * (hi + strip[1])
-            ghi = g(hi)
-        if abs(lo) > 1e12 or abs(hi) > 1e12:
+    while g(lo) > 0.0 and lo > -1e12:
+        lo *= 2.0
+    while g(hi) < 0.0 and hi < 1e12:
+        hi *= 2.0
+    if not g(lo) <= 0.0 <= g(hi):
+        raise NoTiltExists(
+            f"no sign change of E[X exp(lam X)] in bracket {(lo, hi)}",
+            bracket=(lo, hi))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-    return None, (lo, hi)
+        if g(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     """Solve E[X e^{lam X}] = 0 and package the tilted law.
 
-    Analytic for gaussian; bracketed bisection on the tilted mean
-    otherwise (a finite sum for finite support, quadrature for the
-    continuous laws).  The tilted mean is an increasing function of lam
-    (derivative of a strictly convex cumulant), so bisection is safe
-    once a sign change is bracketed.
+    Closed-form root for gaussian and laplace; otherwise bisection on the
+    closed-form Lambda'(lam) (uniform) or the finite sum E[X e^{lam X}],
+    both increasing in lam, once a sign change is bracketed.  A uniform
+    law whose support has one sign has none.  No quadrature is involved.
     """
     if abs(law.mean) <= 1e-13 * max(1.0, law.sigma):
         return TiltedLaw(0.0, 0.0, law.variance, law, law)
@@ -394,48 +451,33 @@ def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
 
     if law.family == GAUSSIAN:
         lam = -law.a / law.b ** 2
+    elif law.family == LAPLACE:
+        # (b - hypot(b, mu)) / (mu b), the root of mu (1 - lam^2 b^2) +
+        # 2 lam b^2, rewritten so that a small mu does not cancel
+        mu, b = law.a, law.b
+        lam = -mu / (b * (b + math.hypot(b, mu)))
+    elif law.family == UNIFORM:
+        lam = _increasing_root(lambda lam: _cumulants(law, lam)[1], law.sigma)
     else:
-        g = lambda lam: _tilted_mean_shifted(law, lam)
-        bracket = _bracket_root(g, law.sigma, _mgf_strip(law))
-        if bracket[0] is None:
-            raise NoTiltExists(
-                f"no sign change of E[X exp(lam X)] in bracket {bracket[1]}",
-                bracket=bracket[1])
-        lo, hi = bracket
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if g(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
+        def g(lam):
+            x, w, _ = _finite_exp_terms(law, lam)
+            return float(np.dot(x, w))
+        lam = _increasing_root(g, law.sigma)
 
     residual = tilted_mean(law, lam)
     if abs(residual) > 1e-12:
         raise NoTiltExists(
             f"root residual {residual:.3e} exceeds 1e-12 at lam={lam!r}")
 
-    lg = log_mgf(law, lam)
-    sampler, var = _materialize_tilt(law, lam, lg)
-    return TiltedLaw(float(lam), float(lg), float(var), law, sampler)
-
-
-def _materialize_tilt(law, lam, lg):
-    if law.family == GAUSSIAN:
-        tilted = IncrementLaw.gaussian(law.a + lam * law.b ** 2, law.b)
-        return tilted, law.b ** 2
     if law.family == FINITE:
-        x, w, shift = _finite_exp_terms(law, lam)
-        w = w / np.sum(w)
-        tilted = IncrementLaw.finite(tuple(x), tuple(w))
-        return tilted, tilted.variance
-    lo, hi, shift = _tilt_bounds(law, lam)
-    scale = math.exp(shift - lg)  # total tilted mass carried by the shift
-    var = scale * quad(_tilted_integrand(law, lam, shift, 2), lo, hi, tol=1e-13)
-    mean = scale * quad(_tilted_integrand(law, lam, shift, 1), lo, hi, tol=1e-13)
-    return _InverseCdfTilt(law, lam, float(mean), float(var)), var
+        x, w, _ = _finite_exp_terms(law, lam)
+        sampler = IncrementLaw.finite(tuple(x), tuple(w / np.sum(w)))
+        lg, var = log_mgf(law, lam), sampler.variance
+    else:
+        lg, mean, var = _cumulants(law, lam)
+        sampler = (IncrementLaw.gaussian(mean, law.b) if law.family == GAUSSIAN
+                   else _InverseCdfTilt(law, lam, mean, var))
+    return TiltedLaw(float(lam), lg, var, law, sampler)
 
 
 # ---------------------------------------------------------------------------

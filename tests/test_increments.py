@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from condwalk import (DomainError, IncrementLaw, NoTiltExists, cramer_tilt,
                       format_law, is_lattice, law_moments, left_exit_prob,
                       log_mgf, parse_law, sample_increment, tilted_mean)
+from condwalk import increments
 from condwalk.rngstream import chunk_generator
 
 
@@ -210,3 +211,120 @@ def test_grammar_rejects_garbage():
         parse_law("gaussian:asdf")
     with pytest.raises(DomainError):
         parse_law("finite:-1,0.5;1,0.6")  # probs sum to 1.1
+
+
+# -- closed-form tilt ----------------------------------------------------------
+
+# lam, Lambda(lam) and Lambda''(lam), as float.hex, from the adaptive-quadrature
+# tilt that the closed forms replaced.  For the two narrow uniforms its
+# Lambda was off by 2.7e-10 and 3.2e-6 relative; there the reference is the
+# exact value, computed in 50-digit arithmetic.
+TILT_REFERENCE = {
+    "laplace:-0.3,1": ("0x1.2c9523bff6f38p-3", "-0x1.6c9cba4cbdbf0p-6",
+                       "0x1.1127ea971eafcp+1"),
+    "laplace:0.2,0.5": ("-0x1.8a68a4a8d9f76p-2", "-0x1.4173ac48bd08dp-5",
+                        "0x1.1e571898b4777p-1"),
+    "laplace:-0.4,0.8": ("0x1.2e2ac13ef8e8cp-2", "-0x1.f1322efcc304ep-5",
+                         "0x1.83fa8b57ffb06p+0"),
+    "laplace:-0.01,1": ("0x1.47abfba2cc5e8p-8", "-0x1.a36cd71c2862ap-16",
+                        "0x1.0004ea47d0d48p+1"),
+    "uniform:-1,2": ("-0x1.6ec8bd2bba244p-1", "-0x1.6194e29e6ace4p-3",
+                     "0x1.354a714b445b0p-1"),
+    "uniform:-2,1": ("0x1.6ec8bd2bba244p-1", "-0x1.6194e29e6ace4p-3",
+                     "0x1.354a714b445b0p-1"),
+    "uniform:-1,1.001": ("-0x1.88d2b924fa7fcp-10", "-0x1.9240388a6e20bp-22",
+                         "0x1.55acb27b11f8bp-2"),
+    "uniform:-1,1.00001": ("-0x1.f74fbafba2604p-17", "-0x1.49d9a60a68e27p-35",
+                           "0x1.55563507730cdp-2"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(TILT_REFERENCE))
+def test_closed_form_tilt_matches_reference(spec):
+    law = parse_law(spec)
+    t = cramer_tilt(law)
+    lam, lg, var = (float.fromhex(h) for h in TILT_REFERENCE[spec])
+    # abs=0: approx's default absolute 1e-12 would swallow Lambda ~ 4e-11
+    assert t.lam == pytest.approx(lam, rel=1e-10, abs=0.0)
+    assert t.log_mgf == pytest.approx(lg, rel=1e-10, abs=0.0)
+    assert log_mgf(law, t.lam) == t.log_mgf
+    assert t.tilted_variance == pytest.approx(var, rel=1e-10, abs=0.0)
+
+
+def test_tilt_makes_no_quadrature_call(monkeypatch):
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(increments, "quad", no_quad)
+    for spec in ("gaussian:-0.5,1", "laplace:-0.3,1", "uniform:-1,2",
+                 "uniform:-1,1.00001", "finite:-2,0.25;1,0.75"):
+        law = parse_law(spec)
+        t = cramer_tilt(law)
+        assert abs(tilted_mean(law, t.lam)) <= 1e-12
+        assert log_mgf(law, 0.5 * t.lam) < 0.0
+
+
+@pytest.mark.parametrize("spec", ["uniform:0.5,2", "uniform:0,2",
+                                  "uniform:-2,0"])
+def test_one_signed_uniform_has_no_tilt(spec):
+    with pytest.raises(NoTiltExists) as err:
+        cramer_tilt(parse_law(spec))
+    assert err.value.bracket is not None
+
+
+@pytest.mark.parametrize("spec", ["gaussian:-0.5,1", "laplace:-0.3,1",
+                                  "laplace:0.2,0.5", "uniform:-1,2",
+                                  "uniform:-1,1.001"])
+def test_tilted_density_moments_match_tilted_law(spec):
+    # an independent reference: scipy's own quadrature of the density
+    from scipy.integrate import quad as scipy_quad
+
+    t = cramer_tilt(parse_law(spec))
+    lo, hi = t.sampler.support_bounds()
+    kink = [t.base.a] if t.base.family == "laplace" else None
+
+    def moment(k):
+        return scipy_quad(lambda u: u ** k * float(t.sampler.density(u)),
+                          lo, hi, points=kink, epsabs=1e-13, epsrel=1e-11,
+                          limit=200)[0]
+
+    assert moment(0) == pytest.approx(1.0, rel=1e-10, abs=0.0)
+    assert abs(moment(1) - t.sampler.mean) <= 1e-10
+    assert moment(2) == pytest.approx(t.tilted_variance, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("fn", [tilted_mean, log_mgf])
+@pytest.mark.parametrize("lam", [1.0, 1.5, -1.0, -2.0, math.nan, math.inf])
+def test_lam_outside_mgf_strip_raises(fn, lam):
+    with pytest.raises(DomainError) as err:
+        fn(IncrementLaw.laplace(-0.3, 1.0), lam)
+    assert f"lam={lam!r}" in str(err.value)
+    assert "(-1.0, 1.0)" in str(err.value)
+
+
+@pytest.mark.parametrize("fn", [tilted_mean, log_mgf])
+@pytest.mark.parametrize("spec", ["gaussian:0,1", "uniform:-1,2",
+                                  "finite:-1,0.5;1,0.5"])
+def test_non_finite_lam_raises(fn, spec):
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="mgf strip"):
+            fn(parse_law(spec), lam)
+
+
+# -- non-finite parameters -------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    "gaussian:0,nan", "gaussian:nan,1", "gaussian:0,inf", "gaussian:-inf,1",
+    "laplace:inf,1", "laplace:0,nan", "uniform:0,inf", "uniform:nan,1",
+    "uniform:-inf,0", "finite:-1,nan;1,1", "finite:-1,0.5;inf,0.5",
+    "finite:nan,0.5;1,0.5",
+])
+def test_non_finite_parameters_rejected(spec):
+    with pytest.raises(DomainError, match="must be finite"):
+        parse_law(spec)
+
+
+def test_finite_constructor_rejects_nan_probability():
+    with pytest.raises(DomainError, match="must be finite"):
+        IncrementLaw.finite([-1, 1], [math.nan, 1])
