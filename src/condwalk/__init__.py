@@ -22,7 +22,8 @@ from .increments import IncrementLaw, MomentSummary, TiltedLaw, cramer_tilt, \
     format_law, is_lattice, law_moments, left_exit_prob, log_mgf, parse_law, \
     sample_increment, tilted_mean
 from .oracle import JointLaw, exact_joint_law, exact_killed_moment, \
-    sparre_andersen_exit_at, sparre_andersen_survival, verify_duality
+    gaussian_killed_survival, sparre_andersen_exit_at, \
+    sparre_andersen_survival, verify_duality
 from .special import KernelSpec, brownian_exit, conv_normal_levy, \
     conv_normal_rayleigh, fuk_nagaev_bound, kernel_fourier, \
     kernel_fourier_exact, levy_psi, levy_psi_integral, psi_normalizer, \

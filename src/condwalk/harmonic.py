@@ -40,7 +40,7 @@ from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
 from .rngstream import mix64
 from .special import quad
 from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
-    _mc_many
+    _mc_many, _sum_m2
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,17 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     _require_zero_mean(law)
 
     def work(rng, m):
-        s = q = 0.0
+        exits = []
 
         def exit_values(d, done, neg, died):
-            nonlocal s, q
             if died.any():
                 rows = np.nonzero(died)[0]
-                vals = x - d[rows, neg[rows].argmax(axis=1)]
-                s += float(vals.sum())
-                q += float((vals * vals).sum())
+                exits.append(x - d[rows, neg[rows].argmax(axis=1)])
 
         pos = _advance(law, np.full(m, float(x)), cap, rng, negate=dual,
                        observe=exit_values)
-        censored = float(pos.size)
-        return [(s, q), (censored, censored)]
+        return [_sum_m2(np.concatenate(exits) if exits else np.empty(0), m),
+                _sum_m2(np.ones(pos.size), m)]
 
     est, censored = _chunked(samples, seed, threads, work)
     rate = censored.mean
@@ -343,7 +340,7 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
             step = -step
         pos = x + step
         vals = np.where(pos >= 0.0, table(pos), 0.0)
-        return [(float(vals.sum()), float((vals * vals).sum()))]
+        return [_sum_m2(vals, m)]
 
     est = _chunked(samples, seed, threads, work)[0]
     return McEstimate(est.mean - vx, est.stderr, est.count, est.seed)

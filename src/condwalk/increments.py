@@ -114,23 +114,30 @@ class IncrementLaw:
 
     # -- sampling ------------------------------------------------------
 
-    def sample_block(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Draw an array of increments; consumes the generator state."""
+    def sample_block(self, rng: np.random.Generator, shape,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Draw an array of increments; consumes the generator state.
+
+        ``out``, a C-contiguous float64 array of that shape, receives the
+        draws instead of a new array.
+        """
+        if self.family == FINITE:
+            cum = np.cumsum(self.probs)
+            cum[-1] = 1.0
+            idx = np.searchsorted(cum, rng.random(shape, out=out), side="right")
+            # u < 1 = cum[-1] keeps idx in range; "clip" spares take a buffer
+            return np.take(self.points, idx, out=out, mode="clip")
         if self.family == GAUSSIAN:
-            out = rng.standard_normal(shape)
-            if self.b != 1.0:
-                out *= self.b
-            if self.a != 0.0:
-                out += self.a
-            return out
-        if self.family == LAPLACE:
-            return rng.laplace(self.a, self.b, shape)
-        if self.family == UNIFORM:
-            return rng.uniform(self.a, self.b, shape)
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, rng.random(shape), side="right")
-        return np.asarray(self.points)[idx]
+            out, scale = rng.standard_normal(shape, out=out), self.b
+        elif self.family == UNIFORM:
+            out, scale = rng.random(shape, out=out), self.b - self.a
+        else:
+            out, scale = _standard_laplace(rng.random(shape, out=out)), self.b
+        if scale != 1.0:
+            out *= scale
+        if self.a != 0.0:
+            out += self.a
+        return out
 
     # -- distribution --------------------------------------------------
 
@@ -171,6 +178,22 @@ class IncrementLaw:
         if self.family == UNIFORM:
             return self.a, self.b
         return self.points[0], self.points[-1]
+
+
+def _standard_laplace(u):
+    """Turn u ~ U[0, 1) into a standard Laplace variate, in place.
+
+    With v = u - 1/2, the inverse CDF is sign(v) * -log(1 - 2|v|); every
+    step is exact in float64 up to the log.  u = 0 would give -inf, so it
+    is read as u = 2^-54, half the smallest nonzero draw.
+    """
+    u -= 0.5
+    t = np.abs(u)
+    t *= -2.0
+    t += 1.0
+    np.maximum(t, 2.0 ** -53, out=t)
+    np.log(t, out=t)
+    return np.copysign(t, u, out=u)
 
 
 def left_exit_prob(law: IncrementLaw, t: float) -> float:
@@ -260,9 +283,41 @@ def _cdf_partial_mean(law, t):
     tc = np.clip(t, a, b)
     if lam == 0.0:
         return (tc - a) / (b - a), (tc * tc - a * a) / (2.0 * (b - a))
-    e = np.expm1(lam * (tc - a))
-    scale = math.expm1(lam * (b - a))
-    return e / scale, (tc * (e + 1.0) - a - e / lam) / scale
+    # With x = lam (t - a) and s = lam (b - a): F = expm1(x) / expm1(s) and
+    # M = a F + (t - a) h(x) / expm1(s), h(x) = e^x - expm1(x)/x.  For
+    # lam > 0 both are scaled by e^-s, into the e^{lam (t - b)} form, so
+    # that nothing overflows.
+    x = lam * (tc - a)
+    s = lam * (b - a)
+    if lam < 0.0:
+        f = np.expm1(x) / math.expm1(s)
+        g = _h_scaled(x, x, 0.0) / math.expm1(s)
+    else:
+        z = lam * (tc - b)
+        f = np.exp(z) * np.expm1(-x) / math.expm1(-s)
+        g = _h_scaled(x, z, s) / -math.expm1(-s)
+    return f, a * f + (tc - a) * g
+
+
+# h(x) = sum_{k>=1} k x^k / (k+1)!, Horner coefficients from k = 20 down
+_H_SERIES = [k / math.factorial(k + 1) for k in range(20, 0, -1)]
+
+
+def _h_scaled(x, z, c):
+    """e^-c h(x), h(x) = e^x - expm1(x)/x, to relative precision; z = x - c.
+
+    The closed form cancels for small |x| (by 2/|x|), so |x| < 1 takes
+    the Taylor series, truncated below 1e-17 relative.
+    """
+    small = np.abs(x) < 1.0
+    xs = np.where(small, x, 0.0)
+    series = np.zeros_like(xs)
+    for coef in _H_SERIES:
+        series = (series + coef) * xs
+    xl = np.where(small, 1.0, x)
+    e = np.exp(np.where(small, 0.0, z))
+    closed = e - (e - math.exp(-c)) / xl
+    return np.where(small, series * math.exp(-c), closed)
 
 
 def _density(law, u):
@@ -342,19 +397,25 @@ class _InverseCdfTilt:
     def sigma(self):
         return math.sqrt(self.variance)
 
-    def sample_block(self, rng, shape):
+    def sample_block(self, rng, shape, out=None):
+        """Draw an array of tilted increments, into ``out`` if given."""
         u = rng.random(shape)
         np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
         lam, law = self.lam, self.base
         if law.family == UNIFORM:
             lo, hi = law.a, law.b
             # F^{-1}(u) = log( (1-u) e^{lam lo} + u e^{lam hi} ) / lam
-            return np.logaddexp(lam * lo + np.log1p(-u), lam * hi + np.log(u)) / lam
+            out = np.logaddexp(lam * lo + np.log1p(-u), lam * hi + np.log(u),
+                               out=out)
+            out /= lam
+            return out
         mu, b = law.a, law.b
         p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below mu
-        lower = mu + np.log(u / p_below) / (lam + 1.0 / b)
+        out = np.divide(np.log(u / p_below), lam + 1.0 / b, out=out)
+        out += mu
         upper = mu + np.log((1.0 - u) / (1.0 - p_below)) / (lam - 1.0 / b)
-        return np.where(u < p_below, lower, upper)
+        np.copyto(out, upper, where=u >= p_below)
+        return out
 
     def density(self, x):
         return _density((self.base.family, self.base.a, self.base.b, self.lam), x)

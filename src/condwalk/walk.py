@@ -4,13 +4,23 @@ Every estimator runs on two pieces.  ``_advance`` walks an array of
 positions forward in step blocks: it draws a block of increments, turns
 it into positions by a cumulative sum, and compacts away the paths that
 crossed below zero, so the cost follows the number of alive path-steps.
-Whatever an estimator needs beyond the surviving positions (exits at the
-horizon, the value at first exit, a running maximum) it reads from each
-block through a small observer.  ``_chunked`` splits the paths into
-fixed chunks of 2^16; chunk i draws from a Philox stream keyed by
-(seed, i), and the chunks' (sum, sumsq) pairs are combined in chunk
-order, so every estimate is bit-identical for a given seed whatever the
-worker-thread count.
+A killed walk paces its blocks by the paths' age: after k steps the next
+block is k/2 steps long (at least 1, at most the 2^21-float budget over
+the alive paths).  Near zero the hazard after k steps is about 1/(2k),
+so few increments are drawn for paths already dead.  An unkilled walk
+takes the budget at once.  Every block of one call is drawn into one
+reused buffer of max(2^21, paths) floats, so varying block shapes do
+not fragment the heap.  Whatever an estimator needs beyond the
+surviving positions (exits at the horizon, the value at first exit, a
+running maximum) it reads from each block through a small observer.
+``_chunked`` splits the paths into fixed chunks of 2^16; chunk i draws
+from a Philox stream keyed by (seed, i), and the chunks' (sum, M2)
+pairs are merged in chunk order, so every estimate is bit-identical for
+a given seed whatever the worker-thread count.
+
+The block schedule, the samplers' transforms and the summation order
+make up the random stream, now version 2: a change to any of them
+changes estimates, so it is one deliberate, versioned change.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero
@@ -19,6 +29,7 @@ survives.
 
 from __future__ import annotations
 
+import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -124,12 +135,23 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
     ``observe(d, done, neg, died)`` sees every block before the paths that
     crossed below zero are compacted away: ``d`` holds the positions after
     steps done+1 .. done+b, ``neg`` marks d < 0 and ``died`` its rows (both
-    None without killing).
+    None without killing).  ``d`` is a view of the call's block buffer, so
+    an observer copies what it keeps.  A sampler whose ``sample_block``
+    takes no ``out`` (a timing wrapper, say) hands back fresh arrays of
+    the same draws.
     """
+    buf = np.empty(max(_BLOCK_ELEMS, pos.size))
+    into = "out" in inspect.signature(sampler.sample_block).parameters
     done = 0
     while pos.size and done < steps:
-        b = int(min(max(16, _BLOCK_ELEMS // pos.size), steps - done))
-        d = sampler.sample_block(rng, (pos.size, b))
+        rows = pos.size
+        budget = max(1, _BLOCK_ELEMS // rows)
+        b = min(steps - done, budget, max(1, done // 2) if kill else budget)
+        if into:
+            d = sampler.sample_block(rng, (rows, b),
+                                     out=buf[:rows * b].reshape(rows, b))
+        else:
+            d = sampler.sample_block(rng, (rows, b))
         if negate:
             np.negative(d, out=d)
         np.cumsum(d, axis=1, out=d)
@@ -140,24 +162,36 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
             died = neg.any(axis=1)
         if observe is not None:
             observe(d, done, neg, died)
-        pos = d[~died, b - 1] if kill and died.any() else d[:, b - 1]
+        pos = d[~died, b - 1] if kill and died.any() else d[:, b - 1].copy()
         done += b
     return pos
+
+
+def _sum_m2(v, m):
+    """Sum and M2 = sum (v_i - mean)^2 of m values: ``v``, then zeros."""
+    s = float(v.sum())
+    mean = s / m
+    return s, float(np.square(v - mean).sum()) + (m - v.size) * mean * mean
 
 
 def _chunked(samples, seed, threads, work):
     """Estimates from ``work(rng, m)``, run on each chunk of ``samples`` paths.
 
-    ``work`` returns the chunk's (sum, sumsq) pairs, one per estimate; the
-    pairs are summed in chunk order, whatever the thread count.
+    ``work`` returns one ``_sum_m2`` pair per estimate, over the chunk's m
+    paths.  The mean is the chunk sums' total over ``samples``; the M2s
+    are merged pairwise (Chan, Golub & LeVeque 1983), which does not
+    cancel far from zero as the sum of squares does.  Both run in chunk
+    order, whatever the thread count.
     """
+    if not samples >= 1:
+        raise DomainError(f"samples must be >= 1, got {samples!r}")
     threads = resolve_threads(threads)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     last = samples - (n_chunks - 1) * CHUNK_SIZE
+    sizes = [CHUNK_SIZE] * (n_chunks - 1) + [last]
 
     def run(i):
-        m = last if i == n_chunks - 1 else CHUNK_SIZE
-        return work(chunk_generator(seed, i), m)
+        return work(chunk_generator(seed, i), sizes[i])
 
     if threads <= 1 or n_chunks <= 1:
         parts = [run(i) for i in range(n_chunks)]
@@ -166,17 +200,19 @@ def _chunked(samples, seed, threads, work):
             parts = list(pool.map(run, range(n_chunks)))
     out = []
     for j in range(len(parts[0])):
-        s = 0.0
-        q = 0.0
-        for p in parts:
-            s += p[j][0]
-            q += p[j][1]
-        mean = s / samples
-        if samples > 1:
-            var = max(q - samples * mean * mean, 0.0) / (samples - 1)
-        else:
-            var = 0.0
-        out.append(McEstimate(mean, math.sqrt(var / samples), samples, seed))
+        total = m2 = 0.0
+        count = 0
+        for m, p in zip(sizes, parts):
+            s, q = p[j]
+            if count:
+                delta = s / m - total / count
+                m2 += delta * delta * (count * m / (count + m))
+            m2 += q
+            total += s
+            count += m
+        var = m2 / (samples - 1) if samples > 1 else 0.0
+        out.append(McEstimate(total / samples, math.sqrt(var / samples),
+                              samples, seed))
     return out
 
 
@@ -211,20 +247,11 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
         w_e = weight(exits) if (weight is not None and exits.size) else None
         pairs = []
         for sf, ef in evals:
-            s = q = 0.0
-            if sf is not None and surv.size:
-                v = sf(surv)
-                if w_s is not None:
-                    v = v * w_s
-                s += float(v.sum())
-                q += float((v * v).sum())
-            if ef is not None and exits.size:
-                v = ef(exits)
-                if w_e is not None:
-                    v = v * w_e
-                s += float(v.sum())
-                q += float((v * v).sum())
-            pairs.append((s, q))
+            at, w, f = (surv, w_s, sf) if sf is not None else (exits, w_e, ef)
+            v = f(at) if at.size else at
+            if w is not None:
+                v = v * w
+            pairs.append(_sum_m2(v, m))
         return pairs
 
     return _chunked(samples, seed, threads, work)
@@ -249,8 +276,6 @@ def simulate_exit(law: IncrementLaw, x: float, horizon: int,
 def mc_estimate(law: IncrementLaw, x: float, n: int, stat: Statistic,
                 samples: int, seed: int, threads: int | None = None) -> McEstimate:
     """Unbiased Monte Carlo estimate of one killed-walk functional."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     return _mc_many(law, law.sigma, x, n, [stat], samples, seed, threads)[0]
 
 
@@ -316,7 +341,6 @@ def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
             np.maximum(best, np.abs(d).max(axis=1), out=best)
 
         _advance(law, np.zeros(m), n, rng, kill=False, observe=running_max)
-        s = float(np.count_nonzero(best > u))
-        return [(s, s)]
+        return [_sum_m2((best > u).astype(float), m)]
 
     return _chunked(samples, seed, threads, work)[0]

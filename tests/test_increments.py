@@ -32,6 +32,50 @@ def test_uniform_sample_mean_clt_bound():
     assert abs(draws.mean()) <= 4.0 * (1.0 / math.sqrt(3.0)) / 1e3
 
 
+_SAMPLERS = {
+    "gaussian": IncrementLaw.gaussian(0.5, 2.0),
+    "laplace": IncrementLaw.laplace(-0.5, 1.5),
+    "uniform": IncrementLaw.uniform(-1.0, 3.0),
+    "finite": IncrementLaw.finite([-1.0, 0.5, 2.0], [0.5, 0.3, 0.2]),
+    "tilted_laplace": cramer_tilt(IncrementLaw.laplace(-0.3, 1.0)).sampler,
+    "tilted_uniform": cramer_tilt(IncrementLaw.uniform(-2.0, 1.0)).sampler,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_sample_block_into_out_draws_the_same(name):
+    sampler = _SAMPLERS[name]
+    fresh = sampler.sample_block(chunk_generator(5, 2), (300, 7))
+    buf = np.full(4000, np.nan)
+    out = buf[:2100].reshape(300, 7)
+    got = sampler.sample_block(chunk_generator(5, 2), (300, 7), out=out)
+    assert got is out
+    assert np.array_equal(fresh, out)
+    assert np.isnan(buf[2100:]).all()
+
+
+class _ZeroFirst:
+    """A generator whose first uniform draw is exactly 0."""
+
+    def random(self, shape, out=None):
+        out = np.random.default_rng(0).random(shape, out=out)
+        out.flat[0] = 0.0
+        return out
+
+
+def test_laplace_sampler_maps_zero_uniform_to_a_finite_draw():
+    draws = IncrementLaw.laplace(0.0, 1.0).sample_block(_ZeroFirst(), 10)
+    assert np.isfinite(draws).all()
+    assert draws[0] == pytest.approx(math.log(2.0 ** -53))
+
+
+def test_laplace_sampler_matches_the_law():
+    from scipy import stats
+    law = IncrementLaw.laplace(-0.5, 1.5)
+    draws = law.sample_block(chunk_generator(61, 0), 2 * 10 ** 5)
+    assert stats.kstest(draws, np.vectorize(law.cdf)).pvalue > 1e-4
+
+
 # -- moments ----------------------------------------------------------------
 
 
@@ -154,6 +198,33 @@ def test_tilt_round_trip_sampling(family):
     s_lam = math.sqrt(tilt.tilted_variance)
     assert abs(draws.mean()) <= 4.0 * s_lam / 1e3
     assert draws.var() == pytest.approx(tilt.tilted_variance, rel=0.02)
+
+
+def _uniform_f_m_reference(a, b, lam, t):
+    """F(t) and M(t) of uniform[a, b] tilted by lam, to 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        a, b, lam = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(lam)
+        t = min(max(mpmath.mpf(t), a), b)
+        scale = mpmath.expm1(lam * (b - a))
+        e = mpmath.expm1(lam * (t - a))
+        return e / scale, (t * (e + 1) - a - e / lam) / scale
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-3.0, 0.5), (0.2, 5.0)])
+@pytest.mark.parametrize("lam_w", [-1.5e-5, 2e-9, 3e-3, -0.4, 2.5, -40.0,
+                                   800.0, -800.0])
+def test_tilted_uniform_cdf_partial_mean_to_50_digits(a, b, lam_w):
+    # lam (b - a) = lam_w: small tilts cancelled in the closed form, and
+    # lam (b - a) > 709 overflowed it to NaN
+    lam = lam_w / (b - a)
+    t = np.concatenate([np.linspace(a, b, 33), [a + 1e-7, b - 1e-7]])
+    f, m = increments._cdf_partial_mean(("uniform", a, b, lam), t)
+    scale = max(abs(a), abs(b))
+    for ti, fi, mi in zip(t, f, m):
+        f_ref, m_ref = _uniform_f_m_reference(a, b, lam, ti)
+        assert abs(fi - f_ref) <= 1e-12 * f_ref + 1e-300
+        assert abs(mi - m_ref) <= 1e-15 * scale
 
 
 # -- left exit probability ----------------------------------------------------

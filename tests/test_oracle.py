@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from condwalk import (IncrementLaw, Statistic, TargetFunction, exact_joint_law,
-                      exact_killed_moment, mc_estimates,
-                      sparre_andersen_exit_at, sparre_andersen_survival,
-                      verify_duality)
+                      exact_killed_moment, gaussian_killed_survival,
+                      mc_estimates, sparre_andersen_exit_at,
+                      sparre_andersen_survival, verify_duality)
 from condwalk.errors import StateExplosion
 from condwalk.rngstream import mix64
 
@@ -61,6 +61,21 @@ def test_sparre_andersen_exit_telescopes():
     for n in (2, 7, 31):
         direct = sparre_andersen_survival(n - 1) - sparre_andersen_survival(n)
         assert sparre_andersen_exit_at(n) == pytest.approx(direct, rel=1e-12)
+
+
+def test_gaussian_killed_survival_density_evolution():
+    # at x = 0 the distribution-free law is exact; the grid's kink at 0
+    # costs O(h)
+    evolved = gaussian_killed_survival(0.0, 40)
+    exact = [sparre_andersen_survival(j) for j in range(41)]
+    assert evolved == pytest.approx(exact, abs=2e-5)
+    # halving h moves P(tau_20 > 100) by less than 1e-6, and far from the
+    # boundary nothing dies in a few steps
+    fine, coarse = (gaussian_killed_survival(20.0, 100, h=h)[100]
+                    for h in (0.01, 0.02))
+    assert abs(fine - coarse) <= 1e-6
+    assert gaussian_killed_survival(40.0, 3, sigma=2.0)[3] == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 # -- duality ------------------------------------------------------------------
