@@ -13,7 +13,7 @@ class NoTiltExists(CondwalkError):
         self.bracket = bracket
 
 
-class DomainError(CondwalkError):
+class DomainError(CondwalkError, ValueError):
     """Argument outside the mathematical domain of the function."""
 
 

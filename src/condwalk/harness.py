@@ -158,7 +158,7 @@ class IngredientCache:
 # Bumped with any change to the table solver or estimators,
 # TableParams.point_budget or the random stream, so that tables cached
 # before it are misses.
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 
 
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):

@@ -8,19 +8,21 @@ to one at depth 60.
 
 The Sparre-Andersen identity P(S_1 >= 0, ..., S_n >= 0) = C(2n,n)/4^n for
 symmetric continuous increments is distribution-free and serves as the
-exact oracle for the continuous laws at x = 0.  Away from the boundary,
-density evolution gives the survival of gaussian walks from any x >= 0.
+exact oracle for the continuous laws at x = 0.  Density evolution gives
+the survival and the killed distribution function of gaussian walks from
+any x >= 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StateExplosion
+from .errors import DomainError, StateExplosion
 from .increments import IncrementLaw
 from .targets import TargetFunction, eval_target
 
@@ -105,17 +107,17 @@ def sparre_andersen_exit_at(n: int) -> float:
 # Density evolution
 
 
-def gaussian_killed_survival(x: float, n: int, sigma: float = 1.0,
-                             h: float = 0.01) -> np.ndarray:
-    """P(tau_x > j) for j = 0..n under N(0, sigma^2) increments.
+def _gaussian_killed_densities(x: float, n: int, sigma: float, h: float):
+    """Grid, trapezoid weights and the killed densities after steps 1..n.
 
-    Evolves the density of the killed walk on a grid of step h over
+    Evolves the density of x + S_j on {tau_x > j} on a grid of step h over
     [0, x + 12 sigma sqrt(n)]: each step convolves it with the increment
     density, cut at 9 sigma (trapezoid rule, FFT), and drops the mass
-    below zero.  The error is O(h^2).
+    below zero.  Returns (y, weights, iterator over the n densities).
     """
     if not (math.isfinite(x) and x >= 0.0) or n < 0 or h <= 0.0:
-        raise ValueError(f"need finite x >= 0, n >= 0, h > 0: {x!r}, {n!r}, {h!r}")
+        raise DomainError(f"need finite x >= 0, n >= 0, h > 0: {x!r}, {n!r}, "
+                          f"{h!r}")
     y = np.arange(int((x + 12.0 * sigma * math.sqrt(n)) / h) + 1) * h
     half = int(9.0 * sigma / h)
 
@@ -126,13 +128,45 @@ def gaussian_killed_survival(x: float, n: int, sigma: float = 1.0,
     kernel = np.fft.rfft(normal_pdf(np.arange(-half, half + 1) * h), size)
     weights = np.full(y.size, h)
     weights[0] = weights[-1] = 0.5 * h
-    f = normal_pdf(y - x)  # density after one step
-    out = [1.0]
-    for _ in range(n):
-        out.append(float(np.dot(f, weights)))
-        f = np.fft.irfft(np.fft.rfft(f * weights, size) * kernel,
-                         size)[half:half + y.size]
-    return np.array(out)
+
+    def densities():
+        f = normal_pdf(y - x)  # density after one step
+        for j in range(1, n + 1):
+            if j > 1:
+                f = np.fft.irfft(np.fft.rfft(f * weights, size) * kernel,
+                                 size)[half:half + y.size]
+            yield f
+
+    return y, weights, densities()
+
+
+def gaussian_killed_survival(x: float, n: int, sigma: float = 1.0,
+                             h: float = 0.01) -> np.ndarray:
+    """P(tau_x > j) for j = 0..n under N(0, sigma^2) increments.
+
+    Density evolution (see ``_gaussian_killed_densities``); the error is
+    O(h^2) away from the boundary.
+    """
+    _, weights, densities = _gaussian_killed_densities(x, n, sigma, h)
+    return np.array([1.0] + [float(np.dot(f, weights)) for f in densities])
+
+
+def gaussian_killed_cdf(x: float, n: int, ys, sigma: float = 1.0,
+                        h: float = 0.01) -> np.ndarray:
+    """P(x + S_n <= y, tau_x > n) for each y in ``ys``, N(0, sigma^2) steps.
+
+    Integrates the evolved density of ``gaussian_killed_survival``, read as
+    piecewise linear between grid points; y = inf gives P(tau_x > n).
+    """
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n!r}")
+    y, _, densities = _gaussian_killed_densities(x, n, sigma, h)
+    f = deque(densities, maxlen=1)[0]
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (f[1:] + f[:-1]))))
+    ys = np.clip(np.asarray(ys, dtype=float), 0.0, y[-1])
+    k = np.minimum((ys / h).astype(int), y.size - 2)
+    part = (ys - y[k]) * 0.5 * (f[k] + np.interp(ys, y, f))
+    return cum[k] + part
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ not fragment the heap.  Whatever an estimator needs beyond the
 surviving positions (exits at the horizon, the value at first exit, a
 running maximum) it reads from each block through a small observer.
 ``_chunked`` splits the paths into fixed chunks of 2^16; chunk i draws
-from a Philox stream keyed by (seed, i), and the chunks' (sum, M2)
+from an SFC64 stream keyed by (seed, i), and the chunks' (sum, M2)
 pairs are merged in chunk order, so every estimate is bit-identical for
 a given seed whatever the worker-thread count.
 
-The block schedule, the samplers' transforms and the summation order
-make up the random stream, now version 2: a change to any of them
-changes estimates, so it is one deliberate, versioned change.
+The generator, the block schedule, the samplers' transforms and the
+summation order make up the random stream, now version 3: a change to
+any of them changes estimates, so it is one deliberate, versioned
+change.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero
@@ -90,7 +91,7 @@ class Statistic:
     @classmethod
     def interval(cls, y: float, delta: float, dual=False):
         if delta <= 0:
-            raise ValueError("interval width must be positive")
+            raise DomainError("interval width must be positive")
         return cls("interval", y=float(y), delta=float(delta), dual=dual)
 
     @classmethod
@@ -119,7 +120,7 @@ def _stat_eval(stat: Statistic, sigma: float, n: int):
         return (lambda p: (p <= thr).astype(float)), None
     if stat.kind == "killed_position":
         return (lambda p: p.astype(float)), None
-    raise ValueError(f"unknown statistic kind {stat.kind!r}")
+    raise DomainError(f"unknown statistic kind {stat.kind!r}")
 
 
 def _check_start(x, n):
@@ -227,9 +228,9 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
     evals = [_stat_eval(s, sigma, n) for s in stats]
     negate = [s.dual for s in stats]
     if any(negate) and not all(negate):
-        raise ValueError("cannot mix dual and primal statistics in one pass")
+        raise DomainError("cannot mix dual and primal statistics in one pass")
     if not kill and any(s.kind == "exit_at_n" for s in stats):
-        raise ValueError("exit_at_n needs the killed walk")
+        raise DomainError("exit_at_n needs the killed walk")
 
     def work(rng, m):
         exits = np.empty(0)
@@ -303,7 +304,8 @@ def mc_tilted_survival(base: IncrementLaw, tilt: TiltedLaw, x: float, n: int,
     whose value depends only on the horizon state.
     """
     if stat.kind not in ("survival", "exit_at_n", "target"):
-        raise ValueError("tilted estimation supports survival/exit_at_n/target")
+        raise DomainError("tilted estimation supports survival/exit_at_n/"
+                          "target")
     if tilt.base != base:
         raise MismatchedTilt("tilt was derived from a different law")
     lam, lg = tilt.lam, tilt.log_mgf
@@ -326,7 +328,7 @@ def mc_scaled_cdf_curve(law: IncrementLaw, x: float, n: int, t_grid,
     """P((x+S_n)/(sigma sqrt n) <= t, tau_x > n) for every t, one path set."""
     t_grid = list(t_grid)
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be sorted")
+        raise DomainError("t_grid must be sorted")
     stats = [Statistic.scaled_cdf(t) for t in t_grid]
     return _mc_many(law, law.sigma, x, n, stats, samples, seed, threads)
 

@@ -18,7 +18,7 @@ import pytest
 from condwalk import (CensoringExcess, IncrementLaw, KernelSpec, Statistic,
                       TableParams, TargetFunction, build_harmonic_table,
                       conv_normal_levy, conv_normal_rayleigh, cramer_tilt,
-                      estimate_V_ladder, fuk_nagaev_bound,
+                      estimate_V_ladder, fuk_nagaev_bound, gaussian_killed_cdf,
                       gaussian_killed_survival, harmonicity_residual,
                       kappa_constant, kappa_extension_form, kernel_fourier,
                       levy_psi, mc_estimate, mc_estimates, mc_max_abs_walk,
@@ -159,9 +159,14 @@ def run_battery():
     ts = [0.25, 0.5, 1.0, 1.5, 2.0]
     curve = mc_scaled_cdf_curve(GAUSS, 0.0, 400, ts + [100.0], 10 ** 6,
                                 seed=8001)
-    surv = curve[-1].mean
-    out["c7"] = {str(t): c.mean / surv - rayleigh_cdf(t)
-                 for t, c in zip(ts, curve)}
+    surv = curve[-1]
+    alive = surv.mean * surv.count
+    out["c7"] = {}
+    for t, c in zip(ts, curve):
+        # the conditional cdf F is a ratio on the same paths: by the delta
+        # method its stderr is sqrt(F (1 - F) / survivors)
+        f = c.mean / surv.mean
+        out["c7"][str(t)] = [f, math.sqrt(f * (1.0 - f) / alive)]
 
     # criterion 8: local exit time at n=100
     exact8 = sparre_andersen_exit_at(100)
@@ -361,9 +366,25 @@ def test_criterion_06_survival_asymptotic(bat):
 
 
 def test_criterion_07_integral_clt_shape(bat):
-    sup = max(abs(v) for v in bat["c7"].values())
-    check(sup <= 0.02, "criterion 7",
-          f"sup_t |conditional cdf - Rayleigh| = {sup:.4f} <= 0.02")
+    # The conditional cdf of S_n / sqrt(n) given tau_0 > n tends to the
+    # Rayleigh cdf like n^{-1/2}.  Density evolution gives it exactly
+    # (h = 0.04 and h = 0.02 agree to 1e-5): at n = 400 its distance from
+    # the Rayleigh cdf peaks at 0.0175 (t = 1), where the MC stderr is
+    # 0.0029, so an MC sup against the 0.02 band would fail on about one
+    # stream in five.  Each MC point is checked against the exact value
+    # (4 stderr), and the band against the exact sup.
+    ts = [float(t) for t in bat["c7"]]
+    cdf = gaussian_killed_cdf(0.0, 400, [20.0 * t for t in ts] + [math.inf])
+    exact = cdf[:-1] / cdf[-1]
+    worst_z = max(abs(mean - e) / se
+                  for (mean, se), e in zip(bat["c7"].values(), exact))
+    sup = max(abs(e - rayleigh_cdf(t)) for t, e in zip(ts, exact))
+    mc_sup = max(abs(mean - rayleigh_cdf(t))
+                 for t, (mean, _) in zip(ts, bat["c7"].values()))
+    check(worst_z <= 4.0 and sup <= 0.02, "criterion 7",
+          f"MC conditional cdf within {worst_z:.2f} stderr of exact (4); "
+          f"exact sup_t |conditional cdf - Rayleigh| = {sup:.4f} <= 0.02 "
+          f"(MC {mc_sup:.4f})")
 
 
 def test_criterion_08_local_exit_time(bat):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from condwalk import (IncrementLaw, Statistic, TargetFunction, exact_joint_law,
-                      exact_killed_moment, gaussian_killed_survival,
-                      mc_estimates, sparre_andersen_exit_at,
-                      sparre_andersen_survival, verify_duality)
-from condwalk.errors import StateExplosion
+                      exact_killed_moment, gaussian_killed_cdf,
+                      gaussian_killed_survival, mc_estimates,
+                      sparre_andersen_exit_at, sparre_andersen_survival,
+                      verify_duality)
+from condwalk.errors import DomainError, StateExplosion
 from condwalk.rngstream import mix64
 
 TWO_POINT = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
@@ -76,6 +77,32 @@ def test_gaussian_killed_survival_density_evolution():
     assert abs(fine - coarse) <= 1e-6
     assert gaussian_killed_survival(40.0, 3, sigma=2.0)[3] == \
         pytest.approx(1.0, abs=1e-12)
+
+
+def test_gaussian_killed_cdf_density_evolution():
+    # one step from 0 alive: P(0 <= S_1 <= y) = Phi(y) - 1/2
+    ys = [-1.0, 0.0, 0.3, 1.0, 2.5]
+    got = gaussian_killed_cdf(0.0, 1, ys)
+    want = [max(0.0, 0.5 * math.erf(y / math.sqrt(2.0))) for y in ys]
+    assert got == pytest.approx(want, abs=1e-5)
+    # far from the boundary nothing dies: the free N(40, 3 * 4) cdf
+    got = gaussian_killed_cdf(40.0, 3, [36.0, 40.0, 41.0, 42.5], sigma=2.0)
+    want = [0.5 * (1.0 + math.erf((y - 40.0) / math.sqrt(24.0)))
+            for y in (36.0, 40.0, 41.0, 42.5)]
+    assert got == pytest.approx(want, abs=1e-6)
+    # the cdf rises to the survival, and halving h barely moves it
+    grid = np.linspace(0.0, 60.0, 13)
+    fine = gaussian_killed_cdf(0.0, 100, list(grid) + [math.inf])
+    coarse = gaussian_killed_cdf(0.0, 100, list(grid) + [math.inf], h=0.02)
+    assert np.all(np.diff(fine) >= 0.0)
+    assert fine[-1] == pytest.approx(gaussian_killed_survival(0.0, 100)[100],
+                                     rel=1e-12)
+    assert np.max(np.abs(fine - coarse)) <= 2e-5
+    for bad in (lambda: gaussian_killed_cdf(0.0, 0, [1.0]),
+                lambda: gaussian_killed_cdf(-1.0, 5, [1.0]),
+                lambda: gaussian_killed_survival(math.nan, 5)):
+        with pytest.raises(DomainError):
+            bad()
 
 
 # -- duality ------------------------------------------------------------------

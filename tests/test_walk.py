@@ -4,15 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from condwalk import (CensoringExcess, Censored, DomainError, HarmonicTable,
-                      IncrementLaw, LadderEstimate, McEstimate, MismatchedTilt,
-                      Statistic, TargetFunction, cramer_tilt, estimate_V_ladder,
-                      harmonicity_residual, mc_estimate, mc_estimates,
-                      mc_max_abs_walk, mc_scaled_cdf_curve,
+from condwalk import (CensoringExcess, Censored, CondwalkError, DomainError,
+                      HarmonicTable, IncrementLaw, LadderEstimate, McEstimate,
+                      MismatchedTilt, Statistic, TargetFunction, cramer_tilt,
+                      estimate_V_ladder, harmonicity_residual, mc_estimate,
+                      mc_estimates, mc_max_abs_walk, mc_scaled_cdf_curve,
                       mc_tilted_survival, mc_unconditioned, simulate_exit)
 from condwalk import walk
 from condwalk.oracle import exact_joint_law, sparre_andersen_survival
-from condwalk.rngstream import CHUNK_SIZE, chunk_generator
+from condwalk.rngstream import CHUNK_SIZE, chunk_generator, stream_key
 
 from conftest import combined_z, within_stderr
 
@@ -317,6 +317,57 @@ def test_unconditioned_interval_matches_normal_mass(gauss_law):
         mc_unconditioned(gauss_law, 10, Statistic.exit_at_n(), 1000, seed=1)
 
 
+# -- invalid statistics -------------------------------------------------------
+
+_BAD_STATISTICS = {
+    "interval_width": lambda law: Statistic.interval(1.0, 0.0),
+    "unknown_kind": lambda law: mc_estimate(
+        law, 0.0, 5, Statistic("median"), 1000, seed=1),
+    "dual_and_primal": lambda law: mc_estimates(
+        law, 0.0, 5, [Statistic.survival(), Statistic.survival(dual=True)],
+        1000, seed=1),
+    "unkilled_exit_at_n": lambda law: mc_unconditioned(
+        law, 5, Statistic.exit_at_n(), 1000, seed=1),
+    "tilted_interval": lambda law: mc_tilted_survival(
+        law, cramer_tilt(law), 0.0, 5, Statistic.interval(0.0, 1.0), 1000,
+        seed=1),
+    "unsorted_t_grid": lambda law: mc_scaled_cdf_curve(
+        law, 0.0, 5, [1.0, 0.5], 1000, seed=1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_BAD_STATISTICS))
+def test_invalid_statistic_raises_condwalk_error(gauss_law, site):
+    with pytest.raises(CondwalkError) as info:
+        _BAD_STATISTICS[site](gauss_law)
+    assert isinstance(info.value, ValueError)
+
+
+# -- stream keying ------------------------------------------------------------
+
+
+def test_chunk_generator_repeats_its_draws():
+    for seed, chunk in ((0, 0), (11, 1), (2 ** 63 + 5, 1000)):
+        first = chunk_generator(seed, chunk).standard_normal(64)
+        again = chunk_generator(seed, chunk).standard_normal(64)
+        assert np.array_equal(first, again)
+
+
+def test_chunk_streams_start_apart():
+    firsts = {chunk_generator(seed, chunk).bit_generator.random_raw()
+              for seed in range(64) for chunk in range(64)}
+    assert len(firsts) == 64 * 64
+
+
+@pytest.mark.parametrize("seed, masked", [
+    (-1, 2 ** 64 - 1), (-12345, 2 ** 64 - 12345), (2 ** 64, 0),
+    (2 ** 64 + 7, 7), (3 * 2 ** 64 + 2 ** 63, 2 ** 63)])
+def test_out_of_range_seeds_are_masked(seed, masked):
+    assert stream_key(seed, 3) == stream_key(masked, 3)
+    assert np.array_equal(chunk_generator(seed, 3).random(16),
+                          chunk_generator(masked, 3).random(16))
+
+
 # -- stream pin ----------------------------------------------------------------
 
 PIN_SAMPLES = 2 ** 16 + 777  # one whole chunk and a partial last chunk
@@ -374,39 +425,39 @@ def _pin_values(estimates):
 
 
 # float.hex of every mean and stderr (and the ladder's censor rate) at the
-# current block schedule, sampler calls, summation order and Philox streams;
+# current block schedule, sampler calls, summation order and SFC64 streams;
 # a change here is a change of the random stream
 _PINNED = {
     "gauss_n400": [
-        "0x1.c16bef66623fdp-6", "0x1.4c8bab5f45612p-11",
-        "0x0.0p+0", "0x0.0p+0",
-        "0x1.4eae0605bb3dap-1", "0x1.1a4d9e819a4ecp-6",
+        "0x1.d56f3182ba38dp-6", "0x1.53a7d38091094p-11",
+        "0x1.fa00355e05a0fp-16", "0x1.65cb3da30ba41p-16",
+        "0x1.5f4015ce6fc01p-1", "0x1.231c3741b3178p-6",
     ],
     "pm1_n60": [
-        "0x1.a3c5ec45dfeb6p-4", "0x1.34bd589b50552p-10", "0x0.0p+0",
-        "0x0.0p+0", "0x1.ca0dbc4f72dc6p-1", "0x1.8aa9df1b18a27p-7",
-        "0x1.7610a773c1a93p-6", "0x1.301aa5f3d092bp-11",
+        "0x1.a0603bea2651bp-4", "0x1.33a13c228dd27p-10", "0x0.0p+0",
+        "0x0.0p+0", "0x1.c1e28772e4492p-1", "0x1.8744b70745f02p-7",
+        "0x1.7b8028068438bp-6", "0x1.3240ebe4475f9p-11",
     ],
     "uniform_dual_killed": [
-        "0x1.7d0595b430beep-1", "0x1.03e0fb4ff2934p-7",
+        "0x1.8222e3a04a42ep-1", "0x1.0637b7d788137p-7",
     ],
     "unconditioned": [
-        "0x1.ac73953030bc1p-3", "0x1.9e0efaaa7a861p-10",
+        "0x1.a877acc49f38cp-3", "0x1.9ca2b1b382147p-10",
     ],
     "tilted": [
-        "0x1.354088dbc5e21p-7", "0x1.4f63295e40793p-13",
+        "0x1.31dd126304f94p-7", "0x1.4ca8dda6d6932p-13",
     ],
     "max_abs": [
-        "0x1.143d91227e4eap-2", "0x1.c3d2be7999208p-10",
+        "0x1.1718e56fa032cp-2", "0x1.c548fe1de16cep-10",
     ],
     "ladder": [
-        "0x1.86e712213fda4p+0", "0x1.25d2c7a3687e4p-9", "0x1.3949210ab67c2p-5",
+        "0x1.85d697efe2188p+0", "0x1.28d2ecbab6c30p-9", "0x1.525d03afcf639p-5",
     ],
     "ladder_dual": [
-        "0x1.855ae1f15549cp+0", "0x1.2758a2b94d13cp-9", "0x1.4f26c359169a6p-5",
+        "0x1.86f6173b6010cp+0", "0x1.27af45470e521p-9", "0x1.40b2a1d2d7114p-5",
     ],
     "residual": [
-        "0x1.7af69a08af300p-7", "0x1.cb2dad84cc5c3p-9",
+        "0x1.9200150a4df80p-7", "0x1.ccf0b9db86d9fp-9",
     ],
 }
 
