@@ -18,6 +18,7 @@ from condwalk import (CensoringExcess, IncrementLaw, build_harmonic_table,
                       estimate_V_killed, estimate_V_ladder,
                       harmonicity_residual, kappa_constant,
                       kappa_extension_form)
+from condwalk.harmonic import default_grid
 
 warnings.simplefilter("ignore", CensoringExcess)
 
@@ -36,13 +37,16 @@ print(f"  sigma/sqrt(2) =           {2 ** -0.5:.5f}")
 
 print()
 print("=" * 72)
-print("A table of V on a geometric grid; V(x) - x approaches a constant")
-print("(solved from the integral equation; error estimate in brackets)")
+print("V on a geometric grid; V(x) - x approaches a constant")
+print("(solved from the integral equation on a lattice of step 0.05,")
+print("read off the table by linear interpolation)")
 print("=" * 72)
 table = build_harmonic_table(law)
-for x, v in zip(table.grid, table.values):
-    print(f"  x={x:7.3f}   V={v.mean:8.4f}   V-x={v.mean - x:+.4f}"
-          f"   [{v.stderr:.1e}]")
+print(f"  {len(table.grid)} lattice points on [0, {table.grid[-1]:.0f}], "
+      f"largest error estimate {max(v.stderr for v in table.values):.1e}")
+for x in default_grid(law.sigma):
+    v = table(x)
+    print(f"  x={x:7.3f}   V={v:8.4f}   V-x={v - x:+.4f}")
 print(f"  extrapolation offset: {table.extrapolation_offset:.4f}")
 print(f"  query beyond the grid: V(64) ~ {table(64.0):.4f}")
 

@@ -18,10 +18,10 @@ position at a finite horizon, E(x + S_n; tau_x > n), which increases to
 V(x).  Both run under the base law, its dual (negated increments), or a
 mean-zero tilted law.
 
-A HarmonicTable interpolates grid values linearly and extrapolates as
-x + offset beyond the grid, which is exact to o(1) since V(x)/x -> 1.
-The constants kappa (and their tilted versions) are quadratures of the
-one-step killing probability against the dual table.
+A HarmonicTable (a solved one on the solver's node lattice) interpolates
+linearly and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
+kappa, its tilted versions and the weighted integrals of a table are
+fixed 6-point Gauss-Legendre rules on the table's cells, not quadratures.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import CensoringExcess, DomainError, DriftedLaw, \
 from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
     TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
 from .rngstream import mix64
-from .special import quad
+from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
     _mc_many, _sum_m2
 
@@ -153,6 +153,12 @@ def _node_weights(law, t, h):
     return full, right, left, hr[1:-1]
 
 
+def _kinks(law):
+    """Where the density of (family, a, b, lam) has a kink or a jump."""
+    family, a, b, _ = law
+    return {GAUSSIAN: [], LAPLACE: [a], UNIFORM: [a, b]}[family]
+
+
 def _node_step(law, sigma):
     """Node spacing near 0.1 sigma with the density's nearest kink on a node.
 
@@ -164,59 +170,60 @@ def _node_step(law, sigma):
     estimate, so that h >= 0.05 sigma and the finer solve has at most
     1601 nodes (a 20 MB matrix).
     """
-    family, a, b, _ = law
-    kinks = {GAUSSIAN: [], LAPLACE: [a], UNIFORM: [a, b]}[family]
     h = _SOLVE_STEP * sigma
-    unit = min((abs(k) for k in kinks if k != 0.0), default=0.0)
-    if unit < h / 2.0:
-        return h
-    return unit / math.ceil(unit / h)
+    unit = min((abs(k) for k in _kinks(law) if k != 0.0), default=0.0)
+    return h if unit < h / 2.0 else unit / math.ceil(unit / h)
 
 
-def _solve(law, h, n, points):
-    """V at ``points`` from the solve on nodes 0, h, ..., n h.
+def _step(law, h, n, x, m):
+    """K, r with (K V + r)_j = E[V(y + X); y + X >= 0] at y = x + j h, j < m.
 
-    The system is V = K V + r with Toeplitz K, whose first and last
-    columns hold half hats; V beyond L = n h is V(L) + (y - L), which
-    adds P(X > L - x) to the last column and E(x + X - L)^+ to r.
+    V is linear between the nodes 0, h, ..., n h and V(L) + (y - L)
+    beyond L = n h.  Node i sits at offset (i - j) h - x, so Toeplitz K
+    takes one ``_node_weights`` call; its first and last columns hold half
+    hats, the last plus P(X > L - y), and r is E(y + X - L)^+.
     """
     full, right, left, tail = _node_weights(
-        law, np.arange(-n - 1, n + 2) * h, h)
-    size = n + 1
-    a = np.empty((size, size), order="F")
-    neg = -full[::-1]  # neg[n - k] is minus the weight at offset k = j - i
-    for j in range(1, n):
-        a[:, j] = neg[n - j:2 * n - j + 1]
-    a[:, 0] = -right[n::-1]
-    a[:, n] = -left[:n - 1:-1]
-    diag = np.arange(size)
-    a[diag, diag] += 1.0
-    nodes = lu_solve(lu_factor(a, overwrite_a=True, check_finite=False),
-                     tail[:n - 1:-1], check_finite=False)
-    out = []
-    for x in points:
-        full, right, left, tail = _node_weights(
-            law, np.arange(-1, n + 2) * h - x, h)
-        full[0], full[n] = right[0], left[n]
-        out.append(float(full @ nodes + tail[n]))
-    return np.array(out)
+        law, np.arange(-m, n + 2) * h - x, h)
+    k = np.lib.stride_tricks.sliding_window_view(full, n + 1)[::-1].copy("F")
+    k[:, 0], k[:, n] = right[m - 1::-1], left[n + m - 1:n - 1:-1]
+    return k, tail[n + m - 1:n - 1:-1]
 
 
 def _solved_table(law, sigma, grid):
-    """Grid values of V, their error estimates and V(L) - L.
+    """The grid, V on it with error estimates, and V(L) - L.
 
-    Richardson's step (4 V_{h/2} - V_h) / 3 removes the h^2 error of
-    piecewise-linear V; |V_h - V_{h/2}| is reported as its error.
+    V_h solves V = K V + r at the nodes and is one step from them
+    elsewhere.  The default grid is the finer solve's nodes, where V_h is
+    the coarse nodes at even nodes and one step at odd ones.  Richardson's
+    (4 V_{h/2} - V_h) / 3 removes the h^2 error of piecewise-linear V;
+    |V_h - V_{h/2}| is reported as its error.
     """
+    def solve(step, n):
+        a, r = _step(law, step, n, 0.0, n + 1)
+        np.negative(a, out=a)
+        a.flat[::n + 2] += 1.0
+        return lu_solve(lu_factor(a, overwrite_a=True, check_finite=False),
+                        r, check_finite=False)
+
+    def at(nodes, step, x, m=1):
+        k, r = _step(law, step, nodes.size - 1, x, m)
+        return k @ nodes + r
+
     h = _node_step(law, sigma)
     n = math.ceil(_SOLVE_SPAN * sigma / h)
-    points = list(grid) + [n * h]
-    coarse = _solve(law, h, n, points)
-    fine = _solve(law, h / 2.0, 2 * n, points)
-    v = (4.0 * fine - coarse) / 3.0
+    coarse, fine = solve(h, n), solve(h / 2.0, 2 * n)
+    if grid is None:
+        grid = tuple((np.arange(2 * n + 1) * (h / 2.0)).tolist())
+        v_h, v_h2 = np.repeat(coarse, 2)[:-1], fine
+        v_h[1::2] = at(coarse, h, h / 2.0, n)
+    else:
+        v_h, v_h2 = np.array([[at(nodes, step, x)[0] for x in (*grid, n * h)]
+                              for nodes, step in ((coarse, h), (fine, h / 2))])
+    v = (4.0 * v_h2 - v_h) / 3.0
     values = tuple(McEstimate(float(m), float(e), 0, 0)
-                   for m, e in zip(v[:-1], np.abs(fine - coarse)[:-1]))
-    return values, float(v[-1] - points[-1])
+                   for m, e in zip(v, np.abs(v_h2 - v_h)))
+    return grid, values[:len(grid)], float(v[-1] - n * h)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +276,8 @@ class HarmonicTable:
     def __call__(self, x):
         """Interpolated estimate; x + offset beyond the grid."""
         x = np.asarray(x, dtype=float)
-        inside = np.interp(x, self.grid, self._means)
+        inside = np.interp(x, self.grid, self._means)  # V(grid[0]) below
         out = np.where(x > self.grid[-1], x + self.extrapolation_offset, inside)
-        out = np.where(x < self.grid[0], self._means[0], out)
         return float(out) if out.ndim == 0 else out
 
 
@@ -281,6 +287,7 @@ def _check_grid(grid):
             and (np.diff(g) > 0.0).all()):
         raise DomainError("grid must be non-empty, finite, non-negative and "
                           f"strictly ascending, got {grid!r}")
+    return tuple(grid)
 
 
 def build_harmonic_table(law, grid=None, params: TableParams | None = None,
@@ -290,22 +297,24 @@ def build_harmonic_table(law, grid=None, params: TableParams | None = None,
 
     With a tilt the table is that of the mean-zero tilted law.  Density
     laws are solved (``count`` 0, ``stderr`` the solver's error estimate,
-    offset V(L) - L); finite-support laws are ladder estimates under
-    ``params``, with the offset an inverse-variance fit of
-    (estimate - x) over the top grid decade.
+    offset V(L) - L), by default on the finer solve's node lattice (step
+    about 0.05 sigma up to L, about 800 points); finite-support laws are
+    ladder estimates under ``params``, by default on ``default_grid``,
+    with the offset an inverse-variance fit of (estimate - x) over the
+    top grid decade.
     """
     params = params or TableParams()
     sampler = tilt.sampler if tilt is not None else law
     _require_zero_mean(sampler)
     sigma = sampler.sigma
-    grid = tuple(grid) if grid is not None else default_grid(sigma)
-    _check_grid(grid)
+    grid = None if grid is None else _check_grid(grid)
     lam = tilt.lam if tilt is not None else None
     density = _density_law(sampler, dual)
     if density is not None:
-        values, offset = _solved_table(density, sigma, grid)
+        grid, values, offset = _solved_table(density, sigma, grid)
         return HarmonicTable(grid, values, dual, lam, offset)
 
+    grid = grid or default_grid(sigma)
     values = []
     for j, x in enumerate(grid):
         pt_seed = mix64(params.seed ^ mix64(1000 + j))
@@ -336,9 +345,7 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
 
     def work(rng, m):
         step = sampler.sample_block(rng, m)
-        if table.dual:
-            step = -step
-        pos = x + step
+        pos = x - step if table.dual else x + step
         vals = np.where(pos >= 0.0, table(pos), 0.0)
         return [_sum_m2(vals, m)]
 
@@ -347,97 +354,93 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
 
 
 # ---------------------------------------------------------------------------
-# kappa constants
+# kappa constants and weighted integrals: one fixed rule per cell
 
 
-def _decay_weight(lam):
-    if lam is None or lam == 0.0:
-        return lambda t: 1.0
-    return lambda t: math.exp(-lam * t)
+_GAUSS6 = np.polynomial.legendre.leggauss(6)
+
+
+def _cells(edges, lo, hi):
+    """Nodes and weights of the 6-point Gauss-Legendre rule, exact to
+    degree 11, on every cell between consecutive ``edges`` in [lo, hi]."""
+    e = np.unique(np.clip(np.append(edges, (lo, hi)), lo, hi))
+    mid, half = (e[1:] + e[:-1]) / 2.0, np.diff(e) / 2.0
+    x, w = _GAUSS6
+    return (mid[:, None] + np.outer(half, x)).ravel(), np.outer(half, w).ravel()
+
+
+def _breaks(sampler):
+    """The atoms of a finite-support step law, else its density's kinks."""
+    law = _density_law(sampler, False)
+    return np.asarray(sampler.points if law is None else _kinks(law), float)
 
 
 def kappa_constant(law: IncrementLaw, dual_table: HarmonicTable,
-                   tilt: TiltedLaw | None = None,
-                   quad_tol: float = 1e-10) -> float:
+                   tilt: TiltedLaw | None = None) -> float:
     """Killing-probability form: integral of P(t + X < 0) w(t) V*(t) dt.
 
     ``law`` is the base (possibly drifted) law; the dual table must hold
     V* estimated under the tilted measure when a tilt is supplied, and the
-    weight is then exp(-lam t).
+    weight is then exp(-lam t).  Cells break at the grid, the law's atoms
+    or kinks and every sigma, up to -``law.support_bounds()[0]``.
     """
-    lam = tilt.lam if tilt is not None else None
-    w = _decay_weight(lam)
-
-    def integrand(t):
-        return left_exit_prob(law, t) * w(t) * float(dual_table(t))
-
-    hi = _kappa_truncation(law, dual_table, lam)
-    val = quad(integrand, 0.0, hi, tol=quad_tol,
-               points=list(dual_table.grid))
+    lam = tilt.lam if tilt is not None else 0.0
+    hi = max(-law.support_bounds()[0], 0.0)
+    t, w = _cells(np.concatenate([dual_table.grid, -_breaks(law), np.arange(
+        0.0, hi, law.sigma or math.inf)]), 0.0, hi)
+    val = float(w @ (left_exit_prob(law, t) * np.exp(-lam * t)
+                     * dual_table(t)))
     if val <= 0.0:
         raise QuadratureFailure("kappa integral came out non-positive")
     return val
 
 
-def _kappa_truncation(law, table, lam):
-    t = max(table.grid[-1], 1.0)
-    while left_exit_prob(law, t) * float(table(t)) * \
-            (math.exp(-lam * t) if lam else 1.0) > 1e-12 and t < 1e6:
-        t *= 1.5
-    return t
-
-
 def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
-                         tilt: TiltedLaw | None = None,
-                         quad_tol: float = 1e-8) -> float:
-    """Extension form: E e^{lam X} times the integral of e^{-lam t} V*(t)
-    over t < 0, with V* continued below zero by one harmonic step.
+                         tilt: TiltedLaw | None = None) -> float:
+    """Extension form: E e^{lam X} times the integral of e^{-lam s} v(s)
+    over s < 0, with V* continued below zero by one harmonic step.
 
-    The continuation V*(s) = E_tilted[V*(s - X); s - X >= 0] uses the
-    step density of the tilted sampler (of the base law when no tilt is
-    given).
+    v(s) = E_tilted[V*(s - X); X <= s], under the base law when no tilt
+    is given, is an atom sum for finite laws and closed in F and M on the
+    table's linear pieces otherwise; cells break at the atoms or kinks
+    plus each knot, and every sigma.
     """
-    lam = tilt.lam if tilt is not None else 0.0
-    sampler = tilt.sampler if tilt is not None else law
-    mass = math.exp(tilt.log_mgf) if tilt is not None else 1.0
-
-    if isinstance(sampler, IncrementLaw) and sampler.family == FINITE:
-        def v_ext(s):
-            return sum(p * float(dual_table(s - xi))
-                       for xi, p in zip(sampler.points, sampler.probs)
-                       if s - xi >= 0.0)
+    lam, sampler, mass = (0.0, law, 1.0) if tilt is None else \
+        (tilt.lam, tilt.sampler, math.exp(tilt.log_mgf))
+    lo = min(sampler.support_bounds()[0], 0.0)
+    knots = np.append(0.0, dual_table.grid)
+    s, w = _cells(np.append(np.add.outer(_breaks(sampler), knots), np.arange(
+        lo, 0.0, sampler.sigma or math.inf)), lo, 0.0)
+    step = _density_law(sampler, False)
+    if step is None:
+        u = s[:, None] - np.asarray(sampler.points)
+        v = np.where(u >= 0.0, dual_table(u), 0.0) @ np.asarray(sampler.probs)
     else:
-        dens = sampler.density
-        step_lo, step_hi = sampler.support_bounds()
-        knots = list(dual_table.grid)
-
-        def v_ext(s):
-            lo_u, hi_u = max(0.0, s - step_hi), s - step_lo
-            if hi_u <= lo_u:
-                return 0.0
-            return quad(lambda u: float(dual_table(u)) * float(dens(s - u)),
-                        lo_u, hi_u, tol=1e-10, points=knots)
-
-    lo = -1.0
-    while v_ext(lo) * math.exp(-lam * lo) > 1e-12 and lo > -1e4:
-        lo *= 1.5
-
-    val = quad(lambda s: math.exp(-lam * s) * v_ext(s), lo, 0.0, tol=quad_tol)
-    return mass * val
+        # V* = V*(0) 1{u >= 0} + jump 1{u >= T} + sum of slope changes
+        # times ramps (u - u_k)^+, whose expectations are t F - M
+        means = dual_table._means
+        slope = np.r_[0.0, np.diff(means) / np.diff(knots[1:]), 1.0]
+        u = s[:, None] - knots
+        f, m = _cdf_partial_mean(step, u)
+        jump = knots[-1] + dual_table.extrapolation_offset - means[-1]
+        v = means[0] * f[:, 0] + jump * f[:, -1] \
+            + (u * f - m) @ np.diff(slope, prepend=0.0)
+    return mass * float(w @ (np.exp(-lam * s) * v))
 
 
 def weighted_table_integral(table: HarmonicTable, decay: float) -> float:
     """Integral of exp(-decay t) V(t) over the positive half-line.
 
-    Piecewise-linear quadrature on the grid plus the closed-form tail of
-    the linear extrapolation, used for the drifted survival constant and
-    the exponential-functional ingredient.
+    The fixed rule on the grid cells, broken every 1/decay while the
+    weight is above e^-40, plus the closed-form linear tail; used for the
+    drifted survival constant and the exponential-functional ingredient.
     """
-    if not decay > 0:
-        raise DomainError(f"decay rate must be positive, got {decay!r}")
+    if not 0.0 < decay < math.inf:
+        raise DomainError(f"decay rate must be positive and finite, "
+                          f"got {decay!r}")
     T = table.grid[-1]
-    head = quad(lambda t: math.exp(-decay * t) * float(table(t)), 0.0, T,
-                tol=1e-11, points=list(table.grid))
+    t, w = _cells(np.append(table.grid, np.arange(
+        0.0, min(T, 40.0 / decay), 1.0 / decay)), 0.0, T)
+    head = float(w @ (np.exp(-decay * t) * table(t)))
     c = table.extrapolation_offset
-    tail = math.exp(-decay * T) * ((T + c) / decay + 1.0 / decay ** 2)
-    return head + tail
+    return head + math.exp(-decay * T) * ((T + c) / decay + 1.0 / decay ** 2)

@@ -9,8 +9,8 @@ bit-reproducible from (config, seed) regardless of thread count.
 
 Harmonic tables are cached on disk, keyed by a hash of the law, the
 table kind and, for finite-support laws, their estimation parameters.
-kappa and the weighted integrals are quadratures over the cached dual
-table; they are not cached themselves.
+kappa and the weighted integrals are fixed Gauss-Legendre rules over
+the cached dual table's cells, not quadratures; they are not cached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .asymptotics import THEOREMS, predict
-from .errors import InsufficientSweep, MissingIngredient, UnknownTheorem
+from .errors import DomainError, InsufficientSweep, MissingIngredient, \
+    UnknownTheorem
 from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
     estimate_V_killed, estimate_V_ladder, is_solved, kappa_constant, \
     weighted_table_integral
@@ -60,18 +61,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.n_list or list(self.n_list) != sorted(self.n_list):
-            raise ValueError("n_list must be non-empty and ascending")
+            raise DomainError("n_list must be non-empty and ascending")
         if self.samples < 10 ** 3:
-            raise ValueError("samples must be at least 1e3")
+            raise DomainError("samples must be at least 1e3")
         for name, allowed, value in (
                 ("v_source", ("ladder", "killed", "supplied"), self.v_value),
                 ("kappa_source", ("computed", "supplied"), self.kappa_value)):
             source = getattr(self, name)
             if source not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}, "
-                                 f"got {source!r}")
+                raise DomainError(f"{name} must be one of {allowed}, "
+                                  f"got {source!r}")
             if source == "supplied" and value is None:
-                raise ValueError(f"{name} 'supplied' needs a value")
+                raise DomainError(f"{name} 'supplied' needs a value")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -155,10 +156,10 @@ class IngredientCache:
         return value
 
 
-# Bumped with any change to the table solver or estimators,
-# TableParams.point_budget or the random stream, so that tables cached
-# before it are misses.
-_CACHE_VERSION = 4
+# Bumped with any change to the table solver or estimators, the default
+# grids, TableParams.point_budget or the random stream, so that tables
+# cached before it are misses.
+_CACHE_VERSION = 5
 
 
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):
@@ -337,7 +338,7 @@ def row_record(r: ReportRow) -> dict:
 def emit_report(rows, format: str, path) -> None:
     """CSV or JSON report; numeric fields rendered at 17 significant digits."""
     if not rows:
-        raise ValueError("no rows to emit")
+        raise DomainError("no rows to emit")
     path = Path(path)
     if format == "csv":
         lines = [_CSV_HEADER]
@@ -348,7 +349,7 @@ def emit_report(rows, format: str, path) -> None:
     elif format == "json":
         path.write_text(json.dumps([row_record(r) for r in rows], indent=1) + "\n")
     else:
-        raise ValueError(f"unknown report format {format!r}")
+        raise DomainError(f"unknown report format {format!r}")
 
 
 def parse_report(path):

@@ -143,18 +143,11 @@ class IncrementLaw:
 
     def cdf(self, t: float) -> float:
         """P(X <= t)."""
-        if self.family == GAUSSIAN:
-            return float(ndtr((t - self.a) / self.b))
-        if self.family == LAPLACE:
-            z = (t - self.a) / self.b
-            return 0.5 * math.exp(z) if z < 0 else 1.0 - 0.5 * math.exp(-z)
-        if self.family == UNIFORM:
-            if t <= self.a:
-                return 0.0
-            if t >= self.b:
-                return 1.0
-            return (t - self.a) / (self.b - self.a)
-        return float(sum(pr for x, pr in zip(self.points, self.probs) if x <= t))
+        if self.family == FINITE:
+            return float(sum(pr for x, pr in zip(self.points, self.probs)
+                             if x <= t))
+        return float(_cdf_partial_mean((self.family, self.a, self.b, 0.0),
+                                       t)[0])
 
     def density(self, x):
         """Density of the continuous families, vectorized."""
@@ -196,11 +189,14 @@ def _standard_laplace(u):
     return np.copysign(t, u, out=u)
 
 
-def left_exit_prob(law: IncrementLaw, t: float) -> float:
-    """One-step killing probability P(t + X < 0) = P(X < -t), strict."""
+def left_exit_prob(law: IncrementLaw, t):
+    """P(t + X < 0) = P(X < -t), strict, vectorized in t."""
+    t = np.asarray(t, dtype=float)
     if law.family == FINITE:
-        return float(sum(pr for x, pr in zip(law.points, law.probs) if x < -t))
-    return law.cdf(-t)
+        p = (np.asarray(law.points) < -t[..., None]) @ np.asarray(law.probs)
+    else:
+        p = _cdf_partial_mean((law.family, law.a, law.b, 0.0), -t)[0]
+    return float(p) if p.ndim == 0 else p
 
 
 def sample_increment(law: IncrementLaw, rng: np.random.Generator) -> float:

@@ -49,9 +49,9 @@ class JointLaw:
 def exact_joint_law(law: IncrementLaw, x: float, n: int) -> JointLaw:
     """Distribution of x + S_n on {tau_x > n}; positions exactly 0 survive."""
     if law.family != "finite_support":
-        raise ValueError("exact computation needs a finite-support law")
+        raise DomainError("exact computation needs a finite-support law")
     if n < 1 or n > MAX_DEPTH:
-        raise ValueError(f"n must be in 1..{MAX_DEPTH}")
+        raise DomainError(f"n must be in 1..{MAX_DEPTH}")
     atoms = {round(float(x), 12): np.longdouble(1.0)}
     died = np.longdouble(0.0)
     steps = [(float(xi), np.longdouble(pi))
@@ -87,7 +87,7 @@ def exact_killed_moment(law: IncrementLaw, x: float, n: int) -> float:
 def sparre_andersen_survival(n: int) -> float:
     """P(tau_0 > n) = C(2n,n)/4^n for symmetric continuous increments."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise DomainError("n must be >= 0")
     if n == 0:
         return 1.0
     if n <= 10 ** 5:
@@ -99,7 +99,7 @@ def sparre_andersen_survival(n: int) -> float:
 def sparre_andersen_exit_at(n: int) -> float:
     """P(tau_0 = n); the binomial ratio collapses to u_n / (2n - 1)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     return sparre_andersen_survival(n) / (2 * n - 1)
 
 
@@ -182,9 +182,9 @@ def _pc_product_integral(h: TargetFunction, g: TargetFunction, shift: float,
                          lo: float) -> float:
     """Exact integral over [lo, inf) of h(x) g(x + shift) for step targets."""
     if h.rate or g.rate:
-        raise ValueError("duality verification needs step-function targets")
+        raise DomainError("duality verification needs step-function targets")
     if h.values[-1] != 0.0 or g.values[-1] != 0.0:
-        raise ValueError("targets must have compact support")
+        raise DomainError("targets must have compact support")
     pts = sorted(set(h.breaks) | {b - shift for b in g.breaks} | {lo})
     pts = [p for p in pts if p >= lo]
     total = 0.0
@@ -204,9 +204,9 @@ def verify_duality(law: IncrementLaw, h: TargetFunction, g: TargetFunction,
     piecewise-constant integral in the start point.
     """
     if law.family != "finite_support":
-        raise ValueError("duality verification needs a finite-support law")
+        raise DomainError("duality verification needs a finite-support law")
     if n < 1 or n > 8:
-        raise ValueError("n must be in 1..8")
+        raise DomainError("n must be in 1..8")
     k = len(law.points)
     if k ** n > 4 * 10 ** 6:
         raise StateExplosion(f"{k}^{n} paths exceed the enumeration budget")

@@ -2,14 +2,17 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 from scipy.special import zeta
 
 from condwalk import (CensoringExcess, DomainError, DriftedLaw,
-                      HarmonicTable, IncrementLaw, McEstimate, TableParams,
+                      HarmonicTable, IncrementLaw, McEstimate,
+                      QuadratureFailure, TableParams,
                       build_harmonic_table, cramer_tilt, estimate_V_killed,
                       estimate_V_ladder, harmonicity_residual, kappa_constant,
                       kappa_extension_form, parse_law, weighted_table_integral)
+from condwalk import harmonic
 from condwalk.harmonic import _density_law, _node_step, default_grid
 from condwalk.rngstream import mix64
 
@@ -316,3 +319,91 @@ def test_weighted_table_integral_rejects_bad_decay(decay):
     tab = HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.0, 0, 0),) * 2)
     with pytest.raises(DomainError, match=re.escape(repr(decay))):
         weighted_table_integral(tab, decay)
+
+
+# -- fixed cell rules -------------------------------------------------------------
+
+
+def _hand_table():
+    grid, means = (0.0, 0.4, 1.5, 3.0), (1.0, 1.3, 2.6, 4.0)
+    return HarmonicTable(grid, tuple(McEstimate(m, 0.0, 0, 0) for m in means),
+                         True, None, 1.2)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:0,1", "gaussian:0,2",
+                                  "laplace:0,1", "uniform:-1,1"])
+def test_kappa_solved_is_half_variance(spec):
+    # TAU-S must agree with the survival asymptotic, which forces
+    # kappa = sigma^2 / 2 for every zero-mean non-lattice law
+    law = parse_law(spec)
+    tab = build_harmonic_table(law, dual=True)
+    for form in (kappa_constant, kappa_extension_form):
+        assert abs(form(law, tab) / (law.variance / 2.0) - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("spec", ["gaussian:-0.5,1", "laplace:-0.3,1",
+                                  "uniform:-1,2"])
+def test_kappa_tilted_forms_agree_closely(spec):
+    law = parse_law(spec)
+    tilt = cramer_tilt(law)
+    tab = build_harmonic_table(law, dual=True, tilt=tilt)
+    k = kappa_constant(law, tab, tilt=tilt)
+    assert abs(kappa_extension_form(law, tab, tilt=tilt) / k - 1.0) <= 1e-6
+
+
+def test_kappa_forms_exact_on_hand_built_finite_table():
+    # simple symmetric walk: P(X < -t) = 1/2 on [0, 1) and the continuation
+    # below 0 is V*(s + 1) / 2, so both forms are (1/2) int_0^1 V*(t) dt
+    law = parse_law("finite:-1,0.5;1,0.5")
+    tab = _hand_table()
+    pts = np.array([0.0, 0.4, 1.0])
+    vals = tab(pts)
+    exact = 0.5 * float(np.sum(np.diff(pts) * (vals[1:] + vals[:-1]) / 2.0))
+    assert kappa_constant(law, tab) == pytest.approx(exact, rel=1e-14)
+    assert kappa_extension_form(law, tab) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("decay", [0.5, 50.0])
+def test_weighted_table_integral_exact_on_linear_pieces(decay):
+    def antiderivative(t, alpha, beta):
+        # of exp(-decay t) (alpha + beta t)
+        return -math.exp(-decay * t) * ((alpha + beta * t) / decay
+                                        + beta / decay ** 2)
+
+    grid, means, offset = (0.0, 0.5, 2.0), (0.7, 1.1, 2.5), 0.6
+    tab = HarmonicTable(grid, tuple(McEstimate(m, 0.0, 0, 0) for m in means),
+                        False, None, offset)
+    exact = -antiderivative(grid[-1], offset, 1.0)  # T + c + (t - T) beyond
+    for a, b, va, vb in zip(grid, grid[1:], means, means[1:]):
+        beta = (vb - va) / (b - a)
+        exact += antiderivative(b, va - beta * a, beta) \
+            - antiderivative(a, va - beta * a, beta)
+    assert weighted_table_integral(tab, decay) == pytest.approx(exact,
+                                                               rel=1e-13)
+
+
+def test_kappa_one_atom_law_never_kills():
+    # sigma is 0, so no cell width can come from it
+    law = IncrementLaw.finite([0.0], [1.0])
+    tab = HarmonicTable((0.0, 1.0), (McEstimate(1.0, 0.0, 0, 0),) * 2, True)
+    with pytest.raises(QuadratureFailure):
+        kappa_constant(law, tab)
+    assert kappa_extension_form(law, tab) == 0.0
+
+
+def test_table_integrals_use_no_adaptive_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature called")
+
+    monkeypatch.setattr(harmonic, "quad", refuse)
+    drifted = parse_law("laplace:-0.3,1")
+    tilt = cramer_tilt(drifted)
+    finite = parse_law("finite:-1,0.5;1,0.5")
+    cases = [(UNIFORM, build_harmonic_table(UNIFORM, dual=True), None),
+             (drifted, build_harmonic_table(drifted, dual=True, tilt=tilt),
+              tilt),
+             (finite, _hand_table(), None)]
+    for law, tab, t in cases:
+        assert kappa_constant(law, tab, tilt=t) > 0.0
+        assert kappa_extension_form(law, tab, tilt=t) > 0.0
+        assert weighted_table_integral(tab, 0.5) > 0.0

@@ -5,15 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from condwalk import (CensoringExcess, ExperimentConfig, IngredientCache,
-                      InsufficientSweep, MissingIngredient, UnknownTheorem,
-                      band_pass, build_harmonic_table, convergence_sweep,
-                      cramer_tilt, emit_report, estimate_V_ladder,
-                      parse_report, run_experiment)
+from condwalk import (CensoringExcess, CondwalkError, ExperimentConfig,
+                      IngredientCache, InsufficientSweep, MissingIngredient,
+                      TargetFunction, UnknownTheorem, band_pass,
+                      build_harmonic_table, convergence_sweep, cramer_tilt,
+                      emit_report, estimate_V_ladder, exact_joint_law,
+                      parse_report, run_experiment, sparre_andersen_exit_at,
+                      sparre_andersen_survival, verify_duality)
 from condwalk import harness
 from condwalk.harmonic import HarmonicTable, LadderEstimate
 from condwalk.harness import row_record
 from condwalk.increments import parse_law
+from condwalk.oracle import _pc_product_integral
 from condwalk.rngstream import mix64
 from condwalk.walk import McEstimate
 
@@ -115,6 +118,39 @@ def test_config_validation():
         _fast_cfg(n_list=(400, 100))
     with pytest.raises(ValueError):
         _fast_cfg(samples=10)
+
+
+_TWO_POINT = parse_law("finite:-1,0.5;1,0.5")
+_IND = TargetFunction.indicator(0.0, 1.0)
+_ROW = harness.ReportRow("r", "ICLT-S", 1, McEstimate(0.5, 0.1, 1000, 1),
+                         0.5, 1.0, 0.9, 1.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tmp: exact_joint_law(parse_law("gaussian:0,1"), 0.0, 1),
+    lambda tmp: exact_joint_law(_TWO_POINT, 0.0, 0),
+    lambda tmp: sparre_andersen_survival(-1),
+    lambda tmp: sparre_andersen_exit_at(0),
+    lambda tmp: _pc_product_integral(TargetFunction.exponential(1.0), _IND,
+                                     0.0, 0.0),
+    lambda tmp: _pc_product_integral(TargetFunction.piecewise([0.0], [1.0]),
+                                     _IND, 0.0, 0.0),
+    lambda tmp: verify_duality(parse_law("gaussian:0,1"), _IND, _IND, 1),
+    lambda tmp: verify_duality(_TWO_POINT, _IND, _IND, 9),
+    lambda tmp: _fast_cfg(n_list=(400, 100)),
+    lambda tmp: _fast_cfg(samples=10),
+    lambda tmp: _fast_cfg(v_source="killd"),
+    lambda tmp: _fast_cfg(kappa_source="supplied"),
+    lambda tmp: emit_report([], "csv", tmp / "never.csv"),
+    lambda tmp: emit_report([_ROW], "xml", tmp / "never.xml")], ids=[
+    "joint-law-density", "joint-law-n", "sparre-andersen-n",
+    "sparre-andersen-exit-n", "duality-exp-target", "duality-open-target",
+    "duality-density", "duality-n", "config-n-list", "config-samples",
+    "config-v-source", "config-kappa-supplied", "report-empty",
+    "report-format"])
+def test_oracle_and_config_errors_are_condwalk_errors(call, tmp_path):
+    with pytest.raises(CondwalkError):
+        call(tmp_path)
 
 
 def test_cache_round_trip(tmp_path):
