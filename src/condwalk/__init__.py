@@ -21,8 +21,8 @@ from .harness import ExperimentConfig, IngredientCache, ReportRow, band_pass, \
 from .increments import IncrementLaw, MomentSummary, TiltedLaw, cramer_tilt, \
     format_law, is_lattice, law_moments, left_exit_prob, log_mgf, parse_law, \
     sample_increment, tilted_mean
-from .oracle import JointLaw, exact_joint_law, exact_killed_moment, \
-    gaussian_killed_cdf, gaussian_killed_survival, sparre_andersen_exit_at, \
+from .oracle import JointLaw, KilledLaw, exact_joint_law, \
+    exact_killed_moment, killed_law, sparre_andersen_exit_at, \
     sparre_andersen_survival, verify_duality
 from .special import KernelSpec, brownian_exit, conv_normal_levy, \
     conv_normal_rayleigh, fuk_nagaev_bound, kernel_fourier, \

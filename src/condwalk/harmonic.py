@@ -267,17 +267,19 @@ class HarmonicTable:
     dual: bool = False
     tilt: float | None = None
     extrapolation_offset: float = 0.0
+    _grid: np.ndarray = field(default=None, repr=False, compare=False)
     _means: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_grid", np.array(self.grid, dtype=float))
         object.__setattr__(self, "_means",
                            np.array([v.mean for v in self.values]))
 
     def __call__(self, x):
         """Interpolated estimate; x + offset beyond the grid."""
         x = np.asarray(x, dtype=float)
-        inside = np.interp(x, self.grid, self._means)  # V(grid[0]) below
-        out = np.where(x > self.grid[-1], x + self.extrapolation_offset, inside)
+        v = np.interp(x, self._grid, self._means)  # V(grid[0]) below
+        out = np.where(x > self._grid[-1], x + self.extrapolation_offset, v)
         return float(out) if out.ndim == 0 else out
 
 
@@ -379,16 +381,16 @@ def kappa_constant(law: IncrementLaw, dual_table: HarmonicTable,
                    tilt: TiltedLaw | None = None) -> float:
     """Killing-probability form: integral of P(t + X < 0) w(t) V*(t) dt.
 
-    ``law`` is the base (possibly drifted) law; the dual table must hold
-    V* estimated under the tilted measure when a tilt is supplied, and the
-    weight is then exp(-lam t).  Cells break at the grid, the law's atoms
-    or kinks and every sigma, up to -``law.support_bounds()[0]``.
+    ``law`` is the base (possibly drifted) law.  With a tilt the dual table
+    must hold the tilted V*, and w(t) = e^{-Lambda - lam t} = E_lam[e^{-lam
+    (t + X)}; t + X < 0] / P(t + X < 0).  Cells break at the grid, the
+    law's atoms or kinks and every sigma, up to -``law.support_bounds()[0]``.
     """
-    lam = tilt.lam if tilt is not None else 0.0
+    lam, lg = (0.0, 0.0) if tilt is None else (tilt.lam, tilt.log_mgf)
     hi = max(-law.support_bounds()[0], 0.0)
     t, w = _cells(np.concatenate([dual_table.grid, -_breaks(law), np.arange(
         0.0, hi, law.sigma or math.inf)]), 0.0, hi)
-    val = float(w @ (left_exit_prob(law, t) * np.exp(-lam * t)
+    val = float(w @ (left_exit_prob(law, t) * np.exp(-lg - lam * t)
                      * dual_table(t)))
     if val <= 0.0:
         raise QuadratureFailure("kappa integral came out non-positive")
@@ -397,16 +399,15 @@ def kappa_constant(law: IncrementLaw, dual_table: HarmonicTable,
 
 def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
                          tilt: TiltedLaw | None = None) -> float:
-    """Extension form: E e^{lam X} times the integral of e^{-lam s} v(s)
-    over s < 0, with V* continued below zero by one harmonic step.
+    """Extension form: the integral of e^{-lam s} v(s) over s < 0, with V*
+    continued below zero by one harmonic step.
 
     v(s) = E_tilted[V*(s - X); X <= s], under the base law when no tilt
     is given, is an atom sum for finite laws and closed in F and M on the
     table's linear pieces otherwise; cells break at the atoms or kinks
     plus each knot, and every sigma.
     """
-    lam, sampler, mass = (0.0, law, 1.0) if tilt is None else \
-        (tilt.lam, tilt.sampler, math.exp(tilt.log_mgf))
+    lam, sampler = (0.0, law) if tilt is None else (tilt.lam, tilt.sampler)
     lo = min(sampler.support_bounds()[0], 0.0)
     knots = np.append(0.0, dual_table.grid)
     s, w = _cells(np.append(np.add.outer(_breaks(sampler), knots), np.arange(
@@ -425,7 +426,7 @@ def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
         jump = knots[-1] + dual_table.extrapolation_offset - means[-1]
         v = means[0] * f[:, 0] + jump * f[:, -1] \
             + (u * f - m) @ np.diff(slope, prepend=0.0)
-    return mass * float(w @ (np.exp(-lam * s) * v))
+    return float(w @ (np.exp(-lam * s) * v))
 
 
 def weighted_table_integral(table: HarmonicTable, decay: float) -> float:

@@ -29,8 +29,7 @@ from .asymptotics import THEOREMS, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
 from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
-    estimate_V_killed, estimate_V_ladder, is_solved, kappa_constant, \
-    weighted_table_integral
+    estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
 from .increments import cramer_tilt, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
@@ -52,7 +51,7 @@ class ExperimentConfig:
     t: float | None = None
     q: float | None = None
     a: float | None = None
-    v_source: str = "ladder"        # ladder | killed | supplied
+    v_source: str = "ladder"        # ladder | supplied
     v_value: float | None = None
     kappa_source: str = "computed"  # computed | supplied
     kappa_value: float | None = None
@@ -65,7 +64,7 @@ class ExperimentConfig:
         if self.samples < 10 ** 3:
             raise DomainError("samples must be at least 1e3")
         for name, allowed, value in (
-                ("v_source", ("ladder", "killed", "supplied"), self.v_value),
+                ("v_source", ("ladder", "supplied"), self.v_value),
                 ("kappa_source", ("computed", "supplied"), self.kappa_value)):
             source = getattr(self, name)
             if source not in allowed:
@@ -95,7 +94,7 @@ class ExperimentConfig:
 
 
 def _source_field(spec):
-    """'ladder' | 'killed' | 'computed' | {'supplied': value}."""
+    """'ladder' | 'computed' | {'supplied': value}."""
     if isinstance(spec, dict):
         return "supplied", float(spec["supplied"])
     if isinstance(spec, str) and spec.startswith("supplied:"):
@@ -218,9 +217,6 @@ def _estimate_v(cfg, law, x, threads):
     if cfg.v_source == "supplied":
         return cfg.v_value
     seed = mix64(cfg.seed ^ 0xA5A5)
-    if cfg.v_source == "killed":
-        return estimate_V_killed(law, x, 10 ** 4, 10 ** 5, seed,
-                                 threads=threads).mean
     if is_solved(law):
         return build_harmonic_table(law, grid=(x,)).values[0].mean
     return estimate_V_ladder(law, x, samples=10 ** 5, seed=seed,

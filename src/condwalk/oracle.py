@@ -8,23 +8,25 @@ to one at depth 60.
 
 The Sparre-Andersen identity P(S_1 >= 0, ..., S_n >= 0) = C(2n,n)/4^n for
 symmetric continuous increments is distribution-free and serves as the
-exact oracle for the continuous laws at x = 0.  Density evolution gives
-the survival and the killed distribution function of gaussian walks from
-any x >= 0.
+exact oracle for the continuous laws at x = 0.  ``killed_law`` gives the
+killed law of gaussian, laplace and uniform walks of drift <= 0 from any
+x >= 0, on the cell weights that the harmonic solver's matrix is made of.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, StateExplosion
-from .increments import IncrementLaw
+from .harmonic import _density_law, _node_step, _node_weights
+from .increments import FINITE, IncrementLaw, _cdf_partial_mean, cramer_tilt
 from .targets import TargetFunction, eval_target
+from .walk import _check_start
 
 ATOM_BUDGET = 10 ** 6
 MAX_DEPTH = 60
@@ -104,69 +106,70 @@ def sparre_andersen_exit_at(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Density evolution
+# The killed law of a density walk
 
 
-def _gaussian_killed_densities(x: float, n: int, sigma: float, h: float):
-    """Grid, trapezoid weights and the killed densities after steps 1..n.
+@dataclass(frozen=True)
+class KilledLaw:
+    """P(tau_x > j) and P(tau_x = j) for j = 0..n with their errors, and
+    ``cdf``: y -> P(x + S_n <= y, tau_x > n), linear within a cell."""
 
-    Evolves the density of x + S_j on {tau_x > j} on a grid of step h over
-    [0, x + 12 sigma sqrt(n)]: each step convolves it with the increment
-    density, cut at 9 sigma (trapezoid rule, FFT), and drops the mass
-    below zero.  Returns (y, weights, iterator over the n densities).
+    survival: np.ndarray
+    exit: np.ndarray
+    survival_error: np.ndarray
+    exit_error: np.ndarray
+    cdf: Callable[..., np.ndarray]
+
+
+def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
+    """The killed law of a gaussian, laplace or uniform walk from x >= 0.
+
+    Cells [k h, (k + 1) h) up to x + 8 sigma sqrt(n) plus one step's reach
+    hold their mass uniformly: the first step from x is exact, and later
+    ones move it by ``harmonic._node_weights``' hat weights, the exact cell
+    to cell probabilities.  A drift < 0 evolves under the Cramér tilt, cell
+    y weighing its mean of e^{j Lambda + lam x - lam y} at step j (a drift
+    > 0 would amplify round-off).  h is the solver's node step; one
+    Richardson step combines h and h/2, with |R_h - R_{h/2}| as its error.
     """
-    if not (math.isfinite(x) and x >= 0.0) or n < 0 or h <= 0.0:
-        raise DomainError(f"need finite x >= 0, n >= 0, h > 0: {x!r}, {n!r}, "
-                          f"{h!r}")
-    y = np.arange(int((x + 12.0 * sigma * math.sqrt(n)) / h) + 1) * h
-    half = int(9.0 * sigma / h)
+    if law.family == FINITE:
+        raise DomainError("a finite-support law needs exact_joint_law")
+    _check_start(x, n)
+    tilt = cramer_tilt(law)
+    if tilt.lam < 0.0:
+        raise DomainError(f"killed_law needs a drift <= 0, got {law.mean!r}")
+    lam, density = tilt.lam, _density_law(tilt.sampler, False)
+    h = _node_step(density, tilt.sampler.sigma)
+    r = math.ceil(max(np.abs(tilt.sampler.support_bounds())) / h)  # reach
+    cells = math.ceil((x + 8.0 * tilt.sampler.sigma * math.sqrt(n)) / h) + r
 
-    def normal_pdf(u):
-        return np.exp(-0.5 * (u / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    def evolve(h, cells, r):  # weighted survival and exit, and edge cdf
+        full = _node_weights(density, np.arange(-r - 1, r + 2) * h, h)[0]
+        edges = np.arange(-r, cells + 1) * h
+        shape = 1.0 if lam == 0.0 else -math.expm1(-lam * h) / (lam * h)
+        below, weight = np.split(np.exp(-lam * edges[:-1]) * shape, [r])
+        kill = np.convolve(below, full[::-1])[2 * r:]  # death per cell
+        size = 1 << (cells + full.size).bit_length()  # no wrap-around
+        kernel = np.fft.rfft(full, size)
+        alive, died = np.full(n + 1, math.exp(-lam * x)), np.zeros(n + 1)
+        mass = np.diff(_cdf_partial_mean(density, edges - x)[0])
+        died[1], alive[1], mass = mass[:r] @ below, mass[r:] @ weight, mass[r:]
+        for j in range(2, n + 1):
+            died[j] = mass[:r] @ kill
+            mass = np.fft.irfft(np.fft.rfft(mass, size) * kernel,
+                                size)[r:r + cells]
+            alive[j] = mass @ weight
+        scale = np.exp(np.arange(n + 1) * tilt.log_mgf + lam * x)
+        cdf = np.append(0.0, np.cumsum(mass * weight)) * scale[-1]
+        return np.array([alive, died]) * scale, cdf
 
-    size = 1 << (y.size + 2 * half).bit_length()  # no wrap-around
-    kernel = np.fft.rfft(normal_pdf(np.arange(-half, half + 1) * h), size)
-    weights = np.full(y.size, h)
-    weights[0] = weights[-1] = 0.5 * h
-
-    def densities():
-        f = normal_pdf(y - x)  # density after one step
-        for j in range(1, n + 1):
-            if j > 1:
-                f = np.fft.irfft(np.fft.rfft(f * weights, size) * kernel,
-                                 size)[half:half + y.size]
-            yield f
-
-    return y, weights, densities()
-
-
-def gaussian_killed_survival(x: float, n: int, sigma: float = 1.0,
-                             h: float = 0.01) -> np.ndarray:
-    """P(tau_x > j) for j = 0..n under N(0, sigma^2) increments.
-
-    Density evolution (see ``_gaussian_killed_densities``); the error is
-    O(h^2) away from the boundary.
-    """
-    _, weights, densities = _gaussian_killed_densities(x, n, sigma, h)
-    return np.array([1.0] + [float(np.dot(f, weights)) for f in densities])
-
-
-def gaussian_killed_cdf(x: float, n: int, ys, sigma: float = 1.0,
-                        h: float = 0.01) -> np.ndarray:
-    """P(x + S_n <= y, tau_x > n) for each y in ``ys``, N(0, sigma^2) steps.
-
-    Integrates the evolved density of ``gaussian_killed_survival``, read as
-    piecewise linear between grid points; y = inf gives P(tau_x > n).
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    y, _, densities = _gaussian_killed_densities(x, n, sigma, h)
-    f = deque(densities, maxlen=1)[0]
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (f[1:] + f[:-1]))))
-    ys = np.clip(np.asarray(ys, dtype=float), 0.0, y[-1])
-    k = np.minimum((ys / h).astype(int), y.size - 2)
-    part = (ys - y[k]) * 0.5 * (f[k] + np.interp(ys, y, f))
-    return cum[k] + part
+    (coarse, c_h), (fine, c_h2) = (evolve(h, cells, r),
+                                   evolve(h / 2, 2 * cells, 2 * r))
+    edges = np.arange(2 * cells + 1) * (h / 2)
+    # the h^2 term at the coarse edges, carried linearly to the fine ones
+    cdf = c_h2 + np.interp(edges, edges[::2], (c_h2[::2] - c_h) / 3.0)
+    return KilledLaw(*(4.0 * fine - coarse) / 3.0, *np.abs(fine - coarse),
+                     lambda ys: np.interp(ys, edges, cdf))
 
 
 # ---------------------------------------------------------------------------

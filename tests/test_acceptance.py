@@ -18,9 +18,9 @@ import pytest
 from condwalk import (CensoringExcess, IncrementLaw, KernelSpec, Statistic,
                       TableParams, TargetFunction, build_harmonic_table,
                       conv_normal_levy, conv_normal_rayleigh, cramer_tilt,
-                      estimate_V_ladder, fuk_nagaev_bound, gaussian_killed_cdf,
-                      gaussian_killed_survival, harmonicity_residual,
-                      kappa_constant, kappa_extension_form, kernel_fourier,
+                      estimate_V_ladder, fuk_nagaev_bound,
+                      harmonicity_residual, kappa_constant,
+                      kappa_extension_form, kernel_fourier, killed_law,
                       levy_psi, mc_estimate, mc_estimates, mc_max_abs_walk,
                       mc_scaled_cdf_curve, mc_tilted_survival, predict,
                       psi_normalizer, rayleigh, rayleigh_levy_integral,
@@ -30,6 +30,7 @@ from condwalk import (CensoringExcess, IncrementLaw, KernelSpec, Statistic,
 from condwalk.harmonic import default_grid
 from condwalk.rngstream import mix64
 from condwalk.special import quad, rayleigh_cdf
+from conftest import spitzer_drifted_survival
 
 GAUSS = IncrementLaw.gaussian(0.0, 1.0)
 UNIF = IncrementLaw.uniform(-1.0, 1.0)
@@ -55,26 +56,6 @@ def _duality_case(k):
     g = TargetFunction.piecewise([lo2, lo2 + 0.5 * w2, lo2 + w2],
                                  [1.0, float(rng.uniform(0, 2)), 0.0])
     return law, h, g, int(rng.integers(1, 7))
-
-
-def spitzer_drifted_survival(mu, sigma, n_max):
-    """Exact P(tau_0 > n) for N(mu, sigma^2) increments, n = 0..n_max.
-
-    Spitzer's identity sum_n s^n P(tau_0 > n) = exp(sum_k s^k/k P(S_k >= 0))
-    gives the recursion n b_n = sum_{k<=n} P(S_k >= 0) b_{n-k}.  It runs on
-    c_n = exp(-n lg) b_n, with lg = -mu^2 / (2 sigma^2) the minimum of the
-    log moment generating function, so that nothing underflows; erfc stays
-    a normal double while n mu^2 / (2 sigma^2) < 700.  Returns (lg, c).
-    At mu = 0 this is the Sparre-Andersen law C(2n,n)/4^n.
-    """
-    lg = -0.5 * (mu / sigma) ** 2
-    p = np.array([0.5 * math.erfc(-mu * math.sqrt(k / 2.0) / sigma)
-                  * math.exp(-k * lg) for k in range(1, n_max + 1)])
-    c = np.empty(n_max + 1)
-    c[0] = 1.0
-    for n in range(1, n_max + 1):
-        c[n] = np.dot(p[:n], c[n - 1::-1]) / n
-    return lg, c
 
 
 def run_battery():
@@ -367,14 +348,15 @@ def test_criterion_06_survival_asymptotic(bat):
 
 def test_criterion_07_integral_clt_shape(bat):
     # The conditional cdf of S_n / sqrt(n) given tau_0 > n tends to the
-    # Rayleigh cdf like n^{-1/2}.  Density evolution gives it exactly
-    # (h = 0.04 and h = 0.02 agree to 1e-5): at n = 400 its distance from
+    # Rayleigh cdf like n^{-1/2}.  The killed-law oracle gives it exactly
+    # (to about 1e-7; see tests/test_oracle.py): at n = 400 its distance from
     # the Rayleigh cdf peaks at 0.0175 (t = 1), where the MC stderr is
     # 0.0029, so an MC sup against the 0.02 band would fail on about one
     # stream in five.  Each MC point is checked against the exact value
     # (4 stderr), and the band against the exact sup.
     ts = [float(t) for t in bat["c7"]]
-    cdf = gaussian_killed_cdf(0.0, 400, [20.0 * t for t in ts] + [math.inf])
+    cdf = killed_law(GAUSS, 0.0, 400).cdf([20.0 * t for t in ts]
+                                          + [math.inf])
     exact = cdf[:-1] / cdf[-1]
     worst_z = max(abs(mean - e) / se
                   for (mean, se), e in zip(bat["c7"].values(), exact))
@@ -409,14 +391,14 @@ def test_criterion_10_far_from_boundary(bat):
 
 
 def test_criterion_11_large_x_survival(bat):
-    # ICLT-L is an n -> infinity equivalence.  Density evolution gives
-    # P(tau_20 > 400) exactly (h = 0.01 and h = 0.02 agree to 2e-6): the
+    # ICLT-L is an n -> infinity equivalence.  The killed-law oracle gives
+    # P(tau_20 > 400) exactly (to about 1e-7; see tests/test_oracle.py): the
     # exact/ICLT-L ratio there is 1.0201, at the band's edge, so the MC at
     # x = 20 is checked against the exact value, and the band at x = 40,
     # n = 1600, where the ratio has converged to 1.0102.
     mean, se, _ = bat["c11"]["mc"]
-    exact20 = gaussian_killed_survival(20.0, 400)[400]
-    exact40 = gaussian_killed_survival(40.0, 1600, h=0.02)[1600]
+    exact20 = killed_law(GAUSS, 20.0, 400).survival[400]
+    exact40 = killed_law(GAUSS, 40.0, 1600).survival[1600]
     ratio = exact40 / predict("ICLT-L", sigma=1.0, n=1600, x=40.0).value
     check(abs(mean - exact20) <= 4.0 * se and 0.98 <= ratio <= 1.02,
           "criterion 11",

@@ -11,12 +11,13 @@ from condwalk import (CensoringExcess, DomainError, DriftedLaw,
                       QuadratureFailure, TableParams,
                       build_harmonic_table, cramer_tilt, estimate_V_killed,
                       estimate_V_ladder, harmonicity_residual, kappa_constant,
-                      kappa_extension_form, parse_law, weighted_table_integral)
+                      kappa_extension_form, parse_law, predict,
+                      weighted_table_integral)
 from condwalk import harmonic
 from condwalk.harmonic import _density_law, _node_step, default_grid
 from condwalk.rngstream import mix64
 
-from conftest import within_stderr
+from conftest import spitzer_drifted_survival, within_stderr
 
 UNIFORM = IncrementLaw.uniform(-1.0, 1.0)
 
@@ -349,6 +350,29 @@ def test_kappa_tilted_forms_agree_closely(spec):
     tab = build_harmonic_table(law, dual=True, tilt=tilt)
     k = kappa_constant(law, tab, tilt=tilt)
     assert abs(kappa_extension_form(law, tab, tilt=tilt) / k - 1.0) <= 1e-6
+
+
+def test_tilted_kappa_gives_exact_drifted_exit_constant():
+    # TAU-S-TILT: n^{3/2} e^{-n Lambda} P(tau_0 = n) tends to
+    # 2 kappa_lam V_lam(0) / (sqrt(2 pi) s_lam^3).  Spitzer's recursion
+    # gives c(n), the left side, exactly; c(n) = K + a/n + O(n^-2), so
+    # 2 c(4000) - c(2000) is K to O(n^-2)
+    law = parse_law("gaussian:-0.5,1")
+    tilt = cramer_tilt(law)
+    kappa = kappa_constant(law, build_harmonic_table(law, dual=True,
+                                                     tilt=tilt), tilt=tilt)
+    v0 = build_harmonic_table(law, grid=(0.0,), tilt=tilt).values[0].mean
+    drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
+             "tilted_sigma": tilt.tilted_sigma, "v_lambda_x": v0}
+    n = 4000
+    lg, scaled = spitzer_drifted_survival(-0.5, 1.0, n)
+
+    def c(m):
+        return m ** 1.5 * (math.exp(-lg) * scaled[m - 1] - scaled[m])
+
+    pred = predict("TAU-S-TILT", kappa=kappa, n=n, x=0.0, drift=drift).value
+    assert abs(pred * n ** 1.5 * math.exp(-n * lg)
+               / (2.0 * c(n) - c(n // 2)) - 1.0) <= 1e-4
 
 
 def test_kappa_forms_exact_on_hand_built_finite_table():

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from condwalk import (CensoringExcess, CondwalkError, ExperimentConfig,
-                      IngredientCache, InsufficientSweep, MissingIngredient,
-                      TargetFunction, UnknownTheorem, band_pass,
-                      build_harmonic_table, convergence_sweep, cramer_tilt,
-                      emit_report, estimate_V_ladder, exact_joint_law,
-                      parse_report, run_experiment, sparre_andersen_exit_at,
-                      sparre_andersen_survival, verify_duality)
+from condwalk import (CensoringExcess, CondwalkError, DomainError,
+                      ExperimentConfig, IngredientCache, InsufficientSweep,
+                      MissingIngredient, TargetFunction, UnknownTheorem,
+                      band_pass, build_harmonic_table, convergence_sweep,
+                      cramer_tilt, emit_report, estimate_V_ladder,
+                      exact_joint_law, parse_report, run_experiment,
+                      sparre_andersen_exit_at, sparre_andersen_survival,
+                      verify_duality)
 from condwalk import harness
 from condwalk.harmonic import HarmonicTable, LadderEstimate
 from condwalk.harness import row_record
@@ -118,6 +119,10 @@ def test_config_validation():
         _fast_cfg(n_list=(400, 100))
     with pytest.raises(ValueError):
         _fast_cfg(samples=10)
+    # V comes from its harmonic equation or is supplied; the killed-walk
+    # horizon is no source of it
+    with pytest.raises(DomainError, match="v_source"):
+        _fast_cfg(v_source="killed")
 
 
 _TWO_POINT = parse_law("finite:-1,0.5;1,0.5")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from condwalk import (IncrementLaw, Statistic, TargetFunction, exact_joint_law,
-                      exact_killed_moment, gaussian_killed_cdf,
-                      gaussian_killed_survival, mc_estimates,
+                      exact_killed_moment, killed_law, mc_estimates,
                       sparre_andersen_exit_at, sparre_andersen_survival,
                       verify_duality)
 from condwalk.errors import DomainError, StateExplosion
 from condwalk.rngstream import mix64
+from conftest import spitzer_drifted_survival
 
 TWO_POINT = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
 THREE_POINT = IncrementLaw.finite([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
@@ -64,45 +64,80 @@ def test_sparre_andersen_exit_telescopes():
         assert sparre_andersen_exit_at(n) == pytest.approx(direct, rel=1e-12)
 
 
-def test_gaussian_killed_survival_density_evolution():
-    # at x = 0 the distribution-free law is exact; the grid's kink at 0
-    # costs O(h)
-    evolved = gaussian_killed_survival(0.0, 40)
-    exact = [sparre_andersen_survival(j) for j in range(41)]
-    assert evolved == pytest.approx(exact, abs=2e-5)
-    # halving h moves P(tau_20 > 100) by less than 1e-6, and far from the
-    # boundary nothing dies in a few steps
-    fine, coarse = (gaussian_killed_survival(20.0, 100, h=h)[100]
-                    for h in (0.01, 0.02))
-    assert abs(fine - coarse) <= 1e-6
-    assert gaussian_killed_survival(40.0, 3, sigma=2.0)[3] == \
-        pytest.approx(1.0, abs=1e-12)
+SYMMETRIC = [IncrementLaw.gaussian(0.0, 1.0), IncrementLaw.laplace(0.0, 1.0),
+             IncrementLaw.uniform(-1.0, 1.0)]
 
 
-def test_gaussian_killed_cdf_density_evolution():
+def _assert_matches(killed, survival, exit_at, rel):
+    """Within ``rel`` of the exact values, and within its reported error
+    (plus round-off) of them."""
+    for got, err, want in ((killed.survival, killed.survival_error, survival),
+                           (killed.exit, killed.exit_error, exit_at)):
+        assert np.all(np.abs(got - want) <= rel * want)
+        assert np.all(np.abs(got - want) <= err + 1e-10)
+
+
+@pytest.mark.parametrize("law", SYMMETRIC, ids=lambda law: law.family)
+def test_killed_law_matches_sparre_andersen(law):
+    n = 1000
+    killed = killed_law(law, 0.0, n)
+    survival = np.array([sparre_andersen_survival(j) for j in range(n + 1)])
+    exit_at = np.array([0.0] + [sparre_andersen_exit_at(j)
+                                for j in range(1, n + 1)])
+    _assert_matches(killed, survival, exit_at, 1e-6)
+    # the killed mass is read directly, yet no mass goes missing
+    assert np.all(np.abs(killed.survival + np.cumsum(killed.exit) - 1.0)
+                  <= 1e-10)
+
+
+def test_killed_law_drifted_matches_spitzer():
+    n = 400
+    lg, scaled = spitzer_drifted_survival(-0.5, 1.0, n)
+    survival = scaled * np.exp(lg * np.arange(n + 1))
+    exit_at = np.concatenate(([0.0], survival[:-1] - survival[1:]))
+    _assert_matches(killed_law(IncrementLaw.gaussian(-0.5, 1.0), 0.0, n),
+                    survival, exit_at, 1e-6)
+
+
+def test_killed_law_survival():
+    # agreement with Sparre-Andersen, within the reported error, is held
+    # above; far from the boundary nothing dies in a few steps
+    killed = killed_law(IncrementLaw.gaussian(0.0, 2.0), 40.0, 3)
+    assert killed.survival == pytest.approx(1.0, abs=1e-12)
+    assert killed.exit == pytest.approx(0.0, abs=1e-12)
+
+
+def test_killed_law_cdf():
     # one step from 0 alive: P(0 <= S_1 <= y) = Phi(y) - 1/2
     ys = [-1.0, 0.0, 0.3, 1.0, 2.5]
-    got = gaussian_killed_cdf(0.0, 1, ys)
+    got = killed_law(IncrementLaw.gaussian(0.0, 1.0), 0.0, 1).cdf(ys)
     want = [max(0.0, 0.5 * math.erf(y / math.sqrt(2.0))) for y in ys]
     assert got == pytest.approx(want, abs=1e-5)
     # far from the boundary nothing dies: the free N(40, 3 * 4) cdf
-    got = gaussian_killed_cdf(40.0, 3, [36.0, 40.0, 41.0, 42.5], sigma=2.0)
+    got = killed_law(IncrementLaw.gaussian(0.0, 2.0), 40.0, 3).cdf(
+        [36.0, 40.0, 41.0, 42.5])
     want = [0.5 * (1.0 + math.erf((y - 40.0) / math.sqrt(24.0)))
             for y in (36.0, 40.0, 41.0, 42.5)]
     assert got == pytest.approx(want, abs=1e-6)
-    # the cdf rises to the survival, and halving h barely moves it
-    grid = np.linspace(0.0, 60.0, 13)
-    fine = gaussian_killed_cdf(0.0, 100, list(grid) + [math.inf])
-    coarse = gaussian_killed_cdf(0.0, 100, list(grid) + [math.inf], h=0.02)
-    assert np.all(np.diff(fine) >= 0.0)
-    assert fine[-1] == pytest.approx(gaussian_killed_survival(0.0, 100)[100],
-                                     rel=1e-12)
-    assert np.max(np.abs(fine - coarse)) <= 2e-5
-    for bad in (lambda: gaussian_killed_cdf(0.0, 0, [1.0]),
-                lambda: gaussian_killed_cdf(-1.0, 5, [1.0]),
-                lambda: gaussian_killed_survival(math.nan, 5)):
-        with pytest.raises(DomainError):
-            bad()
+    # the cdf rises to the survival, within its reported error of
+    # Sparre-Andersen
+    killed = killed_law(IncrementLaw.gaussian(0.0, 1.0), 0.0, 100)
+    cdf = killed.cdf(list(np.linspace(0.0, 60.0, 13)) + [math.inf])
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[-1] == pytest.approx(killed.survival[100], rel=1e-12)
+    assert abs(cdf[-1] - sparre_andersen_survival(100)) \
+        <= killed.survival_error[100]
+
+
+@pytest.mark.parametrize("law, x, n, match", [
+    (IncrementLaw.gaussian(0.0, 1.0), 0.0, 0, "n >= 1"),
+    (IncrementLaw.gaussian(0.0, 1.0), -1.0, 5, "x >= 0"),
+    (IncrementLaw.gaussian(0.0, 1.0), math.nan, 5, "x >= 0"),
+    (TWO_POINT, 0.0, 5, "exact_joint_law"),
+    (IncrementLaw.gaussian(0.3, 1.0), 0.0, 5, "drift <= 0")])
+def test_killed_law_rejects(law, x, n, match):
+    with pytest.raises(DomainError, match=match):
+        killed_law(law, x, n)
 
 
 # -- duality ------------------------------------------------------------------
