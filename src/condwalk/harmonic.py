@@ -190,14 +190,14 @@ def _step(law, h, n, x, m):
     return k, tail[n + m - 1:n - 1:-1]
 
 
-def _solved_table(law, sigma, grid):
-    """The grid, V on it with error estimates, and V(L) - L.
+def _solved_table(law, sigma):
+    """The finer solve's node lattice, V on it with error estimates, and
+    V(L) - L.
 
-    V_h solves V = K V + r at the nodes and is one step from them
-    elsewhere.  The default grid is the finer solve's nodes, where V_h is
-    the coarse nodes at even nodes and one step at odd ones.  Richardson's
-    (4 V_{h/2} - V_h) / 3 removes the h^2 error of piecewise-linear V;
-    |V_h - V_{h/2}| is reported as its error.
+    V_h solves V = K V + r at the nodes; on the lattice of step h/2 it is
+    the coarse nodes at even nodes and one harmonic step from them at odd
+    ones.  Richardson's (4 V_{h/2} - V_h) / 3 removes the h^2 error of
+    piecewise-linear V; |V_h - V_{h/2}| is reported as its error.
     """
     def solve(step, n):
         a, r = _step(law, step, n, 0.0, n + 1)
@@ -206,24 +206,17 @@ def _solved_table(law, sigma, grid):
         return lu_solve(lu_factor(a, overwrite_a=True, check_finite=False),
                         r, check_finite=False)
 
-    def at(nodes, step, x, m=1):
-        k, r = _step(law, step, nodes.size - 1, x, m)
-        return k @ nodes + r
-
     h = _node_step(law, sigma)
     n = math.ceil(_SOLVE_SPAN * sigma / h)
-    coarse, fine = solve(h, n), solve(h / 2.0, 2 * n)
-    if grid is None:
-        grid = tuple((np.arange(2 * n + 1) * (h / 2.0)).tolist())
-        v_h, v_h2 = np.repeat(coarse, 2)[:-1], fine
-        v_h[1::2] = at(coarse, h, h / 2.0, n)
-    else:
-        v_h, v_h2 = np.array([[at(nodes, step, x)[0] for x in (*grid, n * h)]
-                              for nodes, step in ((coarse, h), (fine, h / 2))])
+    coarse, v_h2 = solve(h, n), solve(h / 2.0, 2 * n)
+    v_h = np.repeat(coarse, 2)[:-1]
+    k, r = _step(law, h, n, h / 2.0, n)
+    v_h[1::2] = k @ coarse + r
     v = (4.0 * v_h2 - v_h) / 3.0
+    grid = tuple((np.arange(2 * n + 1) * (h / 2.0)).tolist())
     values = tuple(McEstimate(float(m), float(e), 0, 0)
                    for m, e in zip(v, np.abs(v_h2 - v_h)))
-    return grid, values[:len(grid)], float(v[-1] - n * h)
+    return grid, values, float(v[-1] - n * h)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +231,14 @@ def default_grid(sigma: float):
     return tuple(pts)
 
 
+_REL_ACCURACY = 0.006  # ladder stderr target per unit of x/sigma beyond 0
+
+
 @dataclass(frozen=True)
 class TableParams:
     """Monte Carlo budget of the ladder tables of finite-support laws."""
 
     accuracy: float = 0.01     # stderr target at x = 0, in units of sigma
-    rel_accuracy: float = 0.006  # stderr target per unit of x/sigma beyond 0
     seed: int = 0
 
     def point_budget(self, x: float, sigma: float):
@@ -254,7 +249,7 @@ class TableParams:
         at the cap times (x + sigma), at the order of the target.
         """
         xt = x / sigma
-        target = max(self.accuracy, self.rel_accuracy * xt) * sigma
+        target = max(self.accuracy, _REL_ACCURACY * xt) * sigma
         samples = max(300, int((1.2 * sigma / target) ** 2))
         cap = max(10 ** 5, int(((xt + 1.0) ** 2 * sigma / target) ** 2))
         return samples, cap
@@ -295,28 +290,30 @@ def _check_grid(grid):
 def build_harmonic_table(law, grid=None, params: TableParams | None = None,
                          dual: bool = False, tilt: TiltedLaw | None = None,
                          threads: int | None = None) -> HarmonicTable:
-    """V (or V*, or their tilted versions) on a grid.
+    """V (or V*, or their tilted versions) as a table.
 
     With a tilt the table is that of the mean-zero tilted law.  Density
-    laws are solved (``count`` 0, ``stderr`` the solver's error estimate,
-    offset V(L) - L), by default on the finer solve's node lattice (step
-    about 0.05 sigma up to L, about 800 points); finite-support laws are
-    ladder estimates under ``params``, by default on ``default_grid``,
-    with the offset an inverse-variance fit of (estimate - x) over the
-    top grid decade.
+    laws are solved on the finer solve's node lattice (step about 0.05
+    sigma up to L, about 800 points; ``count`` 0, ``stderr`` the solver's
+    error estimate, offset V(L) - L) and take no ``grid``: V at any x is
+    ``table(x)``.  Finite-support laws are ladder estimates under
+    ``params`` on ``grid``, by default ``default_grid``, with the offset
+    an inverse-variance fit of (estimate - x) over the top grid decade.
     """
     params = params or TableParams()
     sampler = tilt.sampler if tilt is not None else law
     _require_zero_mean(sampler)
     sigma = sampler.sigma
-    grid = None if grid is None else _check_grid(grid)
     lam = tilt.lam if tilt is not None else None
     density = _density_law(sampler, dual)
     if density is not None:
-        grid, values, offset = _solved_table(density, sigma, grid)
+        if grid is not None:
+            raise DomainError("a solved table takes no grid: it holds the "
+                              "solver's node lattice; read V(x) as table(x)")
+        grid, values, offset = _solved_table(density, sigma)
         return HarmonicTable(grid, values, dual, lam, offset)
 
-    grid = grid or default_grid(sigma)
+    grid = default_grid(sigma) if grid is None else _check_grid(grid)
     values = []
     for j, x in enumerate(grid):
         pt_seed = mix64(params.seed ^ mix64(1000 + j))

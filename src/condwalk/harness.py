@@ -1,16 +1,17 @@
 """Named experiments: Monte Carlo left sides against predictor right sides.
 
 An experiment binds a law, a theorem identifier and scalar parameters;
-running it estimates the required ingredients (harmonic values, kappa,
-weighted dual integrals) per the configured policy, runs the matching
+running it computes the required ingredients (harmonic values, kappa,
+weighted dual integrals) the config does not supply, runs the matching
 Monte Carlo statistic for every horizon in n_list, and emits rows with
 the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
-Harmonic tables are cached on disk, keyed by a hash of the law, the
-table kind and, for finite-support laws, their estimation parameters.
-kappa and the weighted integrals are fixed Gauss-Legendre rules over
-the cached dual table's cells, not quadratures; they are not cached.
+It builds at most one harmonic table per side, cached on disk and keyed
+by a hash of the law, the side, the tilt and, for finite-support laws,
+their estimation parameters.  V(x) of a density law is read off the
+primal table; kappa and the weighted integrals are fixed Gauss-Legendre
+rules over the dual table's cells, not quadratures; none is cached.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from pathlib import Path
 from .asymptotics import THEOREMS, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
-from .harmonic import HarmonicTable, TableParams, build_harmonic_table, \
-    estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
+from .harmonic import HarmonicTable, LadderEstimate, TableParams, \
+    build_harmonic_table, estimate_V_ladder, is_solved, kappa_constant, \
+    weighted_table_integral
 from .increments import cramer_tilt, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
@@ -51,9 +53,7 @@ class ExperimentConfig:
     t: float | None = None
     q: float | None = None
     a: float | None = None
-    v_source: str = "ladder"        # ladder | supplied
-    v_value: float | None = None
-    kappa_source: str = "computed"  # computed | supplied
+    v_value: float | None = None      # None: computed, likewise below
     kappa_value: float | None = None
     i_value: float | None = None
     band: tuple = (0.0, math.inf)
@@ -63,28 +63,18 @@ class ExperimentConfig:
             raise DomainError("n_list must be non-empty and ascending")
         if self.samples < 10 ** 3:
             raise DomainError("samples must be at least 1e3")
-        for name, allowed, value in (
-                ("v_source", ("ladder", "supplied"), self.v_value),
-                ("kappa_source", ("computed", "supplied"), self.kappa_value)):
-            source = getattr(self, name)
-            if source not in allowed:
-                raise DomainError(f"{name} must be one of {allowed}, "
-                                  f"got {source!r}")
-            if source == "supplied" and value is None:
-                raise DomainError(f"{name} 'supplied' needs a value")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         policy = d.get("ingredient_policy", {})
-        v_src, v_val = _source_field(policy.get("v_source", "ladder"))
-        k_src, k_val = _source_field(policy.get("kappa_source", "computed"))
         return cls(
             name=d["name"], law=d["law"], theorem_id=d["theorem_id"],
             n_list=tuple(d["n_list"]), samples=int(d["samples"]),
             seed=int(d["seed"]), x=float(d.get("x", 0.0)),
             y=d.get("y"), delta=d.get("delta"), t=d.get("t"), q=d.get("q"),
-            a=d.get("a"), v_source=v_src, v_value=v_val,
-            kappa_source=k_src, kappa_value=k_val,
+            a=d.get("a"),
+            v_value=_supplied(policy, "v_source", "ladder"),
+            kappa_value=_supplied(policy, "kappa_source", "computed"),
             i_value=policy.get("i_value"),
             band=tuple(d.get("band", (0.0, math.inf))))
 
@@ -93,13 +83,19 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _source_field(spec):
-    """'ladder' | 'computed' | {'supplied': value}."""
-    if isinstance(spec, dict):
-        return "supplied", float(spec["supplied"])
+def _supplied(policy, name, computed):
+    """The value of a {'supplied': value} or 'supplied:value' source, None
+    for ``computed`` ('ladder' for V, 'computed' for kappa)."""
+    spec = policy.get(name, computed)
+    if spec == computed:
+        return None
     if isinstance(spec, str) and spec.startswith("supplied:"):
-        return "supplied", float(spec.split(":", 1)[1])
-    return spec, None
+        spec = {"supplied": spec[len("supplied:"):]}
+    try:
+        return float(spec["supplied"])
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(f"{name} must be {computed!r} or supplied with a "
+                          f"value, got {spec!r}") from None
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,9 @@ class IngredientCache:
 
 
 # Bumped with any change to the table solver or estimators, the default
-# grids, TableParams.point_budget or the random stream, so that tables
-# cached before it are misses.
-_CACHE_VERSION = 5
+# grids, TableParams.point_budget, the random stream or the entry layout,
+# so that tables cached before it are misses.
+_CACHE_VERSION = 6
 
 
 def _table_for(law_str, law, dual, tilt, seed, threads, cache):
@@ -172,16 +168,17 @@ def _table_for(law_str, law, dual, tilt, seed, threads, cache):
     def compute():
         tab = build_harmonic_table(law, dual=dual, tilt=tilt,
                                    params=params, threads=threads)
+        columns = dataclasses.fields(tab.values[0])
         return {"grid": list(tab.grid),
-                "mean": [v.mean for v in tab.values],
-                "stderr": [v.stderr for v in tab.values],
-                "count": [v.count for v in tab.values],
+                "values": {f.name: [getattr(v, f.name) for v in tab.values]
+                           for f in columns},
                 "offset": tab.extrapolation_offset,
                 "tilt": tab.tilt, "dual": tab.dual}
 
     raw = cache.get_or_compute(key, compute) if cache else compute()
-    vals = tuple(McEstimate(m, s, c, seed) for m, s, c in
-                 zip(raw["mean"], raw["stderr"], raw["count"]))
+    cols = raw["values"]  # all ladder estimates, or all solved
+    kind = LadderEstimate if "censor_rate" in cols else McEstimate
+    vals = tuple(map(kind, *(cols[f.name] for f in dataclasses.fields(kind))))
     return HarmonicTable(tuple(raw["grid"]), vals, raw["dual"], raw["tilt"],
                          raw["offset"])
 
@@ -208,29 +205,15 @@ def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
     return Statistic.survival()
 
 
-def _estimate_v(cfg, law, x, threads):
-    """V(x) under ``law`` (a base law or a tilted sampler) per ``v_source``.
-
-    ``ladder`` solves V's harmonic equation for density laws, as the
-    tables do, and draws ladder paths only for finite-support laws.
-    """
-    if cfg.v_source == "supplied":
-        return cfg.v_value
-    seed = mix64(cfg.seed ^ 0xA5A5)
-    if is_solved(law):
-        return build_harmonic_table(law, grid=(x,)).values[0].mean
-    return estimate_V_ladder(law, x, samples=10 ** 5, seed=seed,
-                             threads=threads).mean
-
-
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
                    cache: IngredientCache | None = None):
     """One row per horizon; raises for ids that cannot run as experiments.
 
     The theorem's registry entry decides everything: the ingredients to
-    estimate are the estimable ones it needs, the dual table is built only
-    when one of them is read off it, and the statistic and the walk come
-    from its left side.
+    compute are the ones it needs that the config does not supply, a
+    table is built only when one of them is read off it, and the
+    statistic and the walk come from its left side.  Under a tilt both
+    tables, and so V, are those of the tilted law.
     """
     tid = cfg.theorem_id
     theorem = THEOREMS.get(tid)
@@ -247,25 +230,35 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     tilt = cramer_tilt(law) if theorem.walk == "tilted" else None
 
     @functools.cache
-    def dual_table():
+    def table(dual):
         seed = mix64(cfg.seed ^ (0xD0 if tilt else 0xD1))
-        return _table_for(cfg.law, law, True, tilt, seed, threads, cache)
+        return _table_for(cfg.law, law, dual, tilt, seed, threads, cache)
+
+    def v_x():
+        if cfg.v_value is not None:
+            return cfg.v_value
+        sampler = tilt.sampler if tilt else law
+        if is_solved(sampler):
+            return table(False)(cfg.x)
+        return estimate_V_ladder(sampler, cfg.x, samples=10 ** 5,
+                                 seed=mix64(cfg.seed ^ 0xA5A5),
+                                 threads=threads).mean
 
     if "v_x" in needs:
-        ing["v_x"] = _estimate_v(cfg, law, cfg.x, threads)
+        ing["v_x"] = v_x()
     if "kappa" in needs:
-        ing["kappa"] = cfg.kappa_value if cfg.kappa_source == "supplied" \
-            else kappa_constant(law, dual_table(), tilt=tilt)
+        ing["kappa"] = cfg.kappa_value if cfg.kappa_value is not None \
+            else kappa_constant(law, table(True), tilt=tilt)
     if "exp_vstar_int" in needs:
-        ing["exp_vstar_int"] = weighted_table_integral(dual_table(), cfg.a)
+        ing["exp_vstar_int"] = weighted_table_integral(table(True), cfg.a)
     if tilt is not None:
         drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
                  "tilted_sigma": tilt.tilted_sigma}
         if "drift.v_lambda_x" in needs:
-            drift["v_lambda_x"] = _estimate_v(cfg, tilt.sampler, cfg.x, threads)
+            drift["v_lambda_x"] = v_x()
         if "drift.i_integral" in needs:
             drift["i_integral"] = cfg.i_value if cfg.i_value is not None \
-                else weighted_table_integral(dual_table(), tilt.lam)
+                else weighted_table_integral(table(True), tilt.lam)
         ing["drift"] = drift
 
     rows = []

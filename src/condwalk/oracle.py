@@ -140,7 +140,10 @@ def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
         raise DomainError(f"killed_law needs a drift <= 0, got {law.mean!r}")
     lam, density = tilt.lam, _density_law(tilt.sampler, False)
     h = _node_step(density, tilt.sampler.sigma)
-    r = math.ceil(max(np.abs(tilt.sampler.support_bounds())) / h)  # reach
+    # one step's reach in cells: where hat weights fall to 1e-18 of the top
+    wide = math.ceil(max(np.abs(tilt.sampler.support_bounds())) / h)
+    full = _node_weights(density, np.arange(-wide - 1, wide + 2) * h, h)[0]
+    r = int(np.abs(np.flatnonzero(full >= 1e-18 * full.max()) - wide).max())
     cells = math.ceil((x + 8.0 * tilt.sampler.sigma * math.sqrt(n)) / h) + r
 
     def evolve(h, cells, r):  # weighted survival and exit, and edge cdf

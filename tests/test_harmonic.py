@@ -212,10 +212,17 @@ def test_solved_table_matches_ladder(spec, dual, tilted):
 
 @pytest.mark.parametrize("grid", [(-1.0,), (math.nan,), (0.0, math.inf),
                                   (1.0, 0.5), (0.0, 0.0), ()])
-def test_table_rejects_bad_grid(gauss_law, grid):
+def test_table_rejects_bad_grid(grid):
     # HarmonicTable interpolates with np.interp, which needs ascending points
     with pytest.raises(DomainError):
-        build_harmonic_table(gauss_law, grid=grid)
+        build_harmonic_table(IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5]),
+                             grid=grid)
+
+
+def test_solved_table_takes_no_grid(gauss_law):
+    # a solved table is the solver's node lattice; V(x) is table(x)
+    with pytest.raises(DomainError, match=r"table\(x\)"):
+        build_harmonic_table(gauss_law, grid=(0.0, 1.0))
 
 
 def test_finite_support_table_is_estimated():
@@ -361,7 +368,7 @@ def test_tilted_kappa_gives_exact_drifted_exit_constant():
     tilt = cramer_tilt(law)
     kappa = kappa_constant(law, build_harmonic_table(law, dual=True,
                                                      tilt=tilt), tilt=tilt)
-    v0 = build_harmonic_table(law, grid=(0.0,), tilt=tilt).values[0].mean
+    v0 = build_harmonic_table(law, tilt=tilt)(0.0)
     drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
              "tilted_sigma": tilt.tilted_sigma, "v_lambda_x": v0}
     n = 4000

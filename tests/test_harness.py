@@ -27,9 +27,15 @@ EXPERIMENTS = sorted(Path(__file__).resolve().parents[1].glob("experiments/*.jso
 def _fast_cfg(**over):
     base = dict(name="t", law="gaussian:0,1", theorem_id="ICLT-S", x=0.0,
                 n_list=(100,), samples=10 ** 5, seed=7,
-                v_source="supplied", v_value=2 ** -0.5, band=(0.9, 1.1))
+                v_value=2 ** -0.5, band=(0.9, 1.1))
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def _raw_cfg(policy):
+    return {"name": "n", "law": "gaussian:0,1", "theorem_id": "TAU-S",
+            "n_list": [100], "samples": 1000, "seed": 3,
+            "ingredient_policy": policy}
 
 
 def test_run_experiment_basic_row():
@@ -122,7 +128,7 @@ def test_config_validation():
     # V comes from its harmonic equation or is supplied; the killed-walk
     # horizon is no source of it
     with pytest.raises(DomainError, match="v_source"):
-        _fast_cfg(v_source="killed")
+        ExperimentConfig.from_dict(_raw_cfg({"v_source": "killed"}))
 
 
 _TWO_POINT = parse_law("finite:-1,0.5;1,0.5")
@@ -144,8 +150,9 @@ _ROW = harness.ReportRow("r", "ICLT-S", 1, McEstimate(0.5, 0.1, 1000, 1),
     lambda tmp: verify_duality(_TWO_POINT, _IND, _IND, 9),
     lambda tmp: _fast_cfg(n_list=(400, 100)),
     lambda tmp: _fast_cfg(samples=10),
-    lambda tmp: _fast_cfg(v_source="killd"),
-    lambda tmp: _fast_cfg(kappa_source="supplied"),
+    lambda tmp: ExperimentConfig.from_dict(_raw_cfg({"v_source": "killd"})),
+    lambda tmp: ExperimentConfig.from_dict(
+        _raw_cfg({"kappa_source": "supplied"})),
     lambda tmp: emit_report([], "csv", tmp / "never.csv"),
     lambda tmp: emit_report([_ROW], "xml", tmp / "never.xml")], ids=[
     "joint-law-density", "joint-law-n", "sparre-andersen-n",
@@ -199,15 +206,31 @@ def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
     assert harness._table_for(*args) == first and len(builds) == 2
 
 
+@pytest.mark.parametrize("spec, value", [
+    ("gaussian:0,1", lambda j: McEstimate(0.7 + j, 1e-6, 0, 0)),
+    ("finite:-1,0.5;1,0.5",
+     lambda j: LadderEstimate(1.0 + j, 0.01, 300, mix64(1000 + j), 1e-4 * j))],
+    ids=["solved", "ladder"])
+def test_table_cache_returns_the_table_as_built(tmp_path, monkeypatch, spec,
+                                                value):
+    # each value keeps its own seed and kind, not the table's seed
+    built = HarmonicTable((0.0, 1.0, 2.0), tuple(map(value, range(3))), True,
+                          None, 0.25)
+    monkeypatch.setattr(harness, "build_harmonic_table",
+                        lambda *args, **kwargs: built)
+    args = (spec, parse_law(spec), True, None, 777, 1,
+            IngredientCache(tmp_path))
+    assert harness._table_for(*args) == built  # cold
+    assert harness._table_for(*args) == built  # warm
+
+
 @pytest.mark.parametrize("policy", [{"v_source": "killd"},
                                     {"kappa_source": "bogus"},
-                                    {"kappa_source": "supplied"}])
+                                    {"kappa_source": "supplied"},
+                                    {"v_source": "killed"}])
 def test_unknown_ingredient_source_rejected(policy):
-    raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "TAU-S",
-           "n_list": [100], "samples": 1000, "seed": 3,
-           "ingredient_policy": policy}
     with pytest.raises(ValueError):
-        ExperimentConfig.from_dict(raw)
+        ExperimentConfig.from_dict(_raw_cfg(policy))
 
 
 def test_config_from_json_round_trip(tmp_path):
@@ -218,8 +241,28 @@ def test_config_from_json_round_trip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     cfg = ExperimentConfig.from_json(p)
-    assert cfg.v_source == "supplied" and cfg.v_value == 0.70710678
+    assert cfg.v_value == 0.70710678
     assert cfg.band == (0.9, 1.1)
+
+
+# (n, mc_mean, mc_stderr, predicted) of every bundled experiment's rows:
+# a change to the random stream or to an ingredient shows here
+_PINNED_ROWS = {
+    "drifted_survival": [(100, "9.9865076842409328e-09",
+                          "1.1190787414791808e-10", 1.0942431913797159e-08)],
+    "exit_time_local": [(100, "0.00028689999999999998",
+                         "5.355536547086313e-06", 0.00028209479177387816)],
+    "interval_far_boundary": [(400, "0.0178", "0.00013222396712841996",
+                               0.017247565694412232)],
+    "moderate_deviations": [(400, "0.00083799999999999999",
+                             "2.8936112269940369e-05",
+                             0.00080914912658674489)],
+    "survival_small_x": [(400, "0.028198000000000001",
+                          "0.00016553821371182001", 0.028209479177387815)],
+    "unconditioned_llt": [(100, "0.039746999999999998",
+                           "0.00019536431137291726", 0.039894228040143274),
+                          (400, "0.019855999999999999",
+                           "0.00013950540751439969", 0.019947114020071637)]}
 
 
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.stem)
@@ -230,9 +273,14 @@ def test_bundled_experiments_pass_their_bands(path, tmp_path):
         rows = run_experiment(cfg, threads=2, cache=IngredientCache(tmp_path))
     assert rows, path
     assert band_pass(cfg, rows), [row_record(r) for r in rows]
+    pinned = _PINNED_ROWS[path.stem]
+    assert len(rows) == len(pinned)
+    for rec, (*exact, predicted) in zip(map(row_record, rows), pinned):
+        assert [rec["n"], rec["mc_mean"], rec["mc_stderr"]] == exact
+        assert float(rec["predicted"]) == pytest.approx(predicted, rel=1e-12)
 
 
-# -- V(x) for v_source "ladder" ----------------------------------------------
+# -- V(x) computed -----------------------------------------------------------
 
 
 @pytest.fixture
@@ -258,8 +306,7 @@ def _predict_inputs(cfg, monkeypatch):
 
 
 def _solved_cfg(**over):
-    return _fast_cfg(**{"samples": 10 ** 3, "v_source": "ladder",
-                        "v_value": None, **over})
+    return _fast_cfg(**{"samples": 10 ** 3, "v_value": None, **over})
 
 
 def test_default_v_source_solves_density_law(no_ladder):
@@ -268,6 +315,24 @@ def test_default_v_source_solves_density_law(no_ladder):
                                         v_value=0.7071067811865476))
     assert solved[0].predicted == pytest.approx(supplied[0].predicted,
                                                 rel=1e-6)
+
+
+def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
+    # one primal and one dual table cold, none warm, and no table on a grid
+    builds = []
+    real = harness.build_harmonic_table
+
+    def build(law, **kwargs):
+        builds.append(kwargs)
+        return real(law, **kwargs)
+
+    monkeypatch.setattr(harness, "build_harmonic_table", build)
+    cfg, cache = _solved_cfg(theorem_id="TAU-S"), IngredientCache(tmp_path)
+    cold = run_experiment(cfg, cache=cache)
+    assert sorted(b.get("dual", False) for b in builds) == [False, True]
+    assert all("grid" not in b for b in builds)
+    builds.clear()
+    assert run_experiment(cfg, cache=cache) == cold and not builds
 
 
 def test_igl1_solves_tilted_v(no_ladder, monkeypatch):
@@ -300,7 +365,7 @@ def test_finite_support_v_keeps_ladder(monkeypatch):
     monkeypatch.setattr(harness, "estimate_V_ladder", ladder)
     cfg = _solved_cfg(name="fin", law="finite:-1,0.5;0.5,0.25;1.5,0.25",
                       theorem_id="TAU-S", n_list=(21,), samples=4096, seed=11,
-                      kappa_source="supplied", kappa_value=0.5)
+                      kappa_value=0.5)
     rows = run_experiment(cfg, threads=1)
     assert calls == [(parse_law(cfg.law), 0.0, {
         "samples": 10 ** 5, "seed": mix64(11 ^ 0xA5A5), "threads": 1})]
@@ -318,7 +383,6 @@ def test_solved_v_beyond_solve_span(no_ladder, monkeypatch):
     law = "gaussian:0,2"
     x = 60.0 * parse_law(law).sigma
     ing = _predict_inputs(_solved_cfg(law=law, theorem_id="TAU-S", x=x,
-                                      kappa_source="supplied",
                                       kappa_value=2.0), monkeypatch)
     offset = build_harmonic_table(parse_law(law)).extrapolation_offset
     assert abs(ing["v_x"] - (x + offset)) <= 1e-6
