@@ -22,6 +22,8 @@ A HarmonicTable (a solved one on the solver's node lattice) interpolates
 linearly and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
 kappa, its tilted versions and the weighted integrals of a table are
 fixed 6-point Gauss-Legendre rules on the table's cells, not quadratures.
+scipy.linalg is imported inside the solve, so ``import condwalk`` loads
+none of scipy; ``np.linalg.solve`` would not give bit-identical tables.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
@@ -200,6 +201,7 @@ def _solved_table(law, sigma):
     piecewise-linear V; |V_h - V_{h/2}| is reported as its error.
     """
     def solve(step, n):
+        from scipy.linalg import lu_factor, lu_solve
         a, r = _step(law, step, n, 0.0, n + 1)
         np.negative(a, out=a)
         a.flat[::n + 2] += 1.0

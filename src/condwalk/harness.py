@@ -63,6 +63,9 @@ class ExperimentConfig:
             raise DomainError("n_list must be non-empty and ascending")
         if self.samples < 10 ** 3:
             raise DomainError("samples must be at least 1e3")
+        if not all(v is None or math.isfinite(v) for v in
+                   (self.v_value, self.kappa_value, self.i_value)):
+            raise DomainError("supplied ingredients must be finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

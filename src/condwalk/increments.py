@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, NoTiltExists
-from .special import quad
+from .special import norm_cdf, quad
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -264,7 +263,7 @@ def _cdf_partial_mean(law, t):
     family, a, b, lam = law
     if family == GAUSSIAN:
         z = (t - a) / b
-        f = ndtr(z)
+        f = norm_cdf(z)
         return f, a * f - b * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     if family == LAPLACE:
         # density c e^{al (t-a)} left of a and c e^{-be (t-a)} right of it

@@ -4,7 +4,8 @@ Everything here is deterministic numerics: the Rayleigh density and its
 distribution function, the Brownian meander kernel psi(s, x) that governs
 walks started far from the boundary, the smoothing kernel built from
 sinc^4, Brownian exit probabilities, and the convolution identities that
-the test suite verifies by quadrature.
+the test suite verifies by quadrature.  scipy is imported inside the
+three functions that call it, so that ``import condwalk`` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .errors import DomainError, QuadratureFailure
 
@@ -28,6 +27,7 @@ KAPPA0 = 3.0 / (8.0 * math.pi)  # normalizer of the sinc^4 kernel
 
 def norm_cdf(x):
     """Standard normal distribution function, |error| <= 1e-15."""
+    from scipy.special import ndtr
     return ndtr(x)
 
 
@@ -40,6 +40,7 @@ def gauss_density(z, v=1.0):
 
 def quad(f, a, b, tol=1e-10, fail_above=None, points=None):
     """Adaptive quadrature with the package-wide failure contract."""
+    from scipy import integrate
     kw = {"epsabs": tol, "epsrel": 1e-11, "limit": 500}
     if points is not None and math.isfinite(a) and math.isfinite(b):
         kw["points"] = [p for p in points if a < p < b]
@@ -107,7 +108,8 @@ def levy_psi_integral(t: float, x: float) -> float:
     """Closed form of the meander distribution integral on [0, t]."""
     if t <= 0.0:
         return 0.0
-    return float(ndtr(t - x) - ndtr(-x) - ndtr(t + x) + ndtr(x))
+    return float(norm_cdf(t - x) - norm_cdf(-x)
+                 - norm_cdf(t + x) + norm_cdf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +176,10 @@ def brownian_exit(x: float, sigma: float, n: float, a: float = 0.0,
         return 0.0
     c = sigma * math.sqrt(n)
     if a == 0.0 and b == math.inf:
-        return 2.0 * float(ndtr(x / c)) - 1.0
+        return 2.0 * float(norm_cdf(x / c)) - 1.0
     xt = x / c
     if b == math.inf:
-        whole = 2.0 * float(ndtr(xt)) - 1.0
+        whole = 2.0 * float(norm_cdf(xt)) - 1.0
         head = quad(lambda s: levy_psi(s / c, xt) / c, 0.0, a, tol=1e-11)
         return whole - head
     return quad(lambda s: levy_psi(s / c, xt) / c, a, b, tol=1e-11)
@@ -221,6 +223,7 @@ def kernel_fourier(spec: KernelSpec, t: float) -> float:
     if w == 0.0:
         val = quad(_kappa_base, 0.0, upper, tol=1e-11)
     else:
+        from scipy import integrate
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             val, _ = integrate.quad(_kappa_base, 0.0, upper, weight="cos",

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .errors import DivergentIntegral, DomainError
 from .special import quad
@@ -209,6 +208,7 @@ class WeightSpec:
 
 def _gamma_upper(s, z):
     """Upper incomplete gamma Gamma(s, z), z >= 0."""
+    from scipy.special import gammaincc, gammaln
     return math.exp(gammaln(s)) * float(gammaincc(s, max(z, 0.0)))
 
 

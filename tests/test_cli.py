@@ -132,6 +132,13 @@ def test_run_subcommand_exit_codes(tmp_path, capsys):
     code, _ = run_cli(capsys, "run", "--config", str(bad))
     assert code == 2
 
+    cfg["band"] = [0.9, 1.1]  # a non-finite supplied V is a config error
+    cfg["ingredient_policy"] = {"v_source": "supplied:nan"}
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cli(capsys, "run", "--config", str(path),
+                      "--cache", str(tmp_path / "cache"))
+    assert code == 2
+
 
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = {"name": "cli-sweep", "law": "gaussian:0,1", "theorem_id": "LLT",

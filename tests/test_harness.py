@@ -233,6 +233,19 @@ def test_unknown_ingredient_source_rejected(policy):
         ExperimentConfig.from_dict(_raw_cfg(policy))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("policy", [
+    lambda v: {"v_source": {"supplied": v}},
+    lambda v: {"v_source": f"supplied:{v}"},
+    lambda v: {"kappa_source": {"supplied": v}},
+    lambda v: {"kappa_source": f"supplied:{v}"},
+    lambda v: {"i_value": float(v)}],
+    ids=["v-dict", "v-str", "kappa-dict", "kappa-str", "i-value"])
+def test_non_finite_supplied_ingredient_rejected(policy, bad):
+    with pytest.raises(DomainError, match="finite"):
+        ExperimentConfig.from_dict(_raw_cfg(policy(bad)))
+
+
 def test_config_from_json_round_trip(tmp_path):
     raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "ICLT-S",
            "n_list": [100], "samples": 1000, "seed": 3,

@@ -6,6 +6,7 @@ back.  The benchmark's files are loaded from the checkout, not copied.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from condwalk import harness, increments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +69,18 @@ def test_tracer_puts_back_every_patched_attribute(perfbench, workload,
     after = _attributes(layers, samplers)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
+
+
+@pytest.mark.parametrize("workload", ["boundary", "bulk", "ingredients"])
+def test_setup_loads_no_scipy(workload, tmp_path):
+    """The set-up that ``setup_s`` times imports condwalk without scipy."""
+    code = ("import sys\nfrom pathlib import Path\n"
+            f"sys.path[:0] = [{str(PERFBENCH)!r}, {str(SRC)!r}]\n"
+            "import workloads\n"
+            f"workloads.setup({workload!r}, 20211011, Path(sys.argv[1]))\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy'"
+            " or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
