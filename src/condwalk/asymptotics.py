@@ -42,11 +42,12 @@ sqrt n; tilde denotes division by sigma*sqrt(n)):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import MissingIngredient, UnknownTheorem
-from .special import levy_psi, norm_cdf, quad, rayleigh_cdf
+from .errors import DomainError, MissingIngredient, UnknownTheorem
+from .special import levy_psi, norm_cdf, quad, rayleigh, rayleigh_cdf
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -86,8 +87,17 @@ def _ingredient(ing, name):
     return value
 
 
+# ingredients that are scales or horizons, so must be positive
+_POSITIVE = ("sigma", "drift.tilted_sigma", "n", "delta")
+
+
 def predict(theorem_id: str, **ing) -> Prediction:
-    """Evaluate one theorem's right-hand side from named ingredients."""
+    """Evaluate one theorem's right-hand side from named ingredients.
+
+    Every ingredient the theorem needs must be a finite real number, and
+    sigma, the tilted sigma, n and delta must be positive; anything else
+    raises DomainError.
+    """
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
         raise UnknownTheorem(f"theorem id {theorem_id!r} not registered")
@@ -95,6 +105,12 @@ def predict(theorem_id: str, **ing) -> Prediction:
     if missing:
         raise MissingIngredient(
             f"{theorem_id} missing ingredient(s): {', '.join(missing)}")
+    for k in theorem.needs:
+        v = _ingredient(ing, k)
+        if not (isinstance(v, numbers.Real) and math.isfinite(v)
+                and (v > 0 or k not in _POSITIVE)):
+            raise DomainError(f"{theorem_id} ingredient {k} must be a finite "
+                              f"number{' > 0' * (k in _POSITIVE)}, got {v!r}")
     return Prediction(float(theorem.kernel(ing)), theorem_id, dict(ing),
                       theorem.validity)
 
@@ -102,10 +118,6 @@ def predict(theorem_id: str, **ing) -> Prediction:
 # -- kernels ---------------------------------------------------------------
 # Kernels index the ingredients their entry needs, which predict has
 # checked; the optional t and the drift factor's x have defaults.
-
-
-def _rayleigh_density(s):
-    return s * math.exp(-0.5 * s * s) if s >= 0 else 0.0
 
 
 def _interval(kernel):
@@ -116,7 +128,7 @@ def _interval(kernel):
 def _aa001(ing):
     v_x, sigma, n = ing["v_x"], ing["sigma"], ing["n"]
     yt = ing["y"] / (sigma * math.sqrt(n))
-    return 2.0 * v_x / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(yt) * ing["f_int"]
+    return 2.0 * v_x / (SQRT2PI * sigma ** 2 * n) * rayleigh(yt)[0] * ing["f_int"]
 
 
 def _aa002_1(ing):
@@ -156,13 +168,13 @@ def _md_l(ing):
 def _bb002_1(ing):
     sigma, n = ing["sigma"], ing["n"]
     xt = ing["x"] / (sigma * math.sqrt(n))
-    return 2.0 / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt) * ing["f_vstar_int"]
+    return 2.0 / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0] * ing["f_vstar_int"]
 
 
 def _bb002_2(ing):
     sigma, n = ing["sigma"], ing["n"]
     xt = ing["x"] / (sigma * math.sqrt(n))
-    return (2.0 * ing["y"] / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt)
+    return (2.0 * ing["y"] / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0]
             * ing["f_int"])
 
 
@@ -204,7 +216,7 @@ def _tau_s(ing):
 def _tau_l(ing):
     kappa, sigma, n = _positive_kappa(ing), ing["sigma"], ing["n"]
     xt = ing["x"] / (sigma * math.sqrt(n))
-    return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * _rayleigh_density(xt)
+    return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0]
 
 
 def _tau_s_tilt(ing):
@@ -230,7 +242,7 @@ def _igl2(ing):
     n = ing["n"]
     xt = ing["x"] / (s_lam * math.sqrt(n))
     return (2.0 * factor / (SQRT2PI * s_lam ** 2 * n)
-            * _rayleigh_density(xt) * ing["drift"]["i_integral"])
+            * rayleigh(xt)[0] * ing["drift"]["i_integral"])
 
 
 def _llt(ing):

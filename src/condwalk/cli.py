@@ -1,7 +1,8 @@
 """condwalk command line: simulate, predict, harmonic, oracle, special, run, sweep.
 
 Exit codes for run/sweep: 0 all acceptance bands pass, 1 band failure,
-2 configuration error.
+2 configuration error.  Every subcommand exits with 2 on invalid input
+and on a file it cannot read or write.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _cmd_special(args) -> int:
 def _cmd_run(args, sweep=False) -> int:
     try:
         cfg = ExperimentConfig.from_json(args.config)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     cache = IngredientCache(args.cache) if args.cache else IngredientCache()
@@ -246,7 +247,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CondwalkError, json.JSONDecodeError, ValueError) as exc:
+    except (CondwalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Named experiments: Monte Carlo left sides against predictor right sides.
 
 An experiment binds a law, a theorem identifier and scalar parameters;
-running it computes the required ingredients (harmonic values, kappa,
-weighted dual integrals) the config does not supply, runs the matching
-Monte Carlo statistic for every horizon in n_list, and emits rows with
+running it computes every ingredient the theorem needs (harmonic values,
+kappa, weighted dual integrals) from the law, runs the matching Monte
+Carlo statistic for every horizon in n_list, and emits rows with
 the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
@@ -12,6 +12,8 @@ by a hash of the law, the side, the tilt and, for finite-support laws,
 their estimation parameters.  V(x) of a density law is read off the
 primal table; kappa and the weighted integrals are fixed Gauss-Legendre
 rules over the dual table's cells, not quadratures; none is cached.
+A config cannot supply an ingredient: exact constants go to
+``asymptotics.predict``, which takes them all by name.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass
@@ -41,6 +44,12 @@ from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: a law, a runnable theorem id and its parameters.
+
+    Ingredients (V(x) or V_lambda(x), kappa, I) are not fields: they are
+    computed from the law when the experiment runs.  Exact constants go
+    to ``asymptotics.predict`` (``condwalk predict --ingredients``).
+    """
     name: str
     law: str
     theorem_id: str
@@ -53,52 +62,62 @@ class ExperimentConfig:
     t: float | None = None
     q: float | None = None
     a: float | None = None
-    v_value: float | None = None      # None: computed, likewise below
-    kappa_value: float | None = None
-    i_value: float | None = None
     band: tuple = (0.0, math.inf)
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in self.n_list):
+            raise DomainError(f"n_list must hold positive integers, got "
+                              f"{list(self.n_list)!r}")
         if not self.n_list or list(self.n_list) != sorted(self.n_list):
             raise DomainError("n_list must be non-empty and ascending")
         if self.samples < 10 ** 3:
             raise DomainError("samples must be at least 1e3")
-        if not all(v is None or math.isfinite(v) for v in
-                   (self.v_value, self.kappa_value, self.i_value)):
-            raise DomainError("supplied ingredients must be finite")
+        if not (_finite(self.x) and self.x >= 0):
+            raise DomainError(f"x must be finite and >= 0, got {self.x!r}")
+        for name in ("y", "delta", "t", "q", "a"):
+            v = getattr(self, name)
+            if not (v is None or _finite(v) or name == "t" and v == math.inf):
+                raise DomainError(f"{name} must be null or a finite number, "
+                                  f"got {v!r}")
+        if self.delta is not None and not self.delta > 0:
+            raise DomainError(f"delta must be > 0, got {self.delta!r}")
+        if not (len(self.band) == 2
+                and all(isinstance(b, numbers.Real) for b in self.band)
+                and self.band[0] <= self.band[1]):
+            raise DomainError(f"band must be two numbers lo <= hi, got "
+                              f"{self.band!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise DomainError(f"a config is a JSON object, got {d!r}")
         policy = d.get("ingredient_policy", {})
+        if not isinstance(policy, dict) or any(
+                _COMPUTED.get(k) != v for k, v in policy.items()):
+            raise DomainError(
+                f"ingredient_policy {policy!r}: ingredients are computed "
+                f"from the law, and a policy may name only {_COMPUTED!r}; "
+                f"pass exact constants to predict (condwalk predict "
+                f"--ingredients)")
         return cls(
             name=d["name"], law=d["law"], theorem_id=d["theorem_id"],
             n_list=tuple(d["n_list"]), samples=int(d["samples"]),
             seed=int(d["seed"]), x=float(d.get("x", 0.0)),
             y=d.get("y"), delta=d.get("delta"), t=d.get("t"), q=d.get("q"),
-            a=d.get("a"),
-            v_value=_supplied(policy, "v_source", "ladder"),
-            kappa_value=_supplied(policy, "kappa_source", "computed"),
-            i_value=policy.get("i_value"),
-            band=tuple(d.get("band", (0.0, math.inf))))
+            a=d.get("a"), band=tuple(d.get("band", (0.0, math.inf))))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _supplied(policy, name, computed):
-    """The value of a {'supplied': value} or 'supplied:value' source, None
-    for ``computed`` ('ladder' for V, 'computed' for kappa)."""
-    spec = policy.get(name, computed)
-    if spec == computed:
-        return None
-    if isinstance(spec, str) and spec.startswith("supplied:"):
-        spec = {"supplied": spec[len("supplied:"):]}
-    try:
-        return float(spec["supplied"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError(f"{name} must be {computed!r} or supplied with a "
-                          f"value, got {spec!r}") from None
+# the only sources an ingredient_policy may name: the computed ones
+_COMPUTED = {"v_source": "ladder", "kappa_source": "computed"}
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -213,10 +232,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     """One row per horizon; raises for ids that cannot run as experiments.
 
     The theorem's registry entry decides everything: the ingredients to
-    compute are the ones it needs that the config does not supply, a
-    table is built only when one of them is read off it, and the
-    statistic and the walk come from its left side.  Under a tilt both
-    tables, and so V, are those of the tilted law.
+    compute are the ones it needs, a table is built only when one of them
+    is read off it, and the statistic and the walk come from its left
+    side.  Under a tilt both tables, and so V, are those of the tilted
+    law.  A prediction that is not positive (one that underflows to 0)
+    is a DomainError, raised before any path is drawn.
     """
     tid = cfg.theorem_id
     theorem = THEOREMS.get(tid)
@@ -238,8 +258,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         return _table_for(cfg.law, law, dual, tilt, seed, threads, cache)
 
     def v_x():
-        if cfg.v_value is not None:
-            return cfg.v_value
         sampler = tilt.sampler if tilt else law
         if is_solved(sampler):
             return table(False)(cfg.x)
@@ -250,8 +268,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     if "v_x" in needs:
         ing["v_x"] = v_x()
     if "kappa" in needs:
-        ing["kappa"] = cfg.kappa_value if cfg.kappa_value is not None \
-            else kappa_constant(law, table(True), tilt=tilt)
+        ing["kappa"] = kappa_constant(law, table(True), tilt=tilt)
     if "exp_vstar_int" in needs:
         ing["exp_vstar_int"] = weighted_table_integral(table(True), cfg.a)
     if tilt is not None:
@@ -260,14 +277,18 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         if "drift.v_lambda_x" in needs:
             drift["v_lambda_x"] = v_x()
         if "drift.i_integral" in needs:
-            drift["i_integral"] = cfg.i_value if cfg.i_value is not None \
-                else weighted_table_integral(table(True), tilt.lam)
+            drift["i_integral"] = weighted_table_integral(table(True),
+                                                          tilt.lam)
         ing["drift"] = drift
 
+    preds = [predict(tid, **{**ing, "n": n}).value for n in cfg.n_list]
+    for n, pred in zip(cfg.n_list, preds):
+        if not pred > 0:
+            raise DomainError(f"{tid} predicts {pred!r} at n={n}: the "
+                              f"MC/predicted ratio is undefined")
     rows = []
-    for j, n in enumerate(cfg.n_list):
+    for j, (n, pred) in enumerate(zip(cfg.n_list, preds)):
         seed_n = mix64(cfg.seed ^ mix64(7000 + j))
-        pred = predict(tid, **{**ing, "n": n}).value
         if theorem.walk == "free":
             mc = mc_unconditioned(law, n, stat, cfg.samples, seed_n, threads)
         elif tilt is not None:

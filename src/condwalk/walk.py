@@ -86,17 +86,24 @@ class Statistic:
 
     @classmethod
     def target(cls, f: TargetFunction, y_shift: float = 0.0, dual=False):
+        if math.isnan(float(y_shift)):
+            raise DomainError("target shift must be a number, got nan")
         return cls("target", f=TargetFunction.shifted(f, y_shift), dual=dual)
 
     @classmethod
     def interval(cls, y: float, delta: float, dual=False):
-        if delta <= 0:
-            raise DomainError("interval width must be positive")
-        return cls("interval", y=float(y), delta=float(delta), dual=dual)
+        y, delta = float(y), float(delta)
+        if math.isnan(y) or not delta > 0:
+            raise DomainError(f"interval needs a number y and a positive "
+                              f"width, got y={y!r}, delta={delta!r}")
+        return cls("interval", y=y, delta=delta, dual=dual)
 
     @classmethod
     def scaled_cdf(cls, t: float, dual=False):
-        return cls("scaled_cdf", t=float(t), dual=dual)
+        t = float(t)
+        if math.isnan(t):
+            raise DomainError("scaled_cdf threshold must be a number, got nan")
+        return cls("scaled_cdf", t=t, dual=dual)
 
     @classmethod
     def killed_position(cls, dual=False):

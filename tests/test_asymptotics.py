@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condwalk import MissingIngredient, THEOREM_IDS, UnknownTheorem, predict
+from condwalk import DomainError, MissingIngredient, THEOREM_IDS, \
+    UnknownTheorem, predict
 from condwalk.special import levy_psi, levy_psi_integral, norm_cdf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -193,6 +194,27 @@ def test_missing_ingredient_and_unknown_theorem():
         predict("TAU-S", kappa=-0.5, v_x=0.7, sigma=1.0, n=30)
     with pytest.raises(MissingIngredient):
         predict("EXPF", v_x=V0, sigma=1.0, n=400, a=-1.0, exp_vstar_int=3.0)
+
+
+_TAU_S_ING = {"kappa": 0.5, "v_x": V0, "sigma": 1.0, "n": 100}
+_TILTED = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0}
+
+
+@pytest.mark.parametrize("tid, ing", [
+    ("TAU-S", {**_TAU_S_ING, "v_x": math.nan}),
+    ("TAU-S", {**_TAU_S_ING, "kappa": math.inf}),
+    ("TAU-S", {**_TAU_S_ING, "v_x": "0.7"}),
+    ("TAU-S", {**_TAU_S_ING, "sigma": -1.0}),
+    ("TAU-S", {**_TAU_S_ING, "sigma": 0.0}),
+    ("TAU-S", {**_TAU_S_ING, "n": 0}),
+    ("MD", {"sigma": 1.0, "n": 100, "q": 0.1, "delta": math.nan}),
+    ("TAU-L-TILT", {"kappa": 0.5, "n": 30, "x": 5.0,
+                    "drift": {**_TILTED, "tilted_sigma": -1.0}})], ids=[
+    "v-x-nan", "kappa-inf", "v-x-string", "sigma-negative", "sigma-zero",
+    "n-zero", "delta-nan", "tilted-sigma-negative"])
+def test_invalid_ingredient_rejected(tid, ing):
+    with pytest.raises(DomainError):
+        predict(tid, **ing)
 
 
 def test_registry_covers_documented_ids():

@@ -65,15 +65,31 @@ _SIM = ["simulate", "--law", "gaussian:0,1", "--n", "3", "--samples", "1000",
         "--seed", "1"]
 
 
+_TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--theorem", "ICLT-S", "--ingredients", "[1]"],
     [*_SIM, "--stat", "interval", "--y", "1"],
     [*_SIM, "--stat", "scaled_cdf"],
     ["special", "eval", "--fn", "rayleigh"],
+    *(["predict", "--theorem", "TAU-S", "--ingredients",
+       json.dumps({**_TAU_S, **bad})]
+      for bad in ({"v_x": math.nan}, {"sigma": -1.0}, {"n": 0},
+                  {"v_x": "0.7"})),
 ], ids=["ingredients-not-object", "interval-no-delta", "scaled-cdf-no-t",
-        "special-no-args"])
+        "special-no-args", "predict-v-x-nan", "predict-sigma-negative",
+        "predict-n-zero", "predict-v-x-string"])
 def test_missing_input_is_config_error(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_unreadable_or_unwritable_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert run_cli(capsys, "predict", "--theorem", "TAU-S", "--ingredients",
+                   f"@{missing / 'ing.json'}")[0] == 2
+    assert run_cli(capsys, "harmonic", "build", "--law", "gaussian:0,1",
+                   "--out", str(missing / "t.csv"))[0] == 2
 
 
 def test_oracle_subcommands(capsys):
@@ -110,7 +126,6 @@ def test_special_eval(capsys):
 def test_run_subcommand_exit_codes(tmp_path, capsys):
     cfg = {"name": "cli-run", "law": "gaussian:0,1", "theorem_id": "ICLT-S",
            "x": 0.0, "n_list": [100], "samples": 100000, "seed": 7,
-           "ingredient_policy": {"v_source": {"supplied": 0.7071067811865476}},
            "band": [0.9, 1.1]}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -132,12 +147,13 @@ def test_run_subcommand_exit_codes(tmp_path, capsys):
     code, _ = run_cli(capsys, "run", "--config", str(bad))
     assert code == 2
 
-    cfg["band"] = [0.9, 1.1]  # a non-finite supplied V is a config error
-    cfg["ingredient_policy"] = {"v_source": "supplied:nan"}
-    path.write_text(json.dumps(cfg))
-    code, _ = run_cli(capsys, "run", "--config", str(path),
-                      "--cache", str(tmp_path / "cache"))
-    assert code == 2
+    cfg["band"] = [0.9, 1.1]  # ingredients are computed, never supplied
+    for bad in ({"ingredient_policy": {"v_source": "supplied:0.7071"}},
+                {"delta": math.nan}, {"y": "20"}, {"band": ["a", 2]}):
+        path.write_text(json.dumps({**cfg, **bad}))
+        code, _ = run_cli(capsys, "run", "--config", str(path),
+                          "--cache", str(tmp_path / "cache"))
+        assert code == 2, bad
 
 
 def test_sweep_subcommand(tmp_path, capsys):

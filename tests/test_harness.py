@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -26,8 +27,7 @@ EXPERIMENTS = sorted(Path(__file__).resolve().parents[1].glob("experiments/*.jso
 
 def _fast_cfg(**over):
     base = dict(name="t", law="gaussian:0,1", theorem_id="ICLT-S", x=0.0,
-                n_list=(100,), samples=10 ** 5, seed=7,
-                v_value=2 ** -0.5, band=(0.9, 1.1))
+                n_list=(100,), samples=10 ** 5, seed=7, band=(0.9, 1.1))
     base.update(over)
     return ExperimentConfig(**base)
 
@@ -125,8 +125,8 @@ def test_config_validation():
         _fast_cfg(n_list=(400, 100))
     with pytest.raises(ValueError):
         _fast_cfg(samples=10)
-    # V comes from its harmonic equation or is supplied; the killed-walk
-    # horizon is no source of it
+    # V comes from its harmonic equation; the killed-walk horizon is no
+    # source of it
     with pytest.raises(DomainError, match="v_source"):
         ExperimentConfig.from_dict(_raw_cfg({"v_source": "killed"}))
 
@@ -233,7 +233,7 @@ def test_unknown_ingredient_source_rejected(policy):
         ExperimentConfig.from_dict(_raw_cfg(policy))
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", ["0.7071", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("policy", [
     lambda v: {"v_source": {"supplied": v}},
     lambda v: {"v_source": f"supplied:{v}"},
@@ -242,36 +242,60 @@ def test_unknown_ingredient_source_rejected(policy):
     lambda v: {"i_value": float(v)}],
     ids=["v-dict", "v-str", "kappa-dict", "kappa-str", "i-value"])
 def test_non_finite_supplied_ingredient_rejected(policy, bad):
-    with pytest.raises(DomainError, match="finite"):
+    # a config supplies no ingredient, finite or not: exact constants go
+    # to predict
+    with pytest.raises(DomainError, match="computed from the law"):
         ExperimentConfig.from_dict(_raw_cfg(policy(bad)))
 
 
 def test_config_from_json_round_trip(tmp_path):
-    raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "ICLT-S",
-           "n_list": [100], "samples": 1000, "seed": 3,
-           "ingredient_policy": {"v_source": {"supplied": 0.70710678}},
+    raw = {"name": "n", "law": "gaussian:0,1", "theorem_id": "MD-C",
+           "n_list": [100, 400], "samples": 1000, "seed": 3, "x": 1.5,
+           "y": 20.0, "delta": 0.5, "t": math.inf, "q": 0.1, "a": 0.25,
            "band": [0.9, 1.1]}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(raw))
     cfg = ExperimentConfig.from_json(p)
-    assert cfg.v_value == 0.70710678
-    assert cfg.band == (0.9, 1.1)
+    assert dataclasses.asdict(cfg) == {**raw, "n_list": (100, 400),
+                                       "band": (0.9, 1.1)}
+
+
+@pytest.mark.parametrize("over", [
+    {"y": "20"}, {"delta": math.nan}, {"delta": 0.0}, {"n_list": [100.5]},
+    {"n_list": [0, 100]}, {"band": ["a", 2]}, {"band": [1.1, 0.9]},
+    {"x": -1.0}, {"x": math.inf}, {"t": math.nan}, {"q": math.inf},
+    {"a": "1"}, {"ingredient_policy": ["ladder"]}], ids=[
+    "y-string", "delta-nan", "delta-zero", "n-list-fraction", "n-list-zero",
+    "band-string", "band-reversed", "x-negative", "x-inf", "t-nan", "q-inf",
+    "a-string", "policy-not-object"])
+def test_malformed_config_rejected(over):
+    with pytest.raises(DomainError):
+        ExperimentConfig.from_dict({**_raw_cfg({}), **over})
+
+
+def test_underflowing_prediction_is_config_error(monkeypatch):
+    # psi(y~, x~) underflows to 0 at x = 20, y = 400, n = 50
+    monkeypatch.setattr(harness, "mc_estimate", None)  # no path is drawn
+    cfg = _fast_cfg(theorem_id="BB001D", x=20.0, y=400.0, delta=1.0,
+                    n_list=(50,))
+    with pytest.raises(DomainError, match="BB001D .* n=50"):
+        run_experiment(cfg)
 
 
 # (n, mc_mean, mc_stderr, predicted) of every bundled experiment's rows:
 # a change to the random stream or to an ingredient shows here
 _PINNED_ROWS = {
     "drifted_survival": [(100, "9.9865076842409328e-09",
-                          "1.1190787414791808e-10", 1.0942431913797159e-08)],
+                          "1.1190787414791808e-10", 1.094243271074025e-08)],
     "exit_time_local": [(100, "0.00028689999999999998",
-                         "5.355536547086313e-06", 0.00028209479177387816)],
+                         "5.355536547086313e-06", 0.0002821049767583915)],
     "interval_far_boundary": [(400, "0.0178", "0.00013222396712841996",
                                0.017247565694412232)],
     "moderate_deviations": [(400, "0.00083799999999999999",
                              "2.8936112269940369e-05",
-                             0.00080914912658674489)],
+                             0.0008091491855175028)],
     "survival_small_x": [(400, "0.028198000000000001",
-                          "0.00016553821371182001", 0.028209479177387815)],
+                          "0.00016553821371182001", 0.028209481231899074)],
     "unconditioned_llt": [(100, "0.039746999999999998",
                            "0.00019536431137291726", 0.039894228040143274),
                           (400, "0.019855999999999999",
@@ -319,15 +343,12 @@ def _predict_inputs(cfg, monkeypatch):
 
 
 def _solved_cfg(**over):
-    return _fast_cfg(**{"samples": 10 ** 3, "v_value": None, **over})
+    return _fast_cfg(**{"samples": 10 ** 3, **over})
 
 
-def test_default_v_source_solves_density_law(no_ladder):
-    solved = run_experiment(_solved_cfg(theorem_id="TAU-S"))
-    supplied = run_experiment(_fast_cfg(theorem_id="TAU-S", samples=10 ** 3,
-                                        v_value=0.7071067811865476))
-    assert solved[0].predicted == pytest.approx(supplied[0].predicted,
-                                                rel=1e-6)
+def test_default_v_source_solves_density_law(no_ladder, monkeypatch):
+    ing = _predict_inputs(_solved_cfg(theorem_id="TAU-S"), monkeypatch)
+    assert abs(ing["v_x"] - 2 ** -0.5) <= 1e-6
 
 
 def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
@@ -376,9 +397,12 @@ def test_finite_support_v_keeps_ladder(monkeypatch):
         return LadderEstimate(1.0, 0.01, 10 ** 5, kwargs["seed"], 0.0)
 
     monkeypatch.setattr(harness, "estimate_V_ladder", ladder)
+    # kappa is not under test here: building the finite-support ladder dual
+    # table it is read off takes seconds
+    monkeypatch.setattr(harness, "_table_for", lambda *args: None)
+    monkeypatch.setattr(harness, "kappa_constant", lambda *args, **kw: 0.5)
     cfg = _solved_cfg(name="fin", law="finite:-1,0.5;0.5,0.25;1.5,0.25",
-                      theorem_id="TAU-S", n_list=(21,), samples=4096, seed=11,
-                      kappa_value=0.5)
+                      theorem_id="TAU-S", n_list=(21,), samples=4096, seed=11)
     rows = run_experiment(cfg, threads=1)
     assert calls == [(parse_law(cfg.law), 0.0, {
         "samples": 10 ** 5, "seed": mix64(11 ^ 0xA5A5), "threads": 1})]
@@ -395,7 +419,7 @@ def test_solved_v_beyond_solve_span(no_ladder, monkeypatch):
     # the solve spans [0, 40 sigma]; beyond it V(x) = x + the table offset
     law = "gaussian:0,2"
     x = 60.0 * parse_law(law).sigma
-    ing = _predict_inputs(_solved_cfg(law=law, theorem_id="TAU-S", x=x,
-                                      kappa_value=2.0), monkeypatch)
+    ing = _predict_inputs(_solved_cfg(law=law, theorem_id="TAU-S", x=x),
+                          monkeypatch)
     offset = build_harmonic_table(parse_law(law)).extrapolation_offset
     assert abs(ing["v_x"] - (x + offset)) <= 1e-6

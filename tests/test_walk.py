@@ -321,6 +321,11 @@ def test_unconditioned_interval_matches_normal_mass(gauss_law):
 
 _BAD_STATISTICS = {
     "interval_width": lambda law: Statistic.interval(1.0, 0.0),
+    "interval_nan_width": lambda law: Statistic.interval(1.0, math.nan),
+    "interval_nan_y": lambda law: Statistic.interval(math.nan, 1.0),
+    "scaled_cdf_nan": lambda law: Statistic.scaled_cdf(math.nan),
+    "target_nan_shift": lambda law: Statistic.target(
+        TargetFunction.exponential(1.0), math.nan),
     "unknown_kind": lambda law: mc_estimate(
         law, 0.0, 5, Statistic("median"), 1000, seed=1),
     "dual_and_primal": lambda law: mc_estimates(
