@@ -18,7 +18,6 @@ from condwalk import (CensoringExcess, IncrementLaw, build_harmonic_table,
                       estimate_V_killed, estimate_V_ladder,
                       harmonicity_residual, kappa_constant,
                       kappa_extension_form)
-from condwalk.harmonic import default_grid
 
 warnings.simplefilter("ignore", CensoringExcess)
 
@@ -44,7 +43,8 @@ print("=" * 72)
 table = build_harmonic_table(law)
 print(f"  {len(table.grid)} lattice points on [0, {table.grid[-1]:.0f}], "
       f"largest error estimate {max(v.stderr for v in table.values):.1e}")
-for x in default_grid(law.sigma):
+for x in (0.0, 0.5, 2 ** -0.5, 1.0, 2 ** 0.5, 2.0, 2 ** 1.5, 4.0, 2 ** 2.5,
+          8.0, 2 ** 3.5, 16.0, 2 ** 4.5, 32.0):
     v = table(x)
     print(f"  x={x:7.3f}   V={v:8.4f}   V-x={v - x:+.4f}")
 print(f"  extrapolation offset: {table.extrapolation_offset:.4f}")

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, MissingIngredient, UnknownTheorem
-from .special import levy_psi, norm_cdf, quad, rayleigh, rayleigh_cdf
+from .special import levy_psi, levy_psi_integral, rayleigh, rayleigh_cdf
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -94,9 +94,9 @@ _POSITIVE = ("sigma", "drift.tilted_sigma", "n", "delta")
 def predict(theorem_id: str, **ing) -> Prediction:
     """Evaluate one theorem's right-hand side from named ingredients.
 
-    Every ingredient the theorem needs must be a finite real number, and
-    sigma, the tilted sigma, n and delta must be positive; anything else
-    raises DomainError.
+    Every ingredient present, needed or not, must be a finite real number
+    (t may also be +inf); sigma, the tilted sigma, n and delta must be
+    positive and x non-negative.  Anything else raises DomainError.
     """
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
@@ -105,19 +105,23 @@ def predict(theorem_id: str, **ing) -> Prediction:
     if missing:
         raise MissingIngredient(
             f"{theorem_id} missing ingredient(s): {', '.join(missing)}")
-    for k in theorem.needs:
+    for k in _INGREDIENTS:
         v = _ingredient(ing, k)
-        if not (isinstance(v, numbers.Real) and math.isfinite(v)
-                and (v > 0 or k not in _POSITIVE)):
+        if not (v is None or isinstance(v, numbers.Real)
+                and (math.isfinite(v) or k == "t" and v == math.inf)
+                and (v > 0 or k not in _POSITIVE) and (v >= 0 or k != "x")):
+            bound = {"x": " >= 0", "t": " or +inf"}.get(
+                k, " > 0" if k in _POSITIVE else "")
             raise DomainError(f"{theorem_id} ingredient {k} must be a finite "
-                              f"number{' > 0' * (k in _POSITIVE)}, got {v!r}")
+                              f"number{bound}, got {v!r}")
     return Prediction(float(theorem.kernel(ing)), theorem_id, dict(ing),
                       theorem.validity)
 
 
 # -- kernels ---------------------------------------------------------------
 # Kernels index the ingredients their entry needs, which predict has
-# checked; the optional t and the drift factor's x have defaults.
+# checked with every other one present; the optional t and the drift
+# factor's x have defaults.
 
 
 def _interval(kernel):
@@ -188,11 +192,7 @@ def _iclt_s(ing):
 def _iclt_l(ing):
     t = ing.get("t")  # missing or None means t = inf
     xt = ing["x"] / (ing["sigma"] * math.sqrt(ing["n"]))
-    if t is None or t == math.inf:
-        return 2.0 * float(norm_cdf(xt)) - 1.0
-    if t <= 0.0:
-        return 0.0
-    return quad(lambda s: levy_psi(s, xt), 0.0, t, tol=1e-11)
+    return levy_psi_integral(math.inf if t is None else t, xt)
 
 
 def _drift_factor(ing):
@@ -323,3 +323,6 @@ THEOREMS = {
 }
 
 THEOREM_IDS = tuple(sorted(THEOREMS))
+
+# every ingredient a kernel reads, the optional t included
+_INGREDIENTS = sorted({"t"}.union(*(v.needs for v in THEOREMS.values())))

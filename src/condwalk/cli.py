@@ -15,7 +15,7 @@ import sys
 from . import special as sp
 from .asymptotics import THEOREM_IDS, predict
 from .errors import CondwalkError
-from .harmonic import TableParams, build_harmonic_table, kappa_constant, \
+from .harmonic import build_harmonic_table, kappa_constant, \
     kappa_extension_form
 from .harness import ExperimentConfig, IngredientCache, band_pass, \
     convergence_sweep, emit_report, row_record, run_experiment
@@ -75,9 +75,8 @@ def _cmd_predict(args) -> int:
 def _cmd_harmonic(args) -> int:
     law = parse_law(args.law)
     tilt = cramer_tilt(law) if abs(law.mean) > 1e-13 else None
-    tab = build_harmonic_table(law, params=TableParams(seed=args.seed),
-                               dual=args.dual or args.action == "kappa",
-                               tilt=tilt, threads=args.threads)
+    tab = build_harmonic_table(law, dual=args.dual or args.action == "kappa",
+                               tilt=tilt)
     if args.action == "build":
         lines = ["x,v_mean,v_stderr,count"]
         for x, v in zip(tab.grid, tab.values):
@@ -206,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON object, or @path to a JSON file")
     pr.set_defaults(func=_cmd_predict)
 
-    hm = sub.add_parser("harmonic", help="harmonic-function tables and kappa")
+    hm = sub.add_parser("harmonic", help="V tables and kappa of a density law")
     hm.add_argument("action", choices=["build", "kappa"])
     hm.add_argument("--law", required=True)
-    hm.add_argument("--seed", type=int, default=0)
     hm.add_argument("--dual", action="store_true")
-    hm.add_argument("--threads", type=int, default=None)
     hm.add_argument("--out", default=None, help="CSV output path (build)")
     hm.set_defaults(func=_cmd_harmonic)
 

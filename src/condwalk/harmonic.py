@@ -11,15 +11,16 @@ not, ``increments`` owns; one Richardson step combines the solves at
 steps h and h/2 (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4).
 
-Finite-support laws, and the independent cross-check, use two Monte Carlo
-estimators: the ladder estimator walks each path to its exit (or a step
-cap) and averages the exit value, while the killed estimator averages the
+Finite-support laws get no table.  V(x) of one, and the independent
+cross-check of the solved tables, come from two Monte Carlo estimators:
+the ladder estimator walks each path to its exit (or a step cap) and
+averages the exit value, while the killed estimator averages the
 position at a finite horizon, E(x + S_n; tau_x > n), which increases to
 V(x).  Both run under the base law, its dual (negated increments), or a
 mean-zero tilted law.
 
-A HarmonicTable (a solved one on the solver's node lattice) interpolates
-linearly and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
+A HarmonicTable holds the solver's node lattice, interpolates linearly
+and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
 kappa, its tilted versions and the weighted integrals of a table are
 fixed 6-point Gauss-Legendre rules on the table's cells, not quadratures.
 scipy.linalg is imported inside the solve, so ``import condwalk`` loads
@@ -38,7 +39,6 @@ from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
 from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
     TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
-from .rngstream import mix64
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
     _mc_many, _sum_m2
@@ -102,15 +102,15 @@ def estimate_V_killed(law, x: float, n: int, samples: int, seed: int,
 # Nyström solve of the harmonic equation for density laws
 
 
-_SOLVE_SPAN = 40.0  # L in units of sigma, beyond the default grid's 32
+_SOLVE_SPAN = 40.0  # L in units of sigma
 _SOLVE_STEP = 0.1   # coarse node spacing in units of sigma
 
 
 def is_solved(sampler) -> bool:
-    """Whether V under ``sampler`` is solved rather than ladder-estimated.
+    """Whether V under ``sampler`` is solved, so has a harmonic table.
 
     True for the density laws and their Cramér tilts, False for
-    finite-support laws.  Tables and single values of V follow this rule.
+    finite-support laws, whose V is a ladder estimate at one point.
     """
     return _density_law(sampler, False) is not None
 
@@ -225,36 +225,13 @@ def _solved_table(law, sigma):
 # Tables
 
 
-DEFAULT_GRID_HALF_STEPS = range(-2, 11)  # sigma * 2^(k/2)
-
-
-def default_grid(sigma: float):
-    pts = [0.0] + [sigma * 2.0 ** (k / 2.0) for k in DEFAULT_GRID_HALF_STEPS]
-    return tuple(pts)
-
-
-_REL_ACCURACY = 0.006  # ladder stderr target per unit of x/sigma beyond 0
-
-
 @dataclass(frozen=True)
 class TableParams:
-    """Monte Carlo budget of the ladder tables of finite-support laws."""
+    """Accepted by ``build_harmonic_table`` and ignored: a solved table
+    draws no paths, so it has no Monte Carlo budget or seed."""
 
-    accuracy: float = 0.01     # stderr target at x = 0, in units of sigma
+    accuracy: float = 0.01
     seed: int = 0
-
-    def point_budget(self, x: float, sigma: float):
-        """Per-point (samples, cap) hitting the stderr target.
-
-        The exit-value spread is O(sigma), so samples ~ (sigma/target)^2;
-        the cap keeps the censoring bias, roughly the survival probability
-        at the cap times (x + sigma), at the order of the target.
-        """
-        xt = x / sigma
-        target = max(self.accuracy, _REL_ACCURACY * xt) * sigma
-        samples = max(300, int((1.2 * sigma / target) ** 2))
-        cap = max(10 ** 5, int(((xt + 1.0) ** 2 * sigma / target) ** 2))
-        return samples, cap
 
 
 @dataclass(frozen=True)
@@ -268,7 +245,16 @@ class HarmonicTable:
     _means: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_grid", np.array(self.grid, dtype=float))
+        # np.interp needs ascending points; a table read back from a cache
+        # file is checked here too
+        g = np.array(self.grid, dtype=float)
+        if not (g.size and g.size == len(self.values)
+                and np.isfinite(g).all() and g[0] >= 0.0
+                and (np.diff(g) > 0.0).all()):
+            raise DomainError("grid must be non-empty, finite, non-negative, "
+                              "strictly ascending and one point per value, "
+                              f"got {self.grid!r}")
+        object.__setattr__(self, "_grid", g)
         object.__setattr__(self, "_means",
                            np.array([v.mean for v in self.values]))
 
@@ -280,57 +266,28 @@ class HarmonicTable:
         return float(out) if out.ndim == 0 else out
 
 
-def _check_grid(grid):
-    g = np.asarray(grid, dtype=float)
-    if not (g.size and np.isfinite(g).all() and g[0] >= 0.0
-            and (np.diff(g) > 0.0).all()):
-        raise DomainError("grid must be non-empty, finite, non-negative and "
-                          f"strictly ascending, got {grid!r}")
-    return tuple(grid)
-
-
-def build_harmonic_table(law, grid=None, params: TableParams | None = None,
+def build_harmonic_table(law, params: TableParams | None = None,
                          dual: bool = False, tilt: TiltedLaw | None = None,
                          threads: int | None = None) -> HarmonicTable:
-    """V (or V*, or their tilted versions) as a table.
+    """V (or V*, or their tilted versions) solved on the solver's lattice.
 
-    With a tilt the table is that of the mean-zero tilted law.  Density
-    laws are solved on the finer solve's node lattice (step about 0.05
-    sigma up to L, about 800 points; ``count`` 0, ``stderr`` the solver's
-    error estimate, offset V(L) - L) and take no ``grid``: V at any x is
-    ``table(x)``.  Finite-support laws are ladder estimates under
-    ``params`` on ``grid``, by default ``default_grid``, with the offset
-    an inverse-variance fit of (estimate - x) over the top grid decade.
+    With a tilt the table is that of the mean-zero tilted law.  The grid
+    is the finer solve's node lattice (step about 0.05 sigma up to L,
+    about 800 points), each value has ``count`` 0 and ``stderr`` the
+    solver's error estimate, and the offset is V(L) - L; V at any x is
+    ``table(x)``.  A finite-support law has no density to solve with and
+    raises DomainError: ``estimate_V_ladder`` gives V at one point.
+    ``params`` and ``threads`` are accepted and ignored.
     """
-    params = params or TableParams()
     sampler = tilt.sampler if tilt is not None else law
-    _require_zero_mean(sampler)
-    sigma = sampler.sigma
-    lam = tilt.lam if tilt is not None else None
     density = _density_law(sampler, dual)
-    if density is not None:
-        if grid is not None:
-            raise DomainError("a solved table takes no grid: it holds the "
-                              "solver's node lattice; read V(x) as table(x)")
-        grid, values, offset = _solved_table(density, sigma)
-        return HarmonicTable(grid, values, dual, lam, offset)
-
-    grid = default_grid(sigma) if grid is None else _check_grid(grid)
-    values = []
-    for j, x in enumerate(grid):
-        pt_seed = mix64(params.seed ^ mix64(1000 + j))
-        n_pt, cap_pt = params.point_budget(x, sigma)
-        values.append(estimate_V_ladder(sampler, x, cap=cap_pt, samples=n_pt,
-                                        seed=pt_seed, dual=dual,
-                                        threads=threads))
-    top = [i for i, x in enumerate(grid) if x >= grid[-1] / 10.0 and x > 0]
-    wsum = vsum = 0.0
-    for i in top:
-        w = 1.0 / max(values[i].stderr, 1e-12) ** 2
-        wsum += w
-        vsum += w * (values[i].mean - grid[i])
-    offset = vsum / wsum if wsum > 0 else 0.0
-    return HarmonicTable(grid, tuple(values), dual, lam, offset)
+    if density is None:
+        raise DomainError("a finite-support law has no harmonic table; "
+                          "estimate_V_ladder gives V at one point")
+    _require_zero_mean(sampler)
+    grid, values, offset = _solved_table(density, sampler.sigma)
+    return HarmonicTable(grid, values, dual,
+                         tilt.lam if tilt is not None else None, offset)
 
 
 def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,

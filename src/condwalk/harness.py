@@ -7,11 +7,12 @@ Carlo statistic for every horizon in n_list, and emits rows with
 the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
-It builds at most one harmonic table per side, cached on disk and keyed
-by a hash of the law, the side, the tilt and, for finite-support laws,
-their estimation parameters.  V(x) of a density law is read off the
-primal table; kappa and the weighted integrals are fixed Gauss-Legendre
-rules over the dual table's cells, not quadratures; none is cached.
+It builds at most one solved harmonic table per side, cached on disk
+and keyed by a hash of the law, the side and the tilt.  V(x) is read off
+the primal table (one ladder estimate for a finite-support law); kappa
+and the weighted integrals are fixed Gauss-Legendre rules over the dual
+table's cells; none is cached.  Lattice laws are refused: the theorems
+assume non-lattice increments.
 A config cannot supply an ingredient: exact constants go to
 ``asymptotics.predict``, which takes them all by name.
 """
@@ -32,10 +33,9 @@ from pathlib import Path
 from .asymptotics import THEOREMS, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
-from .harmonic import HarmonicTable, LadderEstimate, TableParams, \
-    build_harmonic_table, estimate_V_ladder, is_solved, kappa_constant, \
-    weighted_table_integral
-from .increments import cramer_tilt, parse_law
+from .harmonic import HarmonicTable, build_harmonic_table, \
+    estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
+from .increments import cramer_tilt, is_lattice, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
@@ -65,14 +65,16 @@ class ExperimentConfig:
     band: tuple = (0.0, math.inf)
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) and n >= 1
-                   for n in self.n_list):
+        if not all(_integer(n) and n >= 1 for n in self.n_list):
             raise DomainError(f"n_list must hold positive integers, got "
                               f"{list(self.n_list)!r}")
         if not self.n_list or list(self.n_list) != sorted(self.n_list):
             raise DomainError("n_list must be non-empty and ascending")
-        if self.samples < 10 ** 3:
-            raise DomainError("samples must be at least 1e3")
+        if not (_integer(self.samples) and self.samples >= 10 ** 3):
+            raise DomainError(f"samples must be an integer >= 1e3, got "
+                              f"{self.samples!r}")
+        if not _integer(self.seed):
+            raise DomainError(f"seed must be an integer, got {self.seed!r}")
         if not (_finite(self.x) and self.x >= 0):
             raise DomainError(f"x must be finite and >= 0, got {self.x!r}")
         for name in ("y", "delta", "t", "q", "a"):
@@ -102,10 +104,10 @@ class ExperimentConfig:
                 f"--ingredients)")
         return cls(
             name=d["name"], law=d["law"], theorem_id=d["theorem_id"],
-            n_list=tuple(d["n_list"]), samples=int(d["samples"]),
-            seed=int(d["seed"]), x=float(d.get("x", 0.0)),
-            y=d.get("y"), delta=d.get("delta"), t=d.get("t"), q=d.get("q"),
-            a=d.get("a"), band=tuple(d.get("band", (0.0, math.inf))))
+            n_list=tuple(d["n_list"]), samples=d["samples"], seed=d["seed"],
+            x=d.get("x", 0.0), y=d.get("y"), delta=d.get("delta"),
+            t=d.get("t"), q=d.get("q"), a=d.get("a"),
+            band=tuple(d.get("band", (0.0, math.inf))))
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -118,6 +120,10 @@ _COMPUTED = {"v_source": "ladder", "kappa_source": "computed"}
 
 def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and math.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -173,24 +179,18 @@ class IngredientCache:
         return value
 
 
-# Bumped with any change to the table solver or estimators, the default
-# grids, TableParams.point_budget, the random stream or the entry layout,
-# so that tables cached before it are misses.
-_CACHE_VERSION = 6
+# Bumped with any change to the table solver or the entry layout, so
+# that tables cached before it are misses.
+_CACHE_VERSION = 7
 
 
-def _table_for(law_str, law, dual, tilt, seed, threads, cache):
-    params = TableParams(seed=seed)
-    # only finite-support tables are estimated under params; the solved
-    # tables of density laws read none of them, so every seed shares one
+def _table_for(law_str, law, dual, tilt, cache):
     key = {"kind": "table", "version": _CACHE_VERSION, "law": law_str,
-           "dual": dual, "tilt": tilt.lam if tilt else None,
-           "params": None if is_solved(law) else dataclasses.asdict(params)}
+           "dual": dual, "tilt": tilt.lam if tilt else None}
+    columns = dataclasses.fields(McEstimate)
 
     def compute():
-        tab = build_harmonic_table(law, dual=dual, tilt=tilt,
-                                   params=params, threads=threads)
-        columns = dataclasses.fields(tab.values[0])
+        tab = build_harmonic_table(law, dual=dual, tilt=tilt)
         return {"grid": list(tab.grid),
                 "values": {f.name: [getattr(v, f.name) for v in tab.values]
                            for f in columns},
@@ -198,9 +198,7 @@ def _table_for(law_str, law, dual, tilt, seed, threads, cache):
                 "tilt": tab.tilt, "dual": tab.dual}
 
     raw = cache.get_or_compute(key, compute) if cache else compute()
-    cols = raw["values"]  # all ladder estimates, or all solved
-    kind = LadderEstimate if "censor_rate" in cols else McEstimate
-    vals = tuple(map(kind, *(cols[f.name] for f in dataclasses.fields(kind))))
+    vals = tuple(map(McEstimate, *(raw["values"][f.name] for f in columns)))
     return HarmonicTable(tuple(raw["grid"]), vals, raw["dual"], raw["tilt"],
                          raw["offset"])
 
@@ -227,6 +225,10 @@ def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
     return Statistic.survival()
 
 
+# the ingredients read off the dual table
+_TABLE_INGREDIENTS = ("kappa", "exp_vstar_int", "drift.i_integral")
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
                    cache: IngredientCache | None = None):
     """One row per horizon; raises for ids that cannot run as experiments.
@@ -235,8 +237,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     compute are the ones it needs, a table is built only when one of them
     is read off it, and the statistic and the walk come from its left
     side.  Under a tilt both tables, and so V, are those of the tilted
-    law.  A prediction that is not positive (one that underflows to 0)
-    is a DomainError, raised before any path is drawn.
+    law.  A lattice law, a finite-support law under an id that needs a
+    table ingredient, and a prediction that is not positive (one that
+    underflows to 0) are DomainErrors, raised before any path is drawn.
     """
     tid = cfg.theorem_id
     theorem = THEOREMS.get(tid)
@@ -245,8 +248,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         raise UnknownTheorem(f"{tid!r} is not runnable as an experiment "
                              f"(supported: {runnable})")
     law = parse_law(cfg.law)
-    stat = _left_statistic(cfg, theorem.left)
+    if is_lattice(law):
+        raise DomainError(f"{tid}: {cfg.law!r} is a lattice law, and the "
+                          f"theorems hold for non-lattice laws only")
     needs = theorem.needs
+    tabled = [k for k in _TABLE_INGREDIENTS if k in needs]
+    if tabled and not is_solved(law):
+        raise DomainError(f"{tid} needs {', '.join(tabled)} off a harmonic "
+                          f"table, and the finite-support law {cfg.law!r} "
+                          f"has none")
+    stat = _left_statistic(cfg, theorem.left)
     # f_int is the integral of the indicator of [y, y + delta]
     ing = {"sigma": law.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
            "q": cfg.q, "t": cfg.t, "a": cfg.a, "f_int": cfg.delta}
@@ -254,8 +265,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
 
     @functools.cache
     def table(dual):
-        seed = mix64(cfg.seed ^ (0xD0 if tilt else 0xD1))
-        return _table_for(cfg.law, law, dual, tilt, seed, threads, cache)
+        return _table_for(cfg.law, law, dual, tilt, cache)
 
     def v_x():
         sampler = tilt.sampler if tilt else law

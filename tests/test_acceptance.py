@@ -27,7 +27,6 @@ from condwalk import (CensoringExcess, IncrementLaw, KernelSpec, Statistic,
                       smoothing_kernel, sparre_andersen_exit_at,
                       sparre_andersen_survival, verify_duality,
                       weighted_table_integral)
-from condwalk.harmonic import default_grid
 from condwalk.rngstream import mix64
 from condwalk.special import quad, rayleigh_cdf
 from conftest import spitzer_drifted_survival

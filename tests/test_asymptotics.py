@@ -209,9 +209,17 @@ _TILTED = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0}
     ("TAU-S", {**_TAU_S_ING, "n": 0}),
     ("MD", {"sigma": 1.0, "n": 100, "q": 0.1, "delta": math.nan}),
     ("TAU-L-TILT", {"kappa": 0.5, "n": 30, "x": 5.0,
-                    "drift": {**_TILTED, "tilted_sigma": -1.0}})], ids=[
+                    "drift": {**_TILTED, "tilted_sigma": -1.0}}),
+    # ingredients an id reads but does not need are checked too
+    ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "t": math.nan}),
+    ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "t": -math.inf}),
+    ("TAU-S-TILT", {"kappa": 0.5, "n": 30, "x": math.nan,
+                    "drift": {**_TILTED, "v_lambda_x": V0}}),
+    ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "x": -1.0}),
+    ("TAU-S", {**_TAU_S_ING, "y": "20"})], ids=[
     "v-x-nan", "kappa-inf", "v-x-string", "sigma-negative", "sigma-zero",
-    "n-zero", "delta-nan", "tilted-sigma-negative"])
+    "n-zero", "delta-nan", "tilted-sigma-negative", "t-nan", "t-minus-inf",
+    "x-nan-unneeded", "x-negative", "y-string-unneeded"])
 def test_invalid_ingredient_rejected(tid, ing):
     with pytest.raises(DomainError):
         predict(tid, **ing)

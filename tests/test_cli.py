@@ -77,9 +77,16 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
        json.dumps({**_TAU_S, **bad})]
       for bad in ({"v_x": math.nan}, {"sigma": -1.0}, {"n": 0},
                   {"v_x": "0.7"})),
+    ["predict", "--theorem", "ICLT-S", "--ingredients",
+     json.dumps({"v_x": 0.7071, "sigma": 1.0, "n": 100, "t": math.nan})],
+    ["predict", "--theorem", "TAU-S-TILT", "--ingredients", json.dumps(
+        {"kappa": 0.5, "n": 30, "x": math.nan, "drift": {
+            "lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
+            "v_lambda_x": 0.7071}})],
 ], ids=["ingredients-not-object", "interval-no-delta", "scaled-cdf-no-t",
         "special-no-args", "predict-v-x-nan", "predict-sigma-negative",
-        "predict-n-zero", "predict-v-x-string"])
+        "predict-n-zero", "predict-v-x-string", "predict-t-nan",
+        "predict-tilt-x-nan"])
 def test_missing_input_is_config_error(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
 
@@ -149,7 +156,8 @@ def test_run_subcommand_exit_codes(tmp_path, capsys):
 
     cfg["band"] = [0.9, 1.1]  # ingredients are computed, never supplied
     for bad in ({"ingredient_policy": {"v_source": "supplied:0.7071"}},
-                {"delta": math.nan}, {"y": "20"}, {"band": ["a", 2]}):
+                {"delta": math.nan}, {"y": "20"}, {"band": ["a", 2]},
+                {"law": "finite:-1,0.5;1,0.5"}):
         path.write_text(json.dumps({**cfg, **bad}))
         code, _ = run_cli(capsys, "run", "--config", str(path),
                           "--cache", str(tmp_path / "cache"))
@@ -172,10 +180,20 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 def test_harmonic_build_csv(tmp_path, capsys):
     out_path = tmp_path / "table.csv"
-    code, _ = run_cli(capsys, "harmonic", "build", "--law",
-                      "finite:-1,0.5;1,0.5", "--seed", "4",
+    code, _ = run_cli(capsys, "harmonic", "build", "--law", "uniform:-1,1",
                       "--out", str(out_path))
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,v_mean,v_stderr,count"
     assert len(lines) > 10
+    assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+
+
+def test_harmonic_refuses_finite_law_and_seed(capsys):
+    # a finite-support law has no table, and a solved table draws no paths
+    for action in ("build", "kappa"):
+        assert run_cli(capsys, "harmonic", action, "--law",
+                       "finite:-1,0.5;1,0.5")[0] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["harmonic", "build", "--law", "uniform:-1,1", "--seed", "4"])
+    assert exc.value.code == 2

@@ -8,13 +8,13 @@ from scipy.special import zeta
 
 from condwalk import (CensoringExcess, DomainError, DriftedLaw,
                       HarmonicTable, IncrementLaw, McEstimate,
-                      QuadratureFailure, TableParams,
-                      build_harmonic_table, cramer_tilt, estimate_V_killed,
-                      estimate_V_ladder, harmonicity_residual, kappa_constant,
+                      QuadratureFailure, build_harmonic_table, cramer_tilt,
+                      estimate_V_killed, estimate_V_ladder,
+                      harmonicity_residual, kappa_constant,
                       kappa_extension_form, parse_law, predict,
                       weighted_table_integral)
 from condwalk import harmonic
-from condwalk.harmonic import _density_law, _node_step, default_grid
+from condwalk.harmonic import _density_law, _node_step
 from condwalk.rngstream import mix64
 
 from conftest import spitzer_drifted_survival, within_stderr
@@ -24,18 +24,12 @@ UNIFORM = IncrementLaw.uniform(-1.0, 1.0)
 
 @pytest.fixture(scope="module")
 def gauss_table(gauss_law):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        return build_harmonic_table(gauss_law, params=TableParams(seed=10),
-                                    threads=2)
+    return build_harmonic_table(gauss_law)
 
 
 @pytest.fixture(scope="module")
 def uniform_table():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        return build_harmonic_table(UNIFORM, params=TableParams(seed=11),
-                                    threads=2)
+    return build_harmonic_table(UNIFORM)
 
 
 def test_ladder_value_at_zero_spitzer(gauss_law):
@@ -117,20 +111,11 @@ def test_table_extrapolation_query(gauss_table):
     assert v64 == pytest.approx(64.0 + gauss_table.extrapolation_offset)
 
 
-def test_default_grid_shape(gauss_law):
-    g = default_grid(gauss_law.sigma)
-    assert g[0] == 0.0 and g[-1] == pytest.approx(32.0)
-    assert list(g) == sorted(g)
-
-
 def test_tilted_table_matches_plain_gaussian(gauss_table):
     drifted = IncrementLaw.gaussian(-0.5, 1.0)
     tilt = cramer_tilt(drifted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        tab = build_harmonic_table(drifted, params=TableParams(seed=10),
-                                   tilt=tilt, threads=2)
-    # the tilted law IS gaussian(0,1); same seeds give identical estimates
+    tab = build_harmonic_table(drifted, tilt=tilt)
+    # the tilted law IS gaussian(0,1), and the solve draws no random numbers
     assert tab.tilt == 0.5
     for a, b in zip(tab.values, gauss_table.values):
         assert a.mean == b.mean
@@ -210,30 +195,33 @@ def test_solved_table_matches_ladder(spec, dual, tilted):
         assert abs(est.mean - tab(x)) <= 4.0 * est.stderr + bias, (x, est)
 
 
+@pytest.mark.parametrize("spec", ["finite:-1,0.5;1,0.5",
+                                  "finite:-1,0.5;0.41421356237309515,0.25;"
+                                  "1.58578643762690485,0.25"],
+                         ids=["lattice", "non-lattice"])
+def test_table_refuses_finite_support_law(spec):
+    # only a density law has a table; V of a finite law is a ladder point
+    with pytest.raises(DomainError, match="estimate_V_ladder"):
+        build_harmonic_table(parse_law(spec))
+
+
 @pytest.mark.parametrize("grid", [(-1.0,), (math.nan,), (0.0, math.inf),
                                   (1.0, 0.5), (0.0, 0.0), ()])
 def test_table_rejects_bad_grid(grid):
     # HarmonicTable interpolates with np.interp, which needs ascending points
-    with pytest.raises(DomainError):
-        build_harmonic_table(IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5]),
-                             grid=grid)
-
-
-def test_solved_table_takes_no_grid(gauss_law):
-    # a solved table is the solver's node lattice; V(x) is table(x)
-    with pytest.raises(DomainError, match=r"table\(x\)"):
-        build_harmonic_table(gauss_law, grid=(0.0, 1.0))
+    with pytest.raises(DomainError, match="grid"):
+        HarmonicTable(grid, tuple(McEstimate(1.0, 0.0, 0, 0) for _ in grid))
 
 
 def test_finite_support_table_is_estimated():
+    # simple symmetric walk: V(x) = floor(x) + 1, at 576 paths a point
     law = IncrementLaw.finite([-1.0, 1.0], [0.5, 0.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        tab = build_harmonic_table(law, grid=(0.0, 1.0),
-                                   params=TableParams(accuracy=0.05, seed=3))
-    assert all(v.count > 0 for v in tab.values)
-    # simple symmetric walk: V(x) = floor(x) + 1
-    for x, v in zip(tab.grid, tab.values):
+    for j, x in enumerate((0.0, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CensoringExcess)
+            v = estimate_V_ladder(law, x, cap=10 ** 5, samples=576,
+                                  seed=mix64(3 ^ mix64(1000 + j)))
+        assert v.count > 0
         assert abs(v.mean - (x + 1.0)) <= 4.0 * v.stderr + 0.01
 
 
@@ -288,23 +276,22 @@ def test_kappa_uniform(uniform_table):
 
 
 def test_kappa_finite_support_forms_agree():
+    # lazy walk on {-1, 0, 1}: the exact V*(t) = floor(t) + 1, each step
+    # taken over [k - 1e-9, k]; both forms are sigma^2 / 2 = 1/3 up to
+    # that ramp
     law = IncrementLaw.finite([-1.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        tab = build_harmonic_table(law, params=TableParams(seed=12), threads=2)
-    k = kappa_constant(law, tab)
-    k2 = kappa_extension_form(law, tab)
-    assert k > 0
-    assert abs(k - k2) / k <= 0.02
+    grid = [0.0] + [t for k in (1, 2, 3) for t in (k - 1e-9, k)]
+    means = [1.0] + [v for k in (1, 2, 3) for v in (k, k + 1.0)]
+    tab = HarmonicTable(tuple(grid), tuple(McEstimate(m, 0.0, 0, 0)
+                                           for m in means), True, None, 1.0)
+    for form in (kappa_constant, kappa_extension_form):
+        assert abs(form(law, tab) - law.variance / 2.0) <= 1e-8
 
 
 def test_kappa_tilted_forms_agree():
     law = IncrementLaw.gaussian(-0.5, 1.0)
     tilt = cramer_tilt(law)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CensoringExcess)
-        tab = build_harmonic_table(law, params=TableParams(seed=13), dual=True,
-                                   tilt=tilt, threads=2)
+    tab = build_harmonic_table(law, dual=True, tilt=tilt)
     k = kappa_constant(law, tab, tilt=tilt)
     k2 = kappa_extension_form(law, tab, tilt=tilt)
     assert k > 0

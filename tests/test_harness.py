@@ -15,6 +15,7 @@ from condwalk import (CensoringExcess, CondwalkError, DomainError,
                       sparre_andersen_exit_at, sparre_andersen_survival,
                       verify_duality)
 from condwalk import harness
+from condwalk.asymptotics import THEOREMS
 from condwalk.harmonic import HarmonicTable, LadderEstimate
 from condwalk.harness import row_record
 from condwalk.increments import parse_law
@@ -193,12 +194,12 @@ def test_cache_recomputes_truncated_entry(tmp_path):
 def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
     builds = []
 
-    def fake_build(law, dual, tilt, params, threads):
-        builds.append(params)
+    def fake_build(law, dual, tilt):
+        builds.append(dual)
         return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
 
     monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
-    args = ("gaussian:0,1", parse_law("gaussian:0,1"), True, None, 5, 1,
+    args = ("gaussian:0,1", parse_law("gaussian:0,1"), True, None,
             IngredientCache(tmp_path))
     first = harness._table_for(*args)
     assert harness._table_for(*args) == first and len(builds) == 1
@@ -207,19 +208,16 @@ def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, value", [
-    ("gaussian:0,1", lambda j: McEstimate(0.7 + j, 1e-6, 0, 0)),
-    ("finite:-1,0.5;1,0.5",
-     lambda j: LadderEstimate(1.0 + j, 0.01, 300, mix64(1000 + j), 1e-4 * j))],
-    ids=["solved", "ladder"])
+    ("gaussian:0,1", lambda j: McEstimate(0.7 + j, 1e-6, 0, 0))],
+    ids=["solved"])
 def test_table_cache_returns_the_table_as_built(tmp_path, monkeypatch, spec,
                                                 value):
-    # each value keeps its own seed and kind, not the table's seed
+    # every field of every value survives the cache
     built = HarmonicTable((0.0, 1.0, 2.0), tuple(map(value, range(3))), True,
                           None, 0.25)
     monkeypatch.setattr(harness, "build_harmonic_table",
                         lambda *args, **kwargs: built)
-    args = (spec, parse_law(spec), True, None, 777, 1,
-            IngredientCache(tmp_path))
+    args = (spec, parse_law(spec), True, None, IngredientCache(tmp_path))
     assert harness._table_for(*args) == built  # cold
     assert harness._table_for(*args) == built  # warm
 
@@ -264,10 +262,12 @@ def test_config_from_json_round_trip(tmp_path):
     {"y": "20"}, {"delta": math.nan}, {"delta": 0.0}, {"n_list": [100.5]},
     {"n_list": [0, 100]}, {"band": ["a", 2]}, {"band": [1.1, 0.9]},
     {"x": -1.0}, {"x": math.inf}, {"t": math.nan}, {"q": math.inf},
-    {"a": "1"}, {"ingredient_policy": ["ladder"]}], ids=[
+    {"a": "1"}, {"ingredient_policy": ["ladder"]}, {"x": "20"},
+    {"samples": 1000.7}, {"seed": "5"}], ids=[
     "y-string", "delta-nan", "delta-zero", "n-list-fraction", "n-list-zero",
     "band-string", "band-reversed", "x-negative", "x-inf", "t-nan", "q-inf",
-    "a-string", "policy-not-object"])
+    "a-string", "policy-not-object", "x-string", "samples-fraction",
+    "seed-string"])
 def test_malformed_config_rejected(over):
     with pytest.raises(DomainError):
         ExperimentConfig.from_dict({**_raw_cfg({}), **over})
@@ -389,6 +389,45 @@ def test_tau_s_tilt_solved_v_matches_ladder(monkeypatch):
     assert abs(est.mean - v) <= 4.0 * est.stderr + est.censor_rate * v, est
 
 
+# a mean-zero lattice law of span 0.5, and a mean-zero non-lattice one:
+# its atoms' differences have an irrational ratio
+_SPAN_HALF = "finite:-1,0.5;0.5,0.25;1.5,0.25"
+_NON_LATTICE = ("finite:-1,0.5;0.41421356237309515,0.25;"
+                "1.58578643762690485,0.25")
+_RUNNABLE = sorted(k for k, v in THEOREMS.items() if v.left)
+
+
+@pytest.fixture
+def computes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused experiment computes nothing")
+
+    for name in ("mc_estimate", "mc_tilted_survival", "mc_unconditioned",
+                 "estimate_V_ladder", "_table_for", "cramer_tilt"):
+        monkeypatch.setattr(harness, name, refuse)
+
+
+def _any_id_cfg(law, tid):
+    return _solved_cfg(law=law, theorem_id=tid, y=10.0, delta=2.0, t=1.0,
+                       q=0.1, a=0.5)
+
+
+@pytest.mark.parametrize("tid", _RUNNABLE)
+def test_lattice_law_refused(computes_nothing, tid):
+    # a lattice walk turns every constant the theorems prove into a lattice
+    # sum (AA001D read 1.83, TAU-S 0.0 on this law), so no id runs on one
+    with pytest.raises(DomainError, match="lattice"):
+        run_experiment(_any_id_cfg("finite:-1,0.5;1,0.5", tid))
+
+
+@pytest.mark.parametrize("tid", [k for k in _RUNNABLE if {
+    "kappa", "exp_vstar_int", "drift.i_integral"} & set(THEOREMS[k].needs)])
+def test_finite_support_table_ingredient_refused(computes_nothing, tid):
+    # a finite law has no harmonic table to read kappa or I off
+    with pytest.raises(DomainError, match="has none"):
+        run_experiment(_any_id_cfg(_NON_LATTICE, tid))
+
+
 def test_finite_support_v_keeps_ladder(monkeypatch):
     calls = []
 
@@ -397,22 +436,28 @@ def test_finite_support_v_keeps_ladder(monkeypatch):
         return LadderEstimate(1.0, 0.01, 10 ** 5, kwargs["seed"], 0.0)
 
     monkeypatch.setattr(harness, "estimate_V_ladder", ladder)
-    # kappa is not under test here: building the finite-support ladder dual
-    # table it is read off takes seconds
-    monkeypatch.setattr(harness, "_table_for", lambda *args: None)
-    monkeypatch.setattr(harness, "kappa_constant", lambda *args, **kw: 0.5)
-    cfg = _solved_cfg(name="fin", law="finite:-1,0.5;0.5,0.25;1.5,0.25",
-                      theorem_id="TAU-S", n_list=(21,), samples=4096, seed=11)
+    monkeypatch.setattr(harness, "_table_for", None)  # no table is read
+    mc = harness.mc_estimate
+    monkeypatch.setattr(harness, "mc_estimate", None)
+    cfg = _solved_cfg(name="fin", law=_SPAN_HALF, theorem_id="TAU-S",
+                      n_list=(21,), samples=4096, seed=11)
+    with pytest.raises(DomainError, match="lattice"):
+        run_experiment(cfg, threads=1)
+    assert calls == []
+
+    # V(x) of a non-lattice finite law is one ladder point
+    monkeypatch.setattr(harness, "mc_estimate", mc)
+    cfg = dataclasses.replace(cfg, law=_NON_LATTICE, theorem_id="ICLT-S")
     rows = run_experiment(cfg, threads=1)
     assert calls == [(parse_law(cfg.law), 0.0, {
         "samples": 10 ** 5, "seed": mix64(11 ^ 0xA5A5), "threads": 1})]
-    # the row written when every law's V(x) was a ladder estimate
+    # the row written with the faked V(0) = 1
     assert row_record(rows[0]) == {
-        "name": "fin", "theorem": "TAU-S", "n": 21,
-        "mc_mean": "0.002685546875", "mc_stderr": "0.00080873357229698255",
+        "name": "fin", "theorem": "ICLT-S", "n": 21,
+        "mc_mean": "0.119873046875", "mc_stderr": "0.0050758231198309613",
         "samples": 4096, "seed": 11170666506824076319,
-        "predicted": "0.0034741801937189301", "ratio": "0.77300160764697157",
-        "ratio_lo": "-0.15813440396130962", "ratio_hi": "1.7041376192552526"}
+        "predicted": "0.1608591464935154", "ratio": "0.74520504110614783",
+        "ratio_lo": "0.61898721065071693", "ratio_hi": "0.87142287156157872"}
 
 
 def test_solved_v_beyond_solve_span(no_ladder, monkeypatch):

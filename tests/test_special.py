@@ -66,6 +66,44 @@ def test_psi_small_x_rayleigh_limit():
     assert worst <= 0.01
 
 
+# Phi(t - x) - Phi(-x) - Phi(t + x) + Phi(x) at 80 digits (mpmath), rounded
+# to the nearest double: one row per x, one column per t.  The closed form
+# evaluated in doubles cancels and is a factor 28 off at x = 8, t = 0.01
+_PSI_INT_X = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 8.0)
+_PSI_INT_T = (1e-4, 0.01, 0.1, 1.0, 3.0, 10.0, 30.0)
+_PSI_INT = (
+    (3.989223327888096e-11, 3.989123612263773e-07, 3.979267211852879e-05,
+     0.003139298139686894, 0.007890063842540426, 0.007978712629263208,
+     0.007978712629263208),
+    (3.969525464879384e-10, 3.9694265690699715e-06, 0.00039596511495493996,
+     0.03126161015368115, 0.07875746446689229, 0.07965567455405796,
+     0.07965567455405796),
+    (1.7603266297874158e-09, 1.7602862936170795e-05, 0.001756298687775621,
+     0.14119458509089738, 0.3769478863012856, 0.3829249225480262,
+     0.3829249225480262),
+    (2.4197072411585883e-09, 2.4196669171406292e-05, 0.002415678430228061,
+     0.20543962408526512, 0.6599710314307398, 0.6826894921370859,
+     0.6826894921370859),
+    (1.0798193311636105e-09, 1.0798283284882274e-05, 0.0010807164824599418,
+     0.11450488806672873, 0.7958447688237564, 0.9544997361036409,
+     0.9544997361036416),
+    (7.433597709954112e-14, 7.43496048042582e-10, 7.570687354669187e-08,
+     3.109892527700657e-05, 0.02274955864503607, 0.9999991400452843,
+     0.9999994266968563),
+    (4.0418170722885424e-22, 4.043871846805302e-18, 4.2512097104473353e-16,
+     1.2785684646298212e-12, 2.866515706350018e-07, 0.9772498680518196,
+     0.9999999999999988))
+
+
+def test_levy_psi_integral_matches_mpmath():
+    for x, row in zip(_PSI_INT_X, _PSI_INT):
+        for t, exact in zip(_PSI_INT_T, row):
+            assert abs(levy_psi_integral(t, x) / exact - 1.0) <= 1e-14, (x, t)
+    assert levy_psi_integral(math.inf, 1.0) == pytest.approx(
+        psi_normalizer(1.0), rel=1e-15)
+    assert levy_psi_integral(0.0, 1.0) == levy_psi_integral(-1.0, 1.0) == 0.0
+
+
 # -- convolution identities ---------------------------------------------------
 
 
