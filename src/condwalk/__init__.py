@@ -8,10 +8,9 @@ it at small scale.
 """
 
 from .asymptotics import Prediction, THEOREM_IDS, predict
-from .errors import CensoringExcess, CondwalkError, DivergentIntegral, \
-    DomainError, DriftedLaw, InsufficientSweep, MismatchedTilt, \
-    MissingIngredient, NoTiltExists, QuadratureFailure, StateExplosion, \
-    UnknownTheorem
+from .errors import CensoringExcess, CondwalkError, DomainError, \
+    DriftedLaw, InsufficientSweep, MismatchedTilt, MissingIngredient, \
+    NoTiltExists, QuadratureFailure, StateExplosion, UnknownTheorem
 from .harmonic import HarmonicTable, LadderEstimate, TableParams, \
     build_harmonic_table, estimate_V_killed, estimate_V_ladder, \
     harmonicity_residual, kappa_constant, kappa_extension_form, \
@@ -28,8 +27,7 @@ from .special import KernelSpec, brownian_exit, conv_normal_levy, \
     conv_normal_rayleigh, fuk_nagaev_bound, kernel_fourier, \
     kernel_fourier_exact, levy_psi, levy_psi_integral, psi_normalizer, \
     rayleigh, rayleigh_levy_integral, smoothing_kernel
-from .targets import TargetFunction, WeightSpec, dri_defect, envelope, \
-    eval_target, parse_target, weighted_integral
+from .targets import TargetFunction, eval_target, parse_target
 from .walk import Censored, ExitSample, McEstimate, Statistic, mc_estimate, \
     mc_estimates, mc_max_abs_walk, mc_scaled_cdf_curve, mc_tilted_survival, \
     mc_unconditioned, simulate_exit

@@ -26,7 +26,8 @@ from .targets import parse_target
 from .walk import Statistic, mc_estimate
 
 
-_STAT_NEEDS = {"interval": ("y", "delta"), "scaled_cdf": ("t",)}
+_STAT_NEEDS = {"interval": ("y", "delta"), "scaled_cdf": ("t",),
+               "target": ("target",)}
 
 
 def _parse_stat(args) -> Statistic:
@@ -137,6 +138,9 @@ _SPECIAL = {
 
 def _cmd_special(args) -> int:
     vals = [float(v) for v in args.args]
+    if any(map(math.isnan, vals)):
+        raise CondwalkError(f"{args.fn} --args must be numbers, got "
+                            f"{' '.join(args.args)}")
     need, fn = _SPECIAL[args.fn]
     if len(vals) < need:
         raise CondwalkError(

@@ -33,10 +33,6 @@ class StateExplosion(CondwalkError):
     """Exact enumeration exceeded the atom budget."""
 
 
-class DivergentIntegral(CondwalkError):
-    """The requested weighted integral does not converge."""
-
-
 class MissingIngredient(CondwalkError):
     """A predictor branch requires an ingredient that was not supplied."""
 

@@ -3,6 +3,9 @@
 For finite-support increment laws the killed walk's distribution is a
 finite measure that a dynamic program tracks exactly, merging atoms whose
 positions coincide to twelve decimals (exact for rational supports).
+The Monte Carlo walk sums its steps unrounded, so with irrational atoms a
+position that lands on 0 or on a target's break here can sit a few ulps to
+either side of it there; compare the two on integer atoms and breaks.
 Probabilities are carried in extended precision so that masses still sum
 to one at depth 60.
 
@@ -54,6 +57,7 @@ def exact_joint_law(law: IncrementLaw, x: float, n: int) -> JointLaw:
         raise DomainError("exact computation needs a finite-support law")
     if n < 1 or n > MAX_DEPTH:
         raise DomainError(f"n must be in 1..{MAX_DEPTH}")
+    _check_start(x, n)
     atoms = {round(float(x), 12): np.longdouble(1.0)}
     died = np.longdouble(0.0)
     steps = [(float(xi), np.longdouble(pi))

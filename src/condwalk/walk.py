@@ -86,16 +86,14 @@ class Statistic:
 
     @classmethod
     def target(cls, f: TargetFunction, y_shift: float = 0.0, dual=False):
-        if math.isnan(float(y_shift)):
-            raise DomainError("target shift must be a number, got nan")
         return cls("target", f=TargetFunction.shifted(f, y_shift), dual=dual)
 
     @classmethod
     def interval(cls, y: float, delta: float, dual=False):
         y, delta = float(y), float(delta)
-        if math.isnan(y) or not delta > 0:
-            raise DomainError(f"interval needs a number y and a positive "
-                              f"width, got y={y!r}, delta={delta!r}")
+        if not (math.isfinite(y) and math.isfinite(delta) and delta > 0):
+            raise DomainError(f"interval needs a finite y and a finite "
+                              f"positive width, got y={y!r}, delta={delta!r}")
         return cls("interval", y=y, delta=delta, dual=dual)
 
     @classmethod

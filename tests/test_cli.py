@@ -73,6 +73,14 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
     [*_SIM, "--stat", "interval", "--y", "1"],
     [*_SIM, "--stat", "scaled_cdf"],
     ["special", "eval", "--fn", "rayleigh"],
+    [*_SIM, "--stat", "target", "--target", "exp:nan"],
+    *(["special", "eval", "--fn", fn, "--args", *args]
+      for fn, args in (("rayleigh", ["nan"]), ("levy-psi", ["nan", "1"]),
+                       ("psi-normalizer", ["nan"]),
+                       ("brownian-exit", ["1", "nan", "1"]))),
+    *(["oracle", action, "--law", "finite:-1,0.5;1,0.5", "--x", x, "--n", "3"]
+      for action, x in (("joint", "nan"), ("joint", "-1"), ("joint", "inf"),
+                        ("moment", "-2"))),
     *(["predict", "--theorem", "TAU-S", "--ingredients",
        json.dumps({**_TAU_S, **bad})]
       for bad in ({"v_x": math.nan}, {"sigma": -1.0}, {"n": 0},
@@ -84,11 +92,19 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
             "lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
             "v_lambda_x": 0.7071}})],
 ], ids=["ingredients-not-object", "interval-no-delta", "scaled-cdf-no-t",
-        "special-no-args", "predict-v-x-nan", "predict-sigma-negative",
+        "special-no-args", "target-exp-nan",
+        "rayleigh-nan", "levy-psi-nan", "psi-normalizer-nan",
+        "brownian-exit-nan", "joint-x-nan", "joint-x-negative", "joint-x-inf",
+        "moment-x-negative", "predict-v-x-nan", "predict-sigma-negative",
         "predict-n-zero", "predict-v-x-string", "predict-t-nan",
         "predict-tilt-x-nan"])
 def test_missing_input_is_config_error(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_stat_target_names_missing_flag(capsys):
+    assert main([*_SIM, "--stat", "target"]) == 2
+    assert capsys.readouterr().err == "error: --stat target needs --target\n"
 
 
 def test_unreadable_or_unwritable_file_is_config_error(tmp_path, capsys):

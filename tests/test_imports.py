@@ -1,7 +1,7 @@
 """scipy is imported only by the functions that call it.
 
 ``import condwalk`` and a Monte Carlo run load numpy alone; scipy comes in
-on the first quadrature, table solve, gaussian CDF or gamma weight.  Each
+on the first quadrature, table solve or gaussian CDF.  Each
 check runs in a fresh interpreter, since the test process has scipy
 loaded already.
 """
@@ -24,8 +24,8 @@ assert not loaded, loaded
 LAZY_VALUES = """
 import math
 import numpy as np
-from condwalk import IncrementLaw, KernelSpec, TargetFunction, WeightSpec, \\
-    build_harmonic_table, kernel_fourier, weighted_integral
+from condwalk import IncrementLaw, KernelSpec, build_harmonic_table, \\
+    kernel_fourier
 from condwalk.special import levy_psi, norm_cdf, quad
 
 table = build_harmonic_table(IncrementLaw.gaussian(0.0, 1.0))
@@ -33,10 +33,6 @@ values = [v.mean for v in table.values] + [table.extrapolation_offset]
 values += list(norm_cdf(np.linspace(-40.0, 10.0, 11))) + [norm_cdf(0.3)]
 values.append(quad(lambda s: levy_psi(s, 0.7), 0.0, 2.0))
 values.append(kernel_fourier(KernelSpec(0.25), 1.3))
-values.append(weighted_integral(TargetFunction.indicator(0.0, 2.0),
-                                WeightSpec.exp_decay_power(0.5, 1.5)))
-values.append(weighted_integral(TargetFunction.exponential(0.8),
-                                WeightSpec.power_growth(1.7)))
 VALUES = [float(v).hex() for v in values]
 """
 

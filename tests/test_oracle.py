@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from condwalk import (IncrementLaw, Statistic, TargetFunction, exact_joint_law,
-                      exact_killed_moment, killed_law, mc_estimates,
+from condwalk import (IncrementLaw, Statistic, TargetFunction, cramer_tilt,
+                      eval_target, exact_joint_law, exact_killed_moment,
+                      killed_law, mc_estimate, mc_estimates,
+                      mc_tilted_survival, parse_target,
                       sparre_andersen_exit_at, sparre_andersen_survival,
                       verify_duality)
 from condwalk.errors import DomainError, StateExplosion
@@ -34,6 +36,14 @@ def test_joint_law_deterministic_walk():
 def test_mass_conservation_at_depth_60():
     j = exact_joint_law(THREE_POINT, 0.5, 60)
     assert abs(j.survived_mass + j.died_mass - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [math.nan, -1.0, math.inf])
+def test_joint_law_rejects_bad_start(x):
+    with pytest.raises(DomainError, match="x >= 0"):
+        exact_joint_law(TWO_POINT, x, 3)
+    with pytest.raises(DomainError, match="x >= 0"):
+        exact_killed_moment(TWO_POINT, x, 3)
 
 
 def test_killed_moment_values_and_monotonicity():
@@ -210,3 +220,26 @@ def test_mc_matches_exact_joint_law():
                     <= 4 * exit_n.stderr + 1e-12
                 assert abs(inter.mean - j.mass_in(0.0, 2.0)) \
                     <= 4 * inter.stderr + 1e-12
+
+
+@pytest.mark.parametrize("spec", ["pc:0,1;1,0.5;3,0", "exp:0.7@shift:0.5"])
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_target_statistic_matches_exact_joint_law(spec, tilted):
+    # atoms and breaks on integers, so the Monte Carlo positions are exact
+    f = parse_target(spec)
+    law = IncrementLaw.finite([-1.0, 0.0, 1.0], [0.4, 0.3, 0.3]) if tilted \
+        else THREE_POINT
+    tilt = cramer_tilt(law) if tilted else None
+    for x in (0.0, 1.0):
+        for n in (8, 12):
+            j = exact_joint_law(law, x, n)
+            exact = math.fsum(float(eval_target(f, pos)) * p
+                              for pos, p in j.atoms)
+            seed = mix64(500 + 10 * n + int(x) + 1000 * tilted)
+            if tilted:
+                est = mc_tilted_survival(law, tilt, x, n, Statistic.target(f),
+                                         2 * 10 ** 5, seed=seed)
+            else:
+                est = mc_estimate(law, x, n, Statistic.target(f), 2 * 10 ** 5,
+                                  seed=seed)
+            assert abs(est.mean - exact) <= 4 * est.stderr, (x, n, est, exact)
