@@ -41,7 +41,7 @@ from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
     TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
-    _mc_many, _sum_m2
+    _integer, _mc_many, _sum_m2
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     rate; their bias is bounded by the survival probability at the cap
     times (x + overshoot scale).
     """
+    if not (_integer(cap) and cap >= 10 ** 3):
+        raise DomainError(f"cap must be an integer >= 1e3, got {cap!r}")
     _check_start(x, cap)
-    if cap < 10 ** 3:
-        raise DomainError(f"cap must be at least 1e3, got {cap!r}")
     _require_zero_mean(law)
 
     def work(rng, m):

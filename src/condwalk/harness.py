@@ -38,8 +38,8 @@ from .harmonic import HarmonicTable, build_harmonic_table, \
 from .increments import cramer_tilt, is_lattice, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
-from .walk import McEstimate, Statistic, mc_estimate, mc_tilted_survival, \
-    mc_unconditioned
+from .walk import McEstimate, Statistic, _integer, mc_estimate, \
+    mc_tilted_survival, mc_unconditioned
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,6 @@ _COMPUTED = {"v_source": "ladder", "kappa_source": "computed"}
 
 def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and math.isfinite(v)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,10 @@ LAPLACE = "laplace"
 UNIFORM = "uniform"
 FINITE = "finite_support"
 
+# Most atoms a finite law samples by counting edges; one pass per edge
+# loses to a binary search above this many.
+_SCAN_ATOMS = 32
+
 
 @dataclass(frozen=True)
 class IncrementLaw:
@@ -123,7 +127,16 @@ class IncrementLaw:
         if self.family == FINITE:
             cum = np.cumsum(self.probs)
             cum[-1] = 1.0
-            idx = np.searchsorted(cum, rng.random(shape, out=out), side="right")
+            u = rng.random(shape, out=out)
+            if cum.size > _SCAN_ATOMS:
+                idx = np.searchsorted(cum, u, side="right")
+            else:
+                # searchsorted's index as a count of the inner edges <= u:
+                # cum is nondecreasing and cum[-1] = 1 > u
+                idx = np.zeros(u.shape, np.intp)
+                at = np.empty(u.shape, bool)
+                for edge in cum[:-1]:
+                    np.add(idx, np.greater_equal(u, edge, out=at), out=idx)
             # u < 1 = cum[-1] keeps idx in range; "clip" spares take a buffer
             return np.take(self.points, idx, out=out, mode="clip")
         if self.family == GAUSSIAN:

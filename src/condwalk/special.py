@@ -63,6 +63,8 @@ def rayleigh(s: float):
     """Rayleigh density s*exp(-s^2/2) and its distribution function."""
     if s <= 0.0:
         return 0.0, 0.0
+    if s == math.inf:
+        return 0.0, 1.0
     e = math.exp(-0.5 * s * s)
     return s * e, 1.0 - e
 
@@ -70,7 +72,9 @@ def rayleigh(s: float):
 def rayleigh_density(s, v=1.0):
     """Rayleigh density with scale sqrt(v), vectorized."""
     s = np.asarray(s, dtype=float)
-    out = np.where(s >= 0.0, s / v * np.exp(-0.5 * s * s / v), 0.0)
+    # 0 off [0, inf): evaluated at 0 there, so no inf * 0 = NaN arises
+    s = np.where((s >= 0.0) & (s < np.inf), s, 0.0)
+    out = s / v * np.exp(-0.5 * s * s / v)
     return float(out) if out.ndim == 0 else out
 
 

@@ -8,7 +8,11 @@ A killed walk paces its blocks by the paths' age: after k steps the next
 block is k/2 steps long (at least 1, at most the 2^21-float budget over
 the alive paths).  Near zero the hazard after k steps is about 1/(2k),
 so few increments are drawn for paths already dead.  An unkilled walk
-takes the budget at once.  Every block of one call is drawn into one
+takes the budget at once.  A block at most 8 steps wide, as the first
+blocks of walks near zero are, is summed and scanned for deaths column
+by column, where numpy's row-wise cumsum and any would pay a cost per
+row; the column adds are cumsum's additions in cumsum's order, so the
+estimates are the same.  Every block of one call is drawn into one
 reused buffer of max(2^21, paths) floats, so varying block shapes do
 not fragment the heap.  Whatever an estimator needs beyond the
 surviving positions (exits at the horizon, the value at first exit, a
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,6 +48,10 @@ from .rngstream import CHUNK_SIZE, chunk_generator, resolve_threads
 from .targets import TargetFunction, eval_target
 
 _BLOCK_ELEMS = 1 << 21  # per-block increment matrix budget (floats)
+# Widest block summed and scanned column by column: numpy's axis-1
+# cumsum and any pay a cost per row that dominates narrow blocks, and
+# the strided column adds lose to cumsum from about 16 columns on.
+_NARROW = 8
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,14 @@ def _stat_eval(stat: Statistic, sigma: float, n: int):
     raise DomainError(f"unknown statistic kind {stat.kind!r}")
 
 
+def _integer(v) -> bool:
+    """An integer count: any ``numbers.Integral`` but a ``bool``."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_start(x, n):
+    if not _integer(n):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if not (math.isfinite(x) and x >= 0.0) or n < 1:
         raise DomainError(f"require finite x >= 0 and n >= 1, got x={x!r}, "
                           f"n={n!r}")
@@ -160,15 +176,27 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
             d = sampler.sample_block(rng, (rows, b))
         if negate:
             np.negative(d, out=d)
-        np.cumsum(d, axis=1, out=d)
+        narrow = b <= _NARROW
+        if narrow:
+            # cumsum's additions in cumsum's order, without its per-row cost
+            for k in range(1, b):
+                np.add(d[:, k - 1], d[:, k], out=d[:, k])
+        else:
+            np.cumsum(d, axis=1, out=d)
         d += pos[:, None]
         neg = died = None
         if kill:
             neg = d < 0.0
-            died = neg.any(axis=1)
+            if narrow:
+                died = neg[:, 0].copy()
+                for k in range(1, b):
+                    np.logical_or(died, neg[:, k], out=died)
+            else:
+                died = neg.any(axis=1)
         if observe is not None:
             observe(d, done, neg, died)
-        pos = d[~died, b - 1] if kill and died.any() else d[:, b - 1].copy()
+        last = d[:, b - 1]
+        pos = last[~died] if kill and died.any() else last.copy()
         done += b
     return pos
 
@@ -189,8 +217,8 @@ def _chunked(samples, seed, threads, work):
     cancel far from zero as the sum of squares does.  Both run in chunk
     order, whatever the thread count.
     """
-    if not samples >= 1:
-        raise DomainError(f"samples must be >= 1, got {samples!r}")
+    if not (_integer(samples) and samples >= 1):
+        raise DomainError(f"samples must be an integer >= 1, got {samples!r}")
     threads = resolve_threads(threads)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     last = samples - (n_chunks - 1) * CHUNK_SIZE
@@ -341,6 +369,8 @@ def mc_scaled_cdf_curve(law: IncrementLaw, x: float, n: int, t_grid,
 def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
                     seed: int, threads: int | None = None) -> McEstimate:
     """P(max_{k<=n} |S_k| > u) for the free (unkilled) walk."""
+    _check_start(0.0, n)
+
     def work(rng, m):
         best = np.zeros(m)
 

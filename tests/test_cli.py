@@ -141,6 +141,9 @@ def test_special_eval(capsys):
                         "--args", "1.0")
     dens, cdf = json.loads(out)
     assert dens == pytest.approx(math.exp(-0.5))
+    code, out = run_cli(capsys, "special", "eval", "--fn", "rayleigh",
+                        "--args", "inf")
+    assert code == 0 and json.loads(out) == [0.0, 1.0]  # was [NaN, 1.0]
     code, out = run_cli(capsys, "special", "eval", "--fn", "fuk-nagaev",
                         "--law", "gaussian:0,1", "--args", "10", "10", "100")
     assert json.loads(out) == pytest.approx(2 * math.e)

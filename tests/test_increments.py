@@ -54,6 +54,45 @@ def test_sample_block_into_out_draws_the_same(name):
     assert np.isnan(buf[2100:]).all()
 
 
+class _PlacedUniforms:
+    """A generator whose uniform draws are the given values, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape, out=None):
+        if out is None:
+            out = np.empty(shape)
+        out[...] = self.u.reshape(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("atoms", [1, 2, 3, 32, 33])
+def test_finite_sampler_matches_binary_search(atoms):
+    # up to 32 atoms the sampler counts edges instead of calling
+    # searchsorted; the index must be searchsorted's for every u in [0, 1)
+    rnd = np.random.default_rng(atoms)
+    probs = rnd.dirichlet(np.ones(atoms))
+    if atoms > 2:
+        probs[1] = 0.0  # a repeated edge
+        probs /= math.fsum(probs)
+    law = IncrementLaw.finite(rnd.normal(size=atoms), probs)
+    cum = np.cumsum(law.probs)
+    cum[-1] = 1.0
+    edges = cum[:-1]
+    u = np.concatenate([edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0), rnd.random(501),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    if u.size % 2:
+        u = u[1:]
+    expect = np.asarray(law.points)[np.searchsorted(cum, u, side="right")]
+    assert np.array_equal(law.sample_block(_PlacedUniforms(u), u.size), expect)
+    out = np.empty((u.size // 2, 2))
+    got = law.sample_block(_PlacedUniforms(u), out.shape, out=out)
+    assert got is out
+    assert np.array_equal(out.ravel(), expect)
+
+
 class _ZeroFirst:
     """A generator whose first uniform draw is exactly 0."""
 

@@ -21,6 +21,7 @@ def test_rayleigh_values():
     assert d == pytest.approx(math.exp(-0.5), rel=1e-15)
     assert c == pytest.approx(1.0 - math.exp(-0.5), rel=1e-15)
     assert rayleigh(-2.0) == (0.0, 0.0)
+    assert rayleigh(math.inf) == (0.0, 1.0)  # was a NaN density
 
 
 def test_psi_point_values():
@@ -242,3 +243,7 @@ def test_rayleigh_density_scale():
     assert rayleigh_density(1.0, 0.25) == pytest.approx(
         4.0 * math.exp(-2.0), rel=1e-14)
     assert rayleigh_density(-1.0, 0.25) == 0.0
+    # inf * exp(-inf) was NaN, with a RuntimeWarning
+    assert rayleigh_density(math.inf) == 0.0
+    assert np.array_equal(rayleigh_density(np.array([-math.inf, math.inf])),
+                          [0.0, 0.0])

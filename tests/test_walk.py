@@ -28,7 +28,8 @@ def test_simulate_exit_deterministic_paths():
 
 
 @pytest.mark.parametrize("x, n", [(math.nan, 10), (math.inf, 10),
-                                  (-1.0, 10), (0.0, 0)])
+                                  (-1.0, 10), (0.0, 0), (0.0, 10.5),
+                                  (0.0, True)])
 def test_invalid_start_rejected(gauss_law, x, n):
     tilt = cramer_tilt(gauss_law)
     calls = [
@@ -48,21 +49,22 @@ def test_invalid_start_rejected(gauss_law, x, n):
             call()
 
 
+# each entry point with m paths and horizon n (estimate_V_ladder's cap)
 _ENTRY_POINTS = {
-    "mc_estimate": lambda law, m: mc_estimate(law, 0.0, 5,
-                                              Statistic.survival(), m, 1),
-    "mc_estimates": lambda law, m: mc_estimates(law, 0.0, 5,
-                                                [Statistic.survival()], m, 1),
-    "mc_unconditioned": lambda law, m: mc_unconditioned(
-        law, 5, Statistic.survival(), m, 1),
-    "mc_tilted_survival": lambda law, m: mc_tilted_survival(
-        law, cramer_tilt(law), 0.0, 5, Statistic.survival(), m, 1),
-    "mc_scaled_cdf_curve": lambda law, m: mc_scaled_cdf_curve(
-        law, 0.0, 5, [1.0], m, 1),
-    "mc_max_abs_walk": lambda law, m: mc_max_abs_walk(law, 5, 1.0, m, 1),
-    "estimate_V_ladder": lambda law, m: estimate_V_ladder(
-        law, 0.0, cap=1000, samples=m, seed=1),
-    "harmonicity_residual": lambda law, m: harmonicity_residual(
+    "mc_estimate": lambda law, m, n=5: mc_estimate(
+        law, 0.0, n, Statistic.survival(), m, 1),
+    "mc_estimates": lambda law, m, n=5: mc_estimates(
+        law, 0.0, n, [Statistic.survival()], m, 1),
+    "mc_unconditioned": lambda law, m, n=5: mc_unconditioned(
+        law, n, Statistic.survival(), m, 1),
+    "mc_tilted_survival": lambda law, m, n=5: mc_tilted_survival(
+        law, cramer_tilt(law), 0.0, n, Statistic.survival(), m, 1),
+    "mc_scaled_cdf_curve": lambda law, m, n=5: mc_scaled_cdf_curve(
+        law, 0.0, n, [1.0], m, 1),
+    "mc_max_abs_walk": lambda law, m, n=5: mc_max_abs_walk(law, n, 1.0, m, 1),
+    "estimate_V_ladder": lambda law, m, n=1000: estimate_V_ladder(
+        law, 0.0, cap=n, samples=m, seed=1),
+    "harmonicity_residual": lambda law, m, n=None: harmonicity_residual(
         law, HarmonicTable((0.0, 1.0), tuple(
             McEstimate(v, 0.0, 1, 0) for v in (0.7, 1.7))), 0.5, m, 1),
 }
@@ -73,6 +75,21 @@ _ENTRY_POINTS = {
 def test_samples_below_one_rejected(gauss_law, entry, samples):
     with pytest.raises(DomainError, match="samples"):
         _ENTRY_POINTS[entry](gauss_law, samples)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_integer_count_rejected(gauss_law, entry):
+    # a float count used to raise TypeError inside the kernel, and
+    # samples=True to return an estimate over one path
+    call = _ENTRY_POINTS[entry]
+    for samples in (1000.0, 1e5, True):
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            call(gauss_law, samples)
+    if entry == "harmonicity_residual":  # it takes one step, no horizon
+        return
+    for n in (10.5, 1000.0, True):
+        with pytest.raises(DomainError, match="(n|cap) must be an integer"):
+            call(gauss_law, 1000, n)
 
 
 @pytest.mark.parametrize("x", [1e8, 1e9])
@@ -137,6 +154,61 @@ def test_sampler_without_out_draws_the_same(gauss_law):
     args = (gauss_law.sigma, 0.0, 50, stats, 3000, 8)
     assert walk._mc_many(_TwoArgumentSampler(gauss_law), *args) == \
         walk._mc_many(gauss_law, *args)
+
+
+class _RecordingSampler:
+    """A sampler that keeps a copy of every block it draws."""
+
+    def __init__(self, law):
+        self.law, self.blocks = law, []
+
+    def sample_block(self, rng, shape, out=None):
+        d = self.law.sample_block(rng, shape, out=out)
+        self.blocks.append(d.copy())
+        return d
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("kill", [True, False])
+@pytest.mark.parametrize("b", range(1, 13))
+def test_blocks_match_cumsum_reference(gauss_law, b, kill, negate):
+    # blocks up to walk._NARROW wide are summed and scanned by columns;
+    # every block must hold the bits of cumsum(axis=1) + pos, any(axis=1)
+    # and the compacted last column.  A killed walk reaches done = 28 in
+    # blocks 1, 1, 1, 1, 2, 3, 4, 6 and 9 wide, so its last block is b.
+    steps = 28 + b if kill else b
+    start = np.linspace(0.0, 12.0, 300)
+    seen = []
+
+    def keep(d, done, neg, died):
+        seen.append((d.copy(), done, None if neg is None else neg.copy(),
+                     None if died is None else died.copy()))
+
+    sampler = _RecordingSampler(gauss_law)
+    surv = walk._advance(sampler, start, steps, chunk_generator(9, 1),
+                         negate=negate, kill=kill, observe=keep)
+    assert seen[-1][0].shape[1] == b
+    pos, done = start, 0
+    for draws, (d, at, neg, died) in zip(sampler.blocks, seen, strict=True):
+        ref = np.cumsum(-draws if negate else draws, axis=1) + pos[:, None]
+        assert at == done
+        assert np.array_equal(_bits(d), _bits(ref))
+        if kill:
+            assert np.array_equal(neg, ref < 0.0)
+            assert np.array_equal(died, (ref < 0.0).any(axis=1))
+            pos = ref[~died, -1]
+        else:
+            assert neg is None and died is None
+            pos = ref[:, -1]
+        done += ref.shape[1]
+    assert done == steps
+    if kill:
+        assert 0 < surv.size < start.size
+    assert np.array_equal(_bits(surv), _bits(pos))
 
 
 def test_bad_thread_setting_rejected(gauss_law, monkeypatch):
