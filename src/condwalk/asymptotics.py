@@ -1,6 +1,6 @@
 """Closed-form right-hand sides of the conditioned limit theorems.
 
-Each theorem is a pure arithmetic map from supplied ingredients (harmonic
+Each theorem is a pure arithmetic map from named ingredients (harmonic
 values, kappa constants, target integrals, tilt data) to a positive
 number; nothing is estimated here.  Branches are chosen explicitly by a
 stable theorem identifier, never inferred from parameter magnitudes,
@@ -10,6 +10,13 @@ The registry is ``THEOREMS``: each identifier maps to a ``Theorem`` that
 names its kernel, the ingredients the kernel needs, its validity range,
 the Monte Carlo left side an experiment compares it against and the walk
 that left side runs on.  Nothing else in the package lists identifiers.
+
+Ingredients are flat names of the quantities a zero-drift kernel reads,
+computed for the law the walk runs on.  A drifted walk's theorem is its
+zero-drift kernel under the Cramer tilt, P(tau_x > n) =
+e^{n Lambda + lam x} E_lam[e^{-lam(x+S_n)}; tau_x > n], so for a tilted
+id sigma, v_x, kappa and f_vstar_int are those of the tilted law and the
+kernel's value is multiplied by exp(n log_mgf + lam x).
 
 Identifiers (small x means x = o(sqrt n); large x means x of order
 sqrt n; tilde denotes division by sigma*sqrt(n)):
@@ -31,10 +38,10 @@ sqrt n; tilde denotes division by sigma*sqrt(n)):
   ICLT-L    integral of psi(., x~) on [0, t]; t = inf gives 2 Phi(x~) - 1
   TAU-S     P(exit = n) ~ 2 kappa V(x)/(sqrt(2pi) s^3 n^1.5)
   TAU-L     2 kappa/(sqrt(2pi) s^2 n) phi+(x~)
-  TAU-S-TILT, TAU-L-TILT   same with kappa_lam, V_lam, s_lam and the
-            factor exp(n Lambda + lam x)
-  IGL1      drifted survival, small x
-  IGL2      drifted survival, large x
+  TAU-S-TILT, TAU-L-TILT   TAU-S and TAU-L under the tilt
+  IGL1      drifted survival, small x: AA002.1 under the tilt at
+            f = exp(-lam t)
+  IGL2      drifted survival, large x: BB002.1 likewise
   LLT       unconditioned local theorem main term
   MD        unconditioned moderate deviations
 """
@@ -64,13 +71,12 @@ class Prediction:
 class Theorem:
     """One registry entry.
 
-    ``needs`` names the ingredients ``kernel`` reads; ``drift.k`` is key
-    ``k`` of the ``drift`` dict.  ``left`` names the Monte Carlo statistic
-    an experiment compares the prediction with (survival, exit_at_n,
-    interval, scaled_cdf, or the exponential target); it is None when the
-    theorem cannot run as an experiment.  ``walk`` is the walk that
-    statistic is estimated on: killed, tilted (importance sampling under
-    the Cramer tilt) or free (never killed).
+    ``needs`` names the ingredients ``kernel`` reads.  ``left`` names the
+    Monte Carlo statistic an experiment compares the prediction with
+    (survival, exit_at_n, interval, scaled_cdf, or the exponential
+    target); it is None when the theorem cannot run as an experiment.
+    ``walk`` is the walk that statistic is estimated on: killed, tilted
+    (importance sampling under the Cramer tilt) or free (never killed).
     """
     kernel: Callable[[dict], float]
     needs: tuple
@@ -79,35 +85,33 @@ class Theorem:
     walk: str = "killed"
 
 
-def _ingredient(ing, name):
-    head, _, key = name.partition(".")
-    value = ing.get(head)
-    if key:
-        return value.get(key) if isinstance(value, dict) else None
-    return value
-
-
-# ingredients that are scales or horizons, so must be positive
-_POSITIVE = ("sigma", "drift.tilted_sigma", "n", "delta")
+# ingredients that are scales, horizons or the exit constant, so must be
+# positive
+_POSITIVE = ("sigma", "kappa", "n", "delta")
 
 
 def predict(theorem_id: str, **ing) -> Prediction:
     """Evaluate one theorem's right-hand side from named ingredients.
 
-    Every ingredient present, needed or not, must be a finite real number
-    (t may also be +inf); sigma, the tilted sigma, n and delta must be
-    positive and x non-negative.  Anything else raises DomainError.
+    A name that no kernel reads raises DomainError.  Every ingredient
+    present, needed or not, must be a finite real number and not a bool
+    (t may also be +inf); sigma, kappa, n and delta must be positive and
+    x non-negative.  Anything else raises DomainError.
     """
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
         raise UnknownTheorem(f"theorem id {theorem_id!r} not registered")
-    missing = [k for k in theorem.needs if _ingredient(ing, k) is None]
+    unknown = sorted(set(ing) - _INGREDIENTS)
+    if unknown:
+        raise DomainError(f"{theorem_id}: no theorem reads ingredient(s) "
+                          f"{', '.join(unknown)}")
+    missing = [k for k in theorem.needs if ing.get(k) is None]
     if missing:
         raise MissingIngredient(
             f"{theorem_id} missing ingredient(s): {', '.join(missing)}")
-    for k in _INGREDIENTS:
-        v = _ingredient(ing, k)
+    for k, v in ing.items():
         if not (v is None or isinstance(v, numbers.Real)
+                and not isinstance(v, bool)
                 and (math.isfinite(v) or k == "t" and v == math.inf)
                 and (v > 0 or k not in _POSITIVE) and (v >= 0 or k != "x")):
             bound = {"x": " >= 0", "t": " or +inf"}.get(
@@ -120,13 +124,19 @@ def predict(theorem_id: str, **ing) -> Prediction:
 
 # -- kernels ---------------------------------------------------------------
 # Kernels index the ingredients their entry needs, which predict has
-# checked with every other one present; the optional t and the drift
-# factor's x have defaults.
+# checked with every other one present; the optional t defaults to inf.
 
 
 def _interval(kernel):
     """P(x + S_n in y + [0, Delta], surv): Delta times the density form."""
     return lambda ing: kernel({**ing, "f_int": 1.0}) * ing["delta"]
+
+
+def _tilted(kernel):
+    """A drifted walk's form: the kernel, read with the tilted law's
+    ingredients, times exp(n Lambda + lam x)."""
+    return lambda ing: kernel(ing) * math.exp(
+        ing["n"] * ing["log_mgf"] + ing["lam"] * ing["x"])
 
 
 def _aa001(ing):
@@ -149,12 +159,6 @@ def _md_c(ing):
     v_x, sigma, n, q = ing["v_x"], ing["sigma"], ing["n"], ing["q"]
     return (2.0 * v_x / (SQRT2PI * sigma ** 2)
             * ing["delta"] * math.sqrt(q * math.log(n)) / n ** (1.0 + q / 2.0))
-
-
-def _expf(ing):
-    if ing["a"] <= 0:
-        raise MissingIngredient("decay rate a must be positive")
-    return _aa002_1({**ing, "f_vstar_int": ing["exp_vstar_int"]})
 
 
 def _bb001(ing):
@@ -195,54 +199,15 @@ def _iclt_l(ing):
     return levy_psi_integral(math.inf if t is None else t, xt)
 
 
-def _drift_factor(ing):
-    """exp(n Lambda + lam x) and the tilted sigma of a drifted walk."""
-    d = ing["drift"]
-    factor = math.exp(ing["n"] * d["log_mgf"] + d["lam"] * ing.get("x", 0.0))
-    return factor, d["tilted_sigma"]
-
-
-def _positive_kappa(ing):
-    if ing["kappa"] <= 0:
-        raise MissingIngredient("kappa must be positive")
-    return ing["kappa"]
-
-
 def _tau_s(ing):
-    kappa, sigma, n = _positive_kappa(ing), ing["sigma"], ing["n"]
+    kappa, sigma, n = ing["kappa"], ing["sigma"], ing["n"]
     return 2.0 * kappa * ing["v_x"] / (SQRT2PI * sigma ** 3 * n ** 1.5)
 
 
 def _tau_l(ing):
-    kappa, sigma, n = _positive_kappa(ing), ing["sigma"], ing["n"]
+    kappa, sigma, n = ing["kappa"], ing["sigma"], ing["n"]
     xt = ing["x"] / (sigma * math.sqrt(n))
     return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0]
-
-
-def _tau_s_tilt(ing):
-    factor, s_lam = _drift_factor(ing)
-    return _tau_s({**ing, "sigma": s_lam,
-                   "v_x": ing["drift"]["v_lambda_x"]}) * factor
-
-
-def _tau_l_tilt(ing):
-    factor, s_lam = _drift_factor(ing)
-    return _tau_l({**ing, "sigma": s_lam}) * factor
-
-
-def _igl1(ing):
-    factor, s_lam = _drift_factor(ing)
-    d, n = ing["drift"], ing["n"]
-    return (2.0 * d["v_lambda_x"] * factor / (SQRT2PI * s_lam ** 3 * n ** 1.5)
-            * d["i_integral"])
-
-
-def _igl2(ing):
-    factor, s_lam = _drift_factor(ing)
-    n = ing["n"]
-    xt = ing["x"] / (s_lam * math.sqrt(n))
-    return (2.0 * factor / (SQRT2PI * s_lam ** 2 * n)
-            * rayleigh(xt)[0] * ing["drift"]["i_integral"])
 
 
 def _llt(ing):
@@ -259,7 +224,7 @@ def _md(ing):
 
 _SMALL = ("v_x", "sigma", "n")
 _LARGE = ("sigma", "n", "x")
-_TILT = ("n", "drift.lam", "drift.log_mgf", "drift.tilted_sigma")
+_TILT = ("lam", "log_mgf")
 
 THEOREMS = {
     "AA001": Theorem(
@@ -280,7 +245,7 @@ THEOREMS = {
         _md_c, (*_SMALL, "q", "delta"),
         "y = sigma sqrt(q n log n) with small q; slow convergence", "interval"),
     "EXPF": Theorem(
-        _expf, (*_SMALL, "a", "exp_vstar_int"), "x in [0, a_n sqrt(n)]",
+        _aa002_1, (*_SMALL, "f_vstar_int"), "x in [0, a_n sqrt(n)]",
         "exp_target"),
     "BB001": Theorem(
         _bb001, (*_LARGE, "y", "f_int"),
@@ -305,17 +270,17 @@ THEOREMS = {
                      "exit_at_n"),
     "TAU-L": Theorem(_tau_l, ("kappa", *_LARGE), "x ~ sqrt(n)", "exit_at_n"),
     "TAU-S-TILT": Theorem(
-        _tau_s_tilt, ("kappa", *_TILT, "drift.v_lambda_x"),
+        _tilted(_tau_s), ("kappa", *_SMALL, "x", *_TILT),
         "drifted walk, x in [0, a_n sqrt(n)]", "exit_at_n", "tilted"),
     "TAU-L-TILT": Theorem(
-        _tau_l_tilt, ("kappa", *_TILT, "x"), "drifted walk, x ~ sqrt(n)",
-        "exit_at_n", "tilted"),
+        _tilted(_tau_l), ("kappa", *_LARGE, *_TILT),
+        "drifted walk, x ~ sqrt(n)", "exit_at_n", "tilted"),
     "IGL1": Theorem(
-        _igl1, (*_TILT, "drift.v_lambda_x", "drift.i_integral"),
+        _tilted(_aa002_1), (*_SMALL, "f_vstar_int", "x", *_TILT),
         "negative drift, x in [0, a_n sqrt(n)]", "survival", "tilted"),
     "IGL2": Theorem(
-        _igl2, (*_TILT, "x", "drift.i_integral"), "negative drift, x ~ sqrt(n)",
-        "survival", "tilted"),
+        _tilted(_bb002_1), (*_LARGE, "f_vstar_int", *_TILT),
+        "negative drift, x ~ sqrt(n)", "survival", "tilted"),
     "LLT": Theorem(_llt, ("sigma", "n", "y", "f_int"), "narrow target around y",
                    "interval", "free"),
     "MD": Theorem(_md, ("sigma", "n", "q", "delta"), "y = sigma sqrt(q n log n)",
@@ -325,4 +290,4 @@ THEOREMS = {
 THEOREM_IDS = tuple(sorted(THEOREMS))
 
 # every ingredient a kernel reads, the optional t included
-_INGREDIENTS = sorted({"t"}.union(*(v.needs for v in THEOREMS.values())))
+_INGREDIENTS = {"t"}.union(*(v.needs for v in THEOREMS.values()))

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from . import special as sp
 from .asymptotics import THEOREM_IDS, predict
@@ -63,8 +64,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    ing = json.loads(args.ingredients) if not args.ingredients.startswith("@") \
-        else json.loads(open(args.ingredients[1:]).read())
+    text = args.ingredients
+    ing = json.loads(Path(text[1:]).read_text() if text.startswith("@")
+                     else text)
     if not isinstance(ing, dict):
         raise CondwalkError("--ingredients must be a JSON object")
     p = predict(args.theorem, **ing)

@@ -298,6 +298,8 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
     Zero for the exact harmonic function; the estimate's deviation is
     bounded by the table's own error budget.
     """
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"require finite x >= 0, got x={x!r}")
     sampler = tilt.sampler if tilt is not None else law
     vx = table(x)
 

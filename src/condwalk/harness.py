@@ -8,11 +8,11 @@ the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
 It builds at most one solved harmonic table per side, cached on disk
-and keyed by a hash of the law, the side and the tilt.  V(x) is read off
-the primal table (one ladder estimate for a finite-support law); kappa
-and the weighted integrals are fixed Gauss-Legendre rules over the dual
-table's cells; none is cached.  Lattice laws are refused: the theorems
-assume non-lattice increments.
+and keyed by a hash of the law's canonical spelling, the side and the
+tilt.  V(x) is read off the primal table (one ladder estimate for a
+finite-support law); kappa and the weighted integrals are fixed
+Gauss-Legendre rules over the dual table's cells; none is cached.
+Lattice laws are refused: the theorems assume non-lattice increments.
 A config cannot supply an ingredient: exact constants go to
 ``asymptotics.predict``, which takes them all by name.
 """
@@ -35,7 +35,7 @@ from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
 from .harmonic import HarmonicTable, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
-from .increments import cramer_tilt, is_lattice, parse_law
+from .increments import cramer_tilt, format_law, is_lattice, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, _integer, mc_estimate, \
@@ -180,8 +180,8 @@ class IngredientCache:
 _CACHE_VERSION = 7
 
 
-def _table_for(law_str, law, dual, tilt, cache):
-    key = {"kind": "table", "version": _CACHE_VERSION, "law": law_str,
+def _table_for(law, dual, tilt, cache):
+    key = {"kind": "table", "version": _CACHE_VERSION, "law": format_law(law),
            "dual": dual, "tilt": tilt.lam if tilt else None}
     columns = dataclasses.fields(McEstimate)
 
@@ -222,7 +222,7 @@ def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
 
 
 # the ingredients read off the dual table
-_TABLE_INGREDIENTS = ("kappa", "exp_vstar_int", "drift.i_integral")
+_TABLE_INGREDIENTS = ("kappa", "f_vstar_int")
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
@@ -254,38 +254,32 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
                           f"table, and the finite-support law {cfg.law!r} "
                           f"has none")
     stat = _left_statistic(cfg, theorem.left)
-    # f_int is the integral of the indicator of [y, y + delta]
-    ing = {"sigma": law.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
-           "q": cfg.q, "t": cfg.t, "a": cfg.a, "f_int": cfg.delta}
     tilt = cramer_tilt(law) if theorem.walk == "tilted" else None
+    sampler = tilt.sampler if tilt else law
+    # every ingredient is the walked law's: the tilted one under a tilt;
+    # f_int is the integral of the indicator of [y, y + delta]
+    ing = {"sigma": tilt.tilted_sigma if tilt else law.sigma, "x": cfg.x,
+           "y": cfg.y, "delta": cfg.delta, "q": cfg.q, "t": cfg.t,
+           "f_int": cfg.delta}
+    if tilt is not None:
+        ing.update(lam=tilt.lam, log_mgf=tilt.log_mgf)
 
     @functools.cache
     def table(dual):
-        return _table_for(cfg.law, law, dual, tilt, cache)
+        return _table_for(law, dual, tilt, cache)
 
-    def v_x():
-        sampler = tilt.sampler if tilt else law
-        if is_solved(sampler):
-            return table(False)(cfg.x)
-        return estimate_V_ladder(sampler, cfg.x, samples=10 ** 5,
-                                 seed=mix64(cfg.seed ^ 0xA5A5),
-                                 threads=threads).mean
-
-    if "v_x" in needs:
-        ing["v_x"] = v_x()
+    if "v_x" in needs and is_solved(sampler):
+        ing["v_x"] = table(False)(cfg.x)
+    elif "v_x" in needs:
+        ing["v_x"] = estimate_V_ladder(sampler, cfg.x, samples=10 ** 5,
+                                       seed=mix64(cfg.seed ^ 0xA5A5),
+                                       threads=threads).mean
     if "kappa" in needs:
         ing["kappa"] = kappa_constant(law, table(True), tilt=tilt)
-    if "exp_vstar_int" in needs:
-        ing["exp_vstar_int"] = weighted_table_integral(table(True), cfg.a)
-    if tilt is not None:
-        drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-                 "tilted_sigma": tilt.tilted_sigma}
-        if "drift.v_lambda_x" in needs:
-            drift["v_lambda_x"] = v_x()
-        if "drift.i_integral" in needs:
-            drift["i_integral"] = weighted_table_integral(table(True),
-                                                          tilt.lam)
-        ing["drift"] = drift
+    if "f_vstar_int" in needs:
+        # I = int e^{-lam t} V_lam*(t) dt under a tilt, else EXPF's decay a
+        ing["f_vstar_int"] = weighted_table_integral(
+            table(True), tilt.lam if tilt else cfg.a)
 
     preds = [predict(tid, **{**ing, "n": n}).value for n in cfg.n_list]
     for n, pred in zip(cfg.n_list, preds):

@@ -38,15 +38,13 @@ def gauss_density(z, v=1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def quad(f, a, b, tol=1e-10, fail_above=None, points=None):
+def quad(f, a, b, tol=1e-10, fail_above=None):
     """Adaptive quadrature with the package-wide failure contract."""
     from scipy import integrate
-    kw = {"epsabs": tol, "epsrel": 1e-11, "limit": 500}
-    if points is not None and math.isfinite(a) and math.isfinite(b):
-        kw["points"] = [p for p in points if a < p < b]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, a, b, **kw)
+        val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=1e-11,
+                                  limit=500)
     if not math.isfinite(val):
         raise QuadratureFailure(f"integral diverged on [{a}, {b}]")
     if fail_above is not None and err > fail_above:

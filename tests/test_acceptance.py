@@ -186,13 +186,12 @@ def run_battery():
     i_integral = weighted_table_integral(gauss_tab, tilt.lam)
     mc30 = mc_tilted_survival(DRIFTED, tilt, 0.0, 30, Statistic.survival(),
                               10 ** 6, seed=1230)
-    drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-             "tilted_sigma": tilt.tilted_sigma, "v_lambda_x": V0,
-             "i_integral": i_integral}
-    pred30 = predict("IGL1", n=30, x=0.0, drift=drift).value
+    tilted = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
+              "sigma": tilt.tilted_sigma, "v_x": V0, "f_vstar_int": i_integral}
+    pred30 = predict("IGL1", n=30, x=0.0, **tilted).value
     mc120 = mc_tilted_survival(DRIFTED, tilt, 0.0, 120, Statistic.survival(),
                                10 ** 6, seed=mix64(1_300 + 120))
-    pred120 = predict("IGL1", n=120, x=0.0, drift=drift).value
+    pred120 = predict("IGL1", n=120, x=0.0, **tilted).value
     lg, scaled = spitzer_drifted_survival(-0.5, 1.0, 4000)
     # n^{3/2} c_n = K + a/n + O(n^-2): one Richardson step removes a/n
     k_exact = 2.0 * 4000 ** 1.5 * scaled[4000] - 2000 ** 1.5 * scaled[2000]

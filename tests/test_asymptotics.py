@@ -61,14 +61,27 @@ def test_survival_formulas():
 
 
 def test_survival_drift_iglehart():
-    drift = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
-             "v_lambda_x": V0, "i_integral": 1.0}
-    p = predict("IGL1", n=30, x=0.0, drift=drift)
+    tilted = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0, "v_x": V0,
+              "f_vstar_int": 1.0}
+    p = predict("IGL1", n=30, x=0.0, **tilted)
     byhand = 2 * V0 * math.exp(-3.75) / (SQRT2PI * 30 ** 1.5)
     assert p.value == pytest.approx(byhand, rel=1e-12)
     assert p.value == pytest.approx(8.075e-5, rel=1e-3)
-    p2 = predict("IGL2", n=30, x=5.0, drift={**drift, "i_integral": 2.0})
+    p2 = predict("IGL2", n=30, x=5.0, **{**tilted, "f_vstar_int": 2.0})
     assert p2.value > 0
+
+
+def test_drifted_ids_are_zero_drift_kernels_under_the_tilt():
+    # each tilted id is its zero-drift kernel, read with the tilted law's
+    # ingredients, times exp(n Lambda + lam x)
+    tilt = {"lam": 0.5, "log_mgf": -0.125}
+    factor = math.exp(30 * -0.125 + 0.5 * 5.0)
+    ing = {"kappa": 0.5, "v_x": V0, "sigma": 1.3, "n": 30, "x": 5.0,
+           "f_vstar_int": 2.0}
+    for tilted, plain in (("TAU-S-TILT", "TAU-S"), ("TAU-L-TILT", "TAU-L"),
+                          ("IGL1", "AA002.1"), ("IGL2", "BB002.1")):
+        assert (predict(tilted, **ing, **tilt).value
+                == predict(plain, **ing).value * factor), tilted
 
 
 def test_exit_local_formulas():
@@ -78,9 +91,8 @@ def test_exit_local_formulas():
     p = predict("TAU-L", kappa=0.5, sigma=1.0, n=100, x=10.0)
     assert p.value == pytest.approx(2 * 0.5 / (SQRT2PI * 100) * ray(1.0),
                                     rel=1e-14)
-    drift = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
-             "v_lambda_x": V0}
-    p_tilt = predict("TAU-S-TILT", kappa=0.5, n=30, x=0.0, drift=drift)
+    p_tilt = predict("TAU-S-TILT", kappa=0.5, v_x=V0, sigma=1.0, n=30,
+                     x=0.0, lam=0.5, log_mgf=-0.125)
     p_plain = predict("TAU-S", kappa=0.5, v_x=V0, sigma=1.0, n=30)
     assert p_tilt.value == pytest.approx(p_plain.value * math.exp(-3.75),
                                          rel=1e-12)
@@ -116,13 +128,11 @@ def test_unconditioned_llt():
 
 
 def test_exp_functional():
-    p = predict("EXPF", v_x=V0, sigma=1.0, n=400, a=0.5, exp_vstar_int=3.0)
+    p = predict("EXPF", v_x=V0, sigma=1.0, n=400, f_vstar_int=3.0)
     assert p.value == pytest.approx(2 * V0 / (SQRT2PI * 8000) * 3.0, rel=1e-14)
-    small = predict("EXPF", v_x=V0, sigma=1.0, n=400, a=50.0,
-                    exp_vstar_int=1e-12)
+    small = predict("EXPF", v_x=V0, sigma=1.0, n=400, f_vstar_int=1e-12)
     assert small.value < 1e-16
-    quad_n = predict("EXPF", v_x=V0, sigma=1.0, n=1600, a=0.5,
-                     exp_vstar_int=3.0)
+    quad_n = predict("EXPF", v_x=V0, sigma=1.0, n=1600, f_vstar_int=3.0)
     assert quad_n.value == pytest.approx(p.value / 8.0, rel=1e-12)
 
 
@@ -182,22 +192,18 @@ def test_missing_ingredient_and_unknown_theorem():
     with pytest.raises(MissingIngredient):
         predict("AA002.1", v_x=V0, sigma=1.0, n=400, y=0.0, f_int=1.0)
     with pytest.raises(MissingIngredient):
-        predict("IGL1", n=30, x=0.0, drift={"lam": 0.5})
-    with pytest.raises(MissingIngredient, match="drift.tilted_sigma"):
-        predict("TAU-L-TILT", kappa=0.5, n=30, x=5.0,
-                drift={"lam": 0.5, "log_mgf": -0.125})
+        predict("IGL1", n=30, x=0.0, lam=0.5)
+    with pytest.raises(MissingIngredient, match="sigma"):
+        predict("TAU-L-TILT", kappa=0.5, n=30, x=5.0, lam=0.5,
+                log_mgf=-0.125)
     with pytest.raises(UnknownTheorem):
         predict("ZZZ", n=1)
     with pytest.raises(MissingIngredient):
-        predict("TAU-S", kappa=0.0, v_x=V0, sigma=1.0, n=10)
-    with pytest.raises(MissingIngredient):
-        predict("TAU-S", kappa=-0.5, v_x=0.7, sigma=1.0, n=30)
-    with pytest.raises(MissingIngredient):
-        predict("EXPF", v_x=V0, sigma=1.0, n=400, a=-1.0, exp_vstar_int=3.0)
+        predict("EXPF", v_x=V0, sigma=1.0, n=400)
 
 
 _TAU_S_ING = {"kappa": 0.5, "v_x": V0, "sigma": 1.0, "n": 100}
-_TILTED = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0}
+_TILTED = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0}
 
 
 @pytest.mark.parametrize("tid, ing", [
@@ -208,20 +214,40 @@ _TILTED = {"lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0}
     ("TAU-S", {**_TAU_S_ING, "sigma": 0.0}),
     ("TAU-S", {**_TAU_S_ING, "n": 0}),
     ("MD", {"sigma": 1.0, "n": 100, "q": 0.1, "delta": math.nan}),
+    ("TAU-S", {**_TAU_S_ING, "kappa": 0.0}),
+    ("TAU-S", {**_TAU_S_ING, "kappa": -0.5}),
+    ("TAU-S", {**_TAU_S_ING, "n": True}),
+    ("TAU-S", {**_TAU_S_ING, "sigma": True}),
     ("TAU-L-TILT", {"kappa": 0.5, "n": 30, "x": 5.0,
-                    "drift": {**_TILTED, "tilted_sigma": -1.0}}),
+                    **{**_TILTED, "sigma": -1.0}}),
     # ingredients an id reads but does not need are checked too
     ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "t": math.nan}),
     ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "t": -math.inf}),
-    ("TAU-S-TILT", {"kappa": 0.5, "n": 30, "x": math.nan,
-                    "drift": {**_TILTED, "v_lambda_x": V0}}),
+    ("TAU-S-TILT", {"kappa": 0.5, "n": 30, "x": math.nan, "v_x": V0,
+                    **_TILTED}),
     ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "x": -1.0}),
     ("TAU-S", {**_TAU_S_ING, "y": "20"})], ids=[
     "v-x-nan", "kappa-inf", "v-x-string", "sigma-negative", "sigma-zero",
-    "n-zero", "delta-nan", "tilted-sigma-negative", "t-nan", "t-minus-inf",
+    "n-zero", "delta-nan", "kappa-zero", "kappa-negative", "n-bool",
+    "sigma-bool", "tilted-sigma-negative", "t-nan", "t-minus-inf",
     "x-nan-unneeded", "x-negative", "y-string-unneeded"])
 def test_invalid_ingredient_rejected(tid, ing):
     with pytest.raises(DomainError):
+        predict(tid, **ing)
+
+
+@pytest.mark.parametrize("tid, ing, name", [
+    ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "T": 1.0}, "T"),
+    ("IGL1", {"n": 30, "x": 0.0, "drift": {
+        "lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
+        "v_lambda_x": V0, "i_integral": 1.0}}, "drift"),
+    ("EXPF", {"v_x": V0, "sigma": 1.0, "n": 400, "a": 0.5,
+              "f_vstar_int": 3.0}, "a")], ids=[
+    "misspelt-t", "nested-drift", "expf-decay-rate"])
+def test_unknown_ingredient_rejected(tid, ing, name):
+    # a name no kernel reads is refused, not ignored: ICLT-S with T = 1.0
+    # would otherwise return its t = inf value
+    with pytest.raises(DomainError, match=rf"ingredient\(s\) {name}$"):
         predict(tid, **ing)
 
 

@@ -57,7 +57,7 @@ def test_predict_bad_json_is_config_error(capsys):
 
 def test_predict_incomplete_drift_is_config_error(capsys):
     code, _ = run_cli(capsys, "predict", "--theorem", "IGL1", "--ingredients",
-                      json.dumps({"n": 30, "x": 0, "drift": {"lam": 0.5}}))
+                      json.dumps({"n": 30, "x": 0, "lam": 0.5}))
     assert code == 2
 
 
@@ -88,16 +88,19 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
     ["predict", "--theorem", "ICLT-S", "--ingredients",
      json.dumps({"v_x": 0.7071, "sigma": 1.0, "n": 100, "t": math.nan})],
     ["predict", "--theorem", "TAU-S-TILT", "--ingredients", json.dumps(
-        {"kappa": 0.5, "n": 30, "x": math.nan, "drift": {
-            "lam": 0.5, "log_mgf": -0.125, "tilted_sigma": 1.0,
-            "v_lambda_x": 0.7071}})],
+        {"kappa": 0.5, "n": 30, "x": math.nan, "lam": 0.5,
+         "log_mgf": -0.125, "sigma": 1.0, "v_x": 0.7071})],
+    ["predict", "--theorem", "ICLT-S", "--ingredients",
+     json.dumps({"v_x": 0.7071, "sigma": 1, "n": 100, "T": 1.0})],
+    ["predict", "--theorem", "TAU-S", "--ingredients",
+     json.dumps({"kappa": 0.5, "v_x": 0.7071, "sigma": True, "n": True})],
 ], ids=["ingredients-not-object", "interval-no-delta", "scaled-cdf-no-t",
         "special-no-args", "target-exp-nan",
         "rayleigh-nan", "levy-psi-nan", "psi-normalizer-nan",
         "brownian-exit-nan", "joint-x-nan", "joint-x-negative", "joint-x-inf",
         "moment-x-negative", "predict-v-x-nan", "predict-sigma-negative",
         "predict-n-zero", "predict-v-x-string", "predict-t-nan",
-        "predict-tilt-x-nan"])
+        "predict-tilt-x-nan", "predict-unknown-name", "predict-bools"])
 def test_missing_input_is_config_error(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
 

@@ -356,15 +356,14 @@ def test_tilted_kappa_gives_exact_drifted_exit_constant():
     kappa = kappa_constant(law, build_harmonic_table(law, dual=True,
                                                      tilt=tilt), tilt=tilt)
     v0 = build_harmonic_table(law, tilt=tilt)(0.0)
-    drift = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-             "tilted_sigma": tilt.tilted_sigma, "v_lambda_x": v0}
     n = 4000
     lg, scaled = spitzer_drifted_survival(-0.5, 1.0, n)
 
     def c(m):
         return m ** 1.5 * (math.exp(-lg) * scaled[m - 1] - scaled[m])
 
-    pred = predict("TAU-S-TILT", kappa=kappa, n=n, x=0.0, drift=drift).value
+    pred = predict("TAU-S-TILT", kappa=kappa, v_x=v0, sigma=tilt.tilted_sigma,
+                   n=n, x=0.0, lam=tilt.lam, log_mgf=tilt.log_mgf).value
     assert abs(pred * n ** 1.5 * math.exp(-n * lg)
                / (2.0 * c(n) - c(n // 2)) - 1.0) <= 1e-4
 

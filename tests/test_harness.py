@@ -199,8 +199,7 @@ def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
         return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
 
     monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
-    args = ("gaussian:0,1", parse_law("gaussian:0,1"), True, None,
-            IngredientCache(tmp_path))
+    args = (parse_law("gaussian:0,1"), True, None, IngredientCache(tmp_path))
     first = harness._table_for(*args)
     assert harness._table_for(*args) == first and len(builds) == 1
     monkeypatch.setattr(harness, "_CACHE_VERSION", harness._CACHE_VERSION + 1)
@@ -217,9 +216,26 @@ def test_table_cache_returns_the_table_as_built(tmp_path, monkeypatch, spec,
                           None, 0.25)
     monkeypatch.setattr(harness, "build_harmonic_table",
                         lambda *args, **kwargs: built)
-    args = (spec, parse_law(spec), True, None, IngredientCache(tmp_path))
+    args = (parse_law(spec), True, None, IngredientCache(tmp_path))
     assert harness._table_for(*args) == built  # cold
     assert harness._table_for(*args) == built  # warm
+
+
+def test_one_cached_table_per_law_whatever_its_spelling(tmp_path,
+                                                       monkeypatch):
+    builds = []
+
+    def fake_build(law, dual, tilt):
+        builds.append(dual)
+        return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
+
+    monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
+    cache = IngredientCache(tmp_path)
+    spellings = ("gaussian:0,1", "gaussian:0.0,1.0", "gaussian:0,1.0")
+    tables = [harness._table_for(parse_law(spec), True, None, cache)
+              for spec in spellings]
+    assert tables == tables[:1] * 3 and len(builds) == 1
+    assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.mark.parametrize("policy", [{"v_source": "killd"},
@@ -372,14 +388,14 @@ def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
 def test_igl1_solves_tilted_v(no_ladder, monkeypatch):
     ing = _predict_inputs(_solved_cfg(law="gaussian:-0.5,1", theorem_id="IGL1"),
                           monkeypatch)
-    assert abs(ing["drift"]["v_lambda_x"] - 2 ** -0.5) <= 1e-6
+    assert abs(ing["v_x"] - 2 ** -0.5) <= 1e-6
 
 
 def test_tau_s_tilt_solved_v_matches_ladder(monkeypatch):
     # censored ladder paths count zero, which biases the estimate low by
     # about the censor rate times V(0)
     cfg = _solved_cfg(law="laplace:-0.3,1", theorem_id="TAU-S-TILT")
-    v = _predict_inputs(cfg, monkeypatch)["drift"]["v_lambda_x"]
+    v = _predict_inputs(cfg, monkeypatch)["v_x"]
     tilt = cramer_tilt(parse_law(cfg.law))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CensoringExcess)
@@ -421,7 +437,7 @@ def test_lattice_law_refused(computes_nothing, tid):
 
 
 @pytest.mark.parametrize("tid", [k for k in _RUNNABLE if {
-    "kappa", "exp_vstar_int", "drift.i_integral"} & set(THEOREMS[k].needs)])
+    "kappa", "f_vstar_int"} & set(THEOREMS[k].needs)])
 def test_finite_support_table_ingredient_refused(computes_nothing, tid):
     # a finite law has no harmonic table to read kappa or I off
     with pytest.raises(DomainError, match="has none"):

@@ -44,6 +44,9 @@ def test_invalid_start_rejected(gauss_law, x, n):
     else:
         calls.append(lambda: estimate_V_ladder(gauss_law, x, cap=1000,
                                                samples=1000, seed=1))
+        table = HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.0, 10, 5),) * 2)
+        calls.append(lambda: harmonicity_residual(gauss_law, table, x, 1000,
+                                                  1))
     for call in calls:
         with pytest.raises(DomainError):
             call()
