@@ -42,14 +42,14 @@ i_integral = weighted_table_integral(tab, tilt.lam)
 kap = kappa_constant(law, tab, tilt=tilt)
 # IGL1 is AA002.1 under the tilt: the tilted law's ingredients, with
 # f_vstar_int = I, times exp(n Lambda + lam x)
-tilted = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-          "sigma": tilt.tilted_sigma, "v_x": 2 ** -0.5,
-          "f_vstar_int": i_integral}
+ing = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
+       "sigma": tilt.tilted_sigma, "v_x": 2 ** -0.5,
+       "f_vstar_int": i_integral}
 print(f"ingredients: I = {i_integral:.4f}, kappa_lam = {kap:.4f}")
 for n in (50, 100, 200):
     tilted = mc_tilted_survival(law, tilt, 0.0, n, Statistic.survival(),
                                 10 ** 6, seed=300 + n)
-    pred = predict("IGL1", n=n, x=0.0, **tilted)
+    pred = predict("IGL1", n=n, x=0.0, **ing)
     print(f"  n={n:4d}: tilted MC {tilted.mean:.4e} +- {tilted.stderr:.1e}"
           f"   predictor {pred.value:.4e}   ratio {tilted.mean / pred.value:.3f}")
 print("(the n^-3/2 asymptotic converges like 1 - c/n for this drift; the "

@@ -86,7 +86,7 @@ def _cmd_harmonic(args) -> int:
             lines.append(f"{x!r},{v.mean!r},{v.stderr!r},{v.count}")
         out = "\n".join(lines) + "\n"
         if args.out:
-            open(args.out, "w").write(out)
+            Path(args.out).write_text(out)
         else:
             sys.stdout.write(out)
         return 0

@@ -40,8 +40,8 @@ from .errors import CensoringExcess, DomainError, DriftedLaw, \
 from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
     TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
-from .walk import McEstimate, Statistic, _advance, _check_start, _chunked, \
-    _integer, _mc_many, _sum_m2
+from .walk import McEstimate, Statistic, _advance, _check_start, _check_x, \
+    _chunked, _integer, _mc_many, _sum_m2
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,7 @@ def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
     Zero for the exact harmonic function; the estimate's deviation is
     bounded by the table's own error budget.
     """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"require finite x >= 0, got x={x!r}")
+    _check_x(x)
     sampler = tilt.sampler if tilt is not None else law
     vx = table(x)
 

@@ -142,12 +142,18 @@ def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_x(x):
+    """A start: a real number, finite and >= 0."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"require finite x >= 0, got x={x!r}")
+
+
 def _check_start(x, n):
     if not _integer(n):
         raise DomainError(f"n must be an integer, got {n!r}")
-    if not (math.isfinite(x) and x >= 0.0) or n < 1:
-        raise DomainError(f"require finite x >= 0 and n >= 1, got x={x!r}, "
-                          f"n={n!r}")
+    _check_x(x)
+    if n < 1:
+        raise DomainError(f"require n >= 1, got n={n!r}")
 
 
 def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):

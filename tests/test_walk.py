@@ -29,7 +29,7 @@ def test_simulate_exit_deterministic_paths():
 
 @pytest.mark.parametrize("x, n", [(math.nan, 10), (math.inf, 10),
                                   (-1.0, 10), (0.0, 0), (0.0, 10.5),
-                                  (0.0, True)])
+                                  (0.0, True), ("1.0", 10)])
 def test_invalid_start_rejected(gauss_law, x, n):
     tilt = cramer_tilt(gauss_law)
     calls = [
