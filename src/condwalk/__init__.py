@@ -17,9 +17,8 @@ from .harmonic import HarmonicTable, LadderEstimate, TableParams, \
     weighted_table_integral
 from .harness import ExperimentConfig, IngredientCache, ReportRow, band_pass, \
     convergence_sweep, emit_report, parse_report, run_experiment
-from .increments import IncrementLaw, MomentSummary, TiltedLaw, cramer_tilt, \
-    format_law, is_lattice, law_moments, left_exit_prob, log_mgf, parse_law, \
-    sample_increment, tilted_mean
+from .increments import IncrementLaw, TiltedLaw, cramer_tilt, format_law, \
+    is_lattice, left_exit_prob, log_mgf, parse_law, tilted_mean
 from .oracle import JointLaw, KilledLaw, exact_joint_law, \
     exact_killed_moment, killed_law, sparre_andersen_exit_at, \
     sparre_andersen_survival, verify_duality

@@ -55,6 +55,7 @@ from typing import Callable
 
 from .errors import DomainError, MissingIngredient, UnknownTheorem
 from .special import levy_psi, levy_psi_integral, rayleigh, rayleigh_cdf
+from .walk import _integer
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -95,8 +96,8 @@ def predict(theorem_id: str, **ing) -> Prediction:
 
     A name that no kernel reads raises DomainError.  Every ingredient
     present, needed or not, must be a finite real number and not a bool
-    (t may also be +inf); sigma, kappa, n and delta must be positive and
-    x non-negative.  Anything else raises DomainError.
+    (t may also be +inf); sigma, kappa, n and delta must be positive, n
+    an integer and x non-negative.  Anything else raises DomainError.
     """
     theorem = THEOREMS.get(theorem_id)
     if theorem is None:
@@ -113,8 +114,10 @@ def predict(theorem_id: str, **ing) -> Prediction:
         if not (v is None or isinstance(v, numbers.Real)
                 and not isinstance(v, bool)
                 and (math.isfinite(v) or k == "t" and v == math.inf)
-                and (v > 0 or k not in _POSITIVE) and (v >= 0 or k != "x")):
-            bound = {"x": " >= 0", "t": " or +inf"}.get(
+                and (v > 0 or k not in _POSITIVE) and (v >= 0 or k != "x")
+                and (_integer(v) or k != "n")):
+            bound = {"x": " >= 0", "t": " or +inf",
+                     "n": ", an integer > 0"}.get(
                 k, " > 0" if k in _POSITIVE else "")
             raise DomainError(f"{theorem_id} ingredient {k} must be a finite "
                               f"number{bound}, got {v!r}")

@@ -9,7 +9,8 @@ bit-reproducible from (config, seed) regardless of thread count.
 
 It builds at most one solved harmonic table per side, cached on disk
 and keyed by a hash of the law's canonical spelling, the side and the
-tilt.  V(x) is read off the primal table (one ladder estimate for a
+tilt; a symmetric step's dual table is its primal one, built once.
+V(x) is read off the primal table (one ladder estimate for a
 finite-support law); kappa and the weighted integrals are fixed
 Gauss-Legendre rules over the dual table's cells; none is cached.
 Lattice laws are refused: the theorems assume non-lattice increments.
@@ -33,7 +34,7 @@ from pathlib import Path
 from .asymptotics import THEOREMS, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
-from .harmonic import HarmonicTable, build_harmonic_table, \
+from .harmonic import HarmonicTable, _density_law, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
 from .increments import cramer_tilt, format_law, is_lattice, parse_law
 from .rngstream import mix64
@@ -264,8 +265,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     if tilt is not None:
         ing.update(lam=tilt.lam, log_mgf=tilt.log_mgf)
 
+    # a symmetric step's V* is V, solved and cached once
+    symmetric = _density_law(sampler, True) == _density_law(sampler, False)
+
     @functools.cache
     def table(dual):
+        if dual and symmetric:
+            return dataclasses.replace(table(False), dual=True)
         return _table_for(law, dual, tilt, cache)
 
     if "v_x" in needs and is_solved(sampler):

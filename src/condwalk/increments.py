@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NoTiltExists
-from .special import norm_cdf, quad
+from .special import norm_cdf
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -211,49 +211,6 @@ def left_exit_prob(law: IncrementLaw, t):
     return float(p) if p.ndim == 0 else p
 
 
-def sample_increment(law: IncrementLaw, rng: np.random.Generator) -> float:
-    """One draw from the law; deterministic given the generator state."""
-    return float(law.sample_block(rng, 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# Moments
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    mean: float
-    variance: float
-    abs_moment_2_delta: float
-
-
-def law_moments(law: IncrementLaw, delta: float) -> MomentSummary:
-    """Mean, variance and E|X|^(2+delta).
-
-    Closed forms where available (centered gaussian/laplace, any uniform,
-    finite support); otherwise quadrature against the exact density.
-    """
-    if delta < 0:
-        raise DomainError("delta must be >= 0")
-    p = 2.0 + delta
-    if law.family == FINITE:
-        m = float(np.dot(np.abs(law.points) ** p, law.probs))
-    elif law.family == UNIFORM:
-        lo, hi = law.a, law.b
-        # integral of |x|^p on [lo, hi] / (hi - lo)
-        def prim(t):
-            return abs(t) ** (p + 1) / (p + 1) * (1 if t >= 0 else -1)
-        m = (prim(hi) - prim(lo)) / (hi - lo)
-    elif law.family == GAUSSIAN and law.a == 0.0:
-        m = law.b ** p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
-    elif law.family == LAPLACE and law.a == 0.0:
-        m = math.gamma(p + 1) * law.b ** p
-    else:
-        lo, hi = law.support_bounds()
-        m = quad(lambda x: abs(x) ** p * law.density(x), lo, hi, tol=1e-11)
-    return MomentSummary(law.mean, law.variance, float(m))
-
-
 # ---------------------------------------------------------------------------
 # Closed forms of the density laws (family, a, b, lam): the density of
 # IncrementLaw(family, a, b) times exp(lam u - Lambda(lam)); lam = 0 is the law.
@@ -419,10 +376,13 @@ class _InverseCdfTilt:
             return out
         mu, b = law.a, law.b
         p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below mu
-        out = np.divide(np.log(u / p_below), lam + 1.0 / b, out=out)
+        # F^{-1}(u) = mu + log(w) / rate, with w = u / p_below and rate
+        # lam + 1/b below mu, w = (1 - u) / (1 - p_below) and lam - 1/b above
+        below = u < p_below
+        w = np.where(below, u / p_below, (1.0 - u) / (1.0 - p_below))
+        out = np.divide(np.log(w, out=w),
+                        np.where(below, lam + 1.0 / b, lam - 1.0 / b), out=out)
         out += mu
-        upper = mu + np.log((1.0 - u) / (1.0 - p_below)) / (lam - 1.0 / b)
-        np.copyto(out, upper, where=u >= p_below)
         return out
 
     def density(self, x):

@@ -217,6 +217,8 @@ _TILTED = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0}
     ("TAU-S", {**_TAU_S_ING, "kappa": 0.0}),
     ("TAU-S", {**_TAU_S_ING, "kappa": -0.5}),
     ("TAU-S", {**_TAU_S_ING, "n": True}),
+    ("TAU-S", {**_TAU_S_ING, "n": 100.5}),
+    ("TAU-S", {**_TAU_S_ING, "n": 100.0}),
     ("TAU-S", {**_TAU_S_ING, "sigma": True}),
     ("TAU-L-TILT", {"kappa": 0.5, "n": 30, "x": 5.0,
                     **{**_TILTED, "sigma": -1.0}}),
@@ -229,7 +231,7 @@ _TILTED = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0}
     ("TAU-S", {**_TAU_S_ING, "y": "20"})], ids=[
     "v-x-nan", "kappa-inf", "v-x-string", "sigma-negative", "sigma-zero",
     "n-zero", "delta-nan", "kappa-zero", "kappa-negative", "n-bool",
-    "sigma-bool", "tilted-sigma-negative", "t-nan", "t-minus-inf",
+    "n-fraction", "n-float", "sigma-bool", "tilted-sigma-negative", "t-nan", "t-minus-inf",
     "x-nan-unneeded", "x-negative", "y-string-unneeded"])
 def test_invalid_ingredient_rejected(tid, ing):
     with pytest.raises(DomainError):

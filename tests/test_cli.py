@@ -84,7 +84,7 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
     *(["predict", "--theorem", "TAU-S", "--ingredients",
        json.dumps({**_TAU_S, **bad})]
       for bad in ({"v_x": math.nan}, {"sigma": -1.0}, {"n": 0},
-                  {"v_x": "0.7"})),
+                  {"v_x": "0.7"}, {"n": 100.5})),
     ["predict", "--theorem", "ICLT-S", "--ingredients",
      json.dumps({"v_x": 0.7071, "sigma": 1.0, "n": 100, "t": math.nan})],
     ["predict", "--theorem", "TAU-S-TILT", "--ingredients", json.dumps(
@@ -99,7 +99,8 @@ _TAU_S = {"kappa": 0.5, "v_x": 0.7071, "sigma": 1.0, "n": 100}
         "rayleigh-nan", "levy-psi-nan", "psi-normalizer-nan",
         "brownian-exit-nan", "joint-x-nan", "joint-x-negative", "joint-x-inf",
         "moment-x-negative", "predict-v-x-nan", "predict-sigma-negative",
-        "predict-n-zero", "predict-v-x-string", "predict-t-nan",
+        "predict-n-zero", "predict-v-x-string", "predict-n-fraction",
+        "predict-t-nan",
         "predict-tilt-x-nan", "predict-unknown-name", "predict-bools"])
 def test_missing_input_is_config_error(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2

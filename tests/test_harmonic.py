@@ -170,6 +170,51 @@ def test_solved_kink_near_zero(spec, tilted):
         assert abs(v.mean - (x + offset)) <= 1e-6
 
 
+# (spec, dual, tilted): three gaussian kernels that underflow, and a
+# skewed tilted laplace one that does not
+_FLUSH_CASES = [("gaussian:0,1", False, False),
+                ("gaussian:0,2.5", True, False),
+                ("gaussian:-0.5,1", False, True),
+                ("laplace:-0.3,1", True, True)]
+
+
+def _solve_inputs(spec, dual, tilted):
+    law = parse_law(spec)
+    tilt = cramer_tilt(law) if tilted else None
+    sampler = tilt.sampler if tilted else law
+    return law, tilt, _density_law(sampler, dual), sampler.sigma
+
+
+@pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
+def test_flushed_weights_change_no_bit(monkeypatch, spec, dual, tilted):
+    # the table from a solve that keeps every weight, down to 2e-322
+    law, tilt, _, _ = _solve_inputs(spec, dual, tilted)
+    tab = build_harmonic_table(law, dual=dual, tilt=tilt)
+    monkeypatch.setattr(harmonic, "_TINY", 0.0)
+    ref = build_harmonic_table(law, dual=dual, tilt=tilt)
+    assert [float.hex(v) for v in tab.grid] == [float.hex(v) for v in ref.grid]
+    for got, want in zip(tab.values, ref.values):
+        assert float.hex(got.mean) == float.hex(want.mean)
+        assert float.hex(got.stderr) == float.hex(want.stderr)
+    assert (float.hex(tab.extrapolation_offset)
+            == float.hex(ref.extrapolation_offset))
+
+
+@pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
+def test_solve_matrix_holds_no_tiny_weight(spec, dual, tilted):
+    # a product of two weights below sqrt(tiny) would be subnormal
+    _, _, law, sigma = _solve_inputs(spec, dual, tilted)
+    h = _node_step(law, sigma)
+    n = math.ceil(harmonic._SOLVE_SPAN * sigma / h)
+    # the coarse and fine solves, and the step to the fine lattice's odd
+    # nodes
+    for args in ((h, n, 0.0, n + 1), (h / 2.0, 2 * n, 0.0, 2 * n + 1),
+                 (h, n, h / 2.0, n)):
+        k, _ = harmonic._step(law, *args)
+        tiny = (k != 0.0) & (np.abs(k) < math.sqrt(np.finfo(float).tiny))
+        assert not tiny.any()
+
+
 @pytest.mark.parametrize("spec,dual,tilted", [
     ("gaussian:0,1", False, False), ("gaussian:0,1", True, False),
     ("uniform:-1,1", False, False), ("uniform:-1,1", True, False),

@@ -367,8 +367,8 @@ def test_default_v_source_solves_density_law(no_ladder, monkeypatch):
     assert abs(ing["v_x"] - 2 ** -0.5) <= 1e-6
 
 
-def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
-    # one primal and one dual table cold, none warm, and no table on a grid
+def _recorded_builds(monkeypatch):
+    """The keyword arguments of every table the harness builds."""
     builds = []
     real = harness.build_harmonic_table
 
@@ -377,12 +377,53 @@ def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
         return real(law, **kwargs)
 
     monkeypatch.setattr(harness, "build_harmonic_table", build)
+    return builds
+
+
+def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
+    # the symmetric law's V* is V: one primal table cold, none warm, and
+    # no table on a grid
+    builds = _recorded_builds(monkeypatch)
     cfg, cache = _solved_cfg(theorem_id="TAU-S"), IngredientCache(tmp_path)
     cold = run_experiment(cfg, cache=cache)
-    assert sorted(b.get("dual", False) for b in builds) == [False, True]
+    assert [b.get("dual", False) for b in builds] == [False]
     assert all("grid" not in b for b in builds)
+    assert len(list(tmp_path.iterdir())) == 1
     builds.clear()
     assert run_experiment(cfg, cache=cache) == cold and not builds
+
+
+@pytest.mark.parametrize("law, sides", [("gaussian:-0.5,1", [False]),
+                                        ("uniform:-1,2", [False, True]),
+                                        ("laplace:-0.3,1", [False, True])])
+def test_one_table_per_distinct_step_law(tmp_path, monkeypatch, law, sides):
+    # the tilted gaussian is the symmetric gaussian:0,1; the tilted
+    # uniform and laplace laws are skewed, so V* is a second solve
+    builds = _recorded_builds(monkeypatch)
+    cfg = _solved_cfg(law=law, theorem_id="TAU-S-TILT")
+    cold = run_experiment(cfg, cache=IngredientCache(tmp_path))
+    assert sorted(b.get("dual", False) for b in builds) == sides
+    assert len(list(tmp_path.iterdir())) == len(sides)
+    builds.clear()
+    assert run_experiment(cfg) == cold
+    assert sorted(b.get("dual", False) for b in builds) == sides
+
+
+def test_symmetric_dual_table_is_the_primal_one(monkeypatch):
+    # without a cache too: V is solved once, and kappa reads it as V*
+    builds = _recorded_builds(monkeypatch)
+    seen = []
+    real = harness.kappa_constant
+
+    def kappa(law, dual_table, tilt=None):
+        seen.append(dual_table)
+        return real(law, dual_table, tilt=tilt)
+
+    monkeypatch.setattr(harness, "kappa_constant", kappa)
+    run_experiment(_solved_cfg(theorem_id="TAU-S"))
+    assert [b.get("dual", False) for b in builds] == [False]
+    law = parse_law("gaussian:0,1")
+    assert seen == [harness.build_harmonic_table(law, dual=True)]
 
 
 def test_igl1_solves_tilted_v(no_ladder, monkeypatch):
