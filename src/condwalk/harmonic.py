@@ -73,7 +73,7 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
     def work(rng, m):
         exits = []
 
-        def exit_values(d, done, neg, died):
+        def exit_values(d, done, row, neg, died):
             if died.any():
                 rows = np.nonzero(died)[0]
                 exits.append(x - d[rows, neg[rows].argmax(axis=1)])

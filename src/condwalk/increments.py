@@ -363,27 +363,41 @@ class _InverseCdfTilt:
         return math.sqrt(self.variance)
 
     def sample_block(self, rng, shape, out=None):
-        """Draw an array of tilted increments, into ``out`` if given."""
-        u = rng.random(shape)
+        """Draw an array of tilted increments, into ``out`` if given.
+
+        The uniforms are drawn into ``out`` and the transform runs in
+        place beside one scratch array, so a call allocates one array of
+        the block's size at most.
+        """
+        u = rng.random(shape, out=out)
         np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
         lam, law = self.lam, self.base
         if law.family == UNIFORM:
             lo, hi = law.a, law.b
             # F^{-1}(u) = log( (1-u) e^{lam lo} + u e^{lam hi} ) / lam
-            out = np.logaddexp(lam * lo + np.log1p(-u), lam * hi + np.log(u),
-                               out=out)
-            out /= lam
-            return out
+            w = np.negative(u)
+            np.log1p(w, out=w)
+            w += lam * lo
+            np.log(u, out=u)
+            u += lam * hi
+            np.logaddexp(w, u, out=u)
+            u /= lam
+            return u
         mu, b = law.a, law.b
         p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below mu
         # F^{-1}(u) = mu + log(w) / rate, with w = u / p_below and rate
         # lam + 1/b below mu, w = (1 - u) / (1 - p_below) and lam - 1/b above
         below = u < p_below
-        w = np.where(below, u / p_below, (1.0 - u) / (1.0 - p_below))
-        out = np.divide(np.log(w, out=w),
-                        np.where(below, lam + 1.0 / b, lam - 1.0 / b), out=out)
-        out += mu
-        return out
+        w = u / p_below
+        np.subtract(1.0, u, out=u)
+        u /= 1.0 - p_below
+        np.putmask(u, below, w)
+        np.log(u, out=u)
+        np.divide(u, lam + 1.0 / b, out=w)
+        u /= lam - 1.0 / b
+        np.putmask(u, below, w)
+        u += mu
+        return u
 
     def density(self, x):
         return _density((self.base.family, self.base.a, self.base.b, self.lam), x)

@@ -8,15 +8,22 @@ A killed walk paces its blocks by the paths' age: after k steps the next
 block is k/2 steps long (at least 1, at most the 2^21-float budget over
 the alive paths).  Near zero the hazard after k steps is about 1/(2k),
 so few increments are drawn for paths already dead.  An unkilled walk
-takes the budget at once.  A block at most 8 steps wide, as the first
-blocks of walks near zero are, is summed and scanned for deaths column
-by column, where numpy's row-wise cumsum and any would pay a cost per
-row; the column adds are cumsum's additions in cumsum's order, so the
-estimates are the same.  Every block of one call is drawn into one
-reused buffer of max(2^21, paths) floats, so varying block shapes do
-not fragment the heap.  Whatever an estimator needs beyond the
-surviving positions (exits at the horizon, the value at first exit, a
-running maximum) it reads from each block through a small observer.
+takes the budget at once.  A block is walked in tiles of whole rows,
+about 2^16 floats (0.5 MiB) each so that a tile stays in a core's L2
+cache: each tile is drawn into one tile buffer, summed, scanned for
+deaths and compacted before the next is drawn.  Rows are drawn in
+row-major order, so the tiles of a block take the draws the whole block
+would take, in the same order; a block wider than a tile runs one row
+per tile.  A block at most 8 steps wide, as the first blocks of walks
+near zero are, is summed and scanned for deaths column by column, where
+numpy's row-wise cumsum and any would pay a cost per row; the column
+adds are cumsum's additions in cumsum's order, so the estimates are the
+same.  The tile buffer, its two masks and the chunk's positions are
+scratch arrays kept for the next walk: about 1.1 MiB for each walk that
+runs at once.  Whatever an estimator needs beyond the surviving
+positions (exits at the horizon, the value at first exit, a running
+maximum) it reads from each tile, with the tile's first row, through a
+small observer.
 ``_chunked`` splits the paths into fixed chunks of 2^16; chunk i draws
 from an SFC64 stream keyed by (seed, i), and the chunks' (sum, M2)
 pairs are merged in chunk order, so every estimate is bit-identical for
@@ -25,7 +32,7 @@ a given seed whatever the worker-thread count.
 The generator, the block schedule, the samplers' transforms and the
 summation order make up the random stream, now version 3: a change to
 any of them changes estimates, so it is one deliberate, versioned
-change.
+change.  The tile size is not part of it.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero
@@ -47,11 +54,19 @@ from .increments import IncrementLaw, TiltedLaw
 from .rngstream import CHUNK_SIZE, chunk_generator, resolve_threads
 from .targets import TargetFunction, eval_target
 
-_BLOCK_ELEMS = 1 << 21  # per-block increment matrix budget (floats)
+_BLOCK_ELEMS = 1 << 21  # per-block increment budget (floats): the schedule
+# Floats drawn, summed and scanned at a time: a tile of whole rows of a
+# block, 0.5 MiB, so it stays in a core's L2 cache.
+_TILE = 1 << 16
 # Widest block summed and scanned column by column: numpy's axis-1
 # cumsum and any pay a cost per row that dominates narrow blocks, and
 # the strided column adds lose to cumsum from about 16 columns on.
 _NARROW = 8
+# Scratch arrays of finished walks, taken by the next: a walk allocates no
+# array the size of a tile or a chunk, so the C heap does not hand such
+# arrays back to the system between walks to fault them in again.  At
+# most one set per concurrent walk; list pop and append are atomic.
+_SPARE = []
 
 
 @dataclass(frozen=True)
@@ -157,61 +172,91 @@ def _check_start(x, n):
 
 
 def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
-    """Walk the paths at ``pos`` for up to ``steps`` steps; returns survivors.
+    """Walk the paths at ``pos``, at most CHUNK_SIZE, for ``steps`` steps.
 
-    Each block is one increments matrix turned into positions in place.
-    ``observe(d, done, neg, died)`` sees every block before the paths that
-    crossed below zero are compacted away: ``d`` holds the positions after
-    steps done+1 .. done+b, ``neg`` marks d < 0 and ``died`` its rows (both
-    None without killing).  ``d`` is a view of the call's block buffer, so
-    an observer copies what it keeps.  A sampler whose ``sample_block``
+    Returns the survivors' positions.  A block of b steps is walked in
+    tiles of t = max(1, _TILE // b) whole rows: each tile's increments are
+    drawn into the tile buffer, summed into positions in place, scanned
+    for deaths, shown to ``observe`` and compacted before the next tile is
+    drawn.  The tiles draw, in row order, what the whole block would
+    draw.  ``observe(d, done, row, neg, died)`` sees every tile: ``d``
+    holds the positions after steps done+1 .. done+b of the block's rows
+    row .. row+t-1, ``neg`` marks d < 0 and ``died`` its rows (both None
+    without killing).  All three are views of scratch buffers, so an
+    observer copies what it keeps.  A sampler whose ``sample_block``
     takes no ``out`` (a timing wrapper, say) hands back fresh arrays of
     the same draws.
     """
-    buf = np.empty(max(_BLOCK_ELEMS, pos.size))
     into = "out" in inspect.signature(sampler.sample_block).parameters
-    done = 0
-    while pos.size and done < steps:
-        rows = pos.size
-        budget = max(1, _BLOCK_ELEMS // rows)
-        b = min(steps - done, budget, max(1, done // 2) if kill else budget)
-        if into:
-            d = sampler.sample_block(rng, (rows, b),
-                                     out=buf[:rows * b].reshape(rows, b))
-        else:
-            d = sampler.sample_block(rng, (rows, b))
-        if negate:
-            np.negative(d, out=d)
-        narrow = b <= _NARROW
-        if narrow:
-            # cumsum's additions in cumsum's order, without its per-row cost
-            for k in range(1, b):
-                np.add(d[:, k - 1], d[:, k], out=d[:, k])
-        else:
-            np.cumsum(d, axis=1, out=d)
-        d += pos[:, None]
-        neg = died = None
-        if kill:
-            neg = d < 0.0
-            if narrow:
-                died = neg[:, 0].copy()
-                for k in range(1, b):
-                    np.logical_or(died, neg[:, k], out=died)
-            else:
-                died = neg.any(axis=1)
-        if observe is not None:
-            observe(d, done, neg, died)
-        last = d[:, b - 1]
-        pos = last[~died] if kill and died.any() else last.copy()
-        done += b
-    return pos
+    try:
+        scratch = _SPARE.pop()
+    except IndexError:
+        scratch = (np.empty(CHUNK_SIZE), np.empty(_TILE),
+                   np.empty(_TILE, bool), np.empty(_TILE, bool))
+    start, tile, lt, died = scratch  # positions, tile, tile < 0, dead rows
+    try:
+        # survivors are compacted into the front of a copy of the positions
+        start[:pos.size] = pos
+        pos = start[:pos.size]
+        done = 0
+        while pos.size and done < steps:
+            rows = pos.size
+            budget = max(1, _BLOCK_ELEMS // rows)
+            b = min(steps - done, budget,
+                    max(1, done // 2) if kill else budget)
+            t = max(1, _TILE // b)
+            if t * b > tile.size:  # one row per tile, wider than the buffer
+                tile, lt = np.empty(t * b), np.empty(t * b, bool)
+            narrow = b <= _NARROW
+            alive = 0
+            for row in range(0, rows, t):
+                r = min(t, rows - row)
+                if into:
+                    d = sampler.sample_block(rng, (r, b),
+                                             out=tile[:r * b].reshape(r, b))
+                else:
+                    d = sampler.sample_block(rng, (r, b))
+                if negate:
+                    np.negative(d, out=d)
+                if narrow:
+                    # cumsum's additions in cumsum's order, without its
+                    # per-row cost
+                    for k in range(1, b):
+                        np.add(d[:, k - 1], d[:, k], out=d[:, k])
+                else:
+                    d.cumsum(axis=1, out=d)
+                d += pos[row:row + r, None]
+                neg = dead = None
+                if kill:
+                    neg = np.less(d, 0.0, out=lt[:r * b].reshape(r, b))
+                    dead = died[:r]
+                    if narrow:
+                        np.copyto(dead, neg[:, 0])
+                        for k in range(1, b):
+                            np.logical_or(dead, neg[:, k], out=dead)
+                    else:
+                        np.logical_or.reduce(neg, axis=1, out=dead)
+                if observe is not None:
+                    observe(d, done, row, neg, dead)
+                last = d[:, b - 1]
+                if kill and dead.any():
+                    last = last[~dead]
+                # this tile's rows of pos are read: survivors may take them
+                pos[alive:alive + last.size] = last
+                alive += last.size
+            pos = pos[:alive]
+            done += b
+        return pos.copy()
+    finally:
+        _SPARE.append(scratch)
 
 
 def _sum_m2(v, m):
     """Sum and M2 = sum (v_i - mean)^2 of m values: ``v``, then zeros."""
     s = float(v.sum())
     mean = s / m
-    return s, float(np.square(v - mean).sum()) + (m - v.size) * mean * mean
+    d = v - mean
+    return s, float(np.square(d, out=d).sum()) + (m - v.size) * mean * mean
 
 
 def _chunked(samples, seed, threads, work):
@@ -272,17 +317,18 @@ def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
         raise DomainError("exit_at_n needs the killed walk")
 
     def work(rng, m):
-        exits = np.empty(0)
+        exits = []
 
-        def horizon_exits(d, done, neg, died):
-            nonlocal exits
+        def horizon_exits(d, done, row, neg, died):
             b = d.shape[1]
             if done + b == n and died.any():
                 rows = np.nonzero(died)[0]
-                exits = d[rows[neg[rows].argmax(axis=1) == b - 1], b - 1]
+                at_n = rows[neg[rows].argmax(axis=1) == b - 1]
+                exits.append(d[at_n, b - 1])
 
         surv = _advance(sampler, np.full(m, float(x)), n, rng, negate[0],
                         kill, horizon_exits if kill else None)
+        exits = np.concatenate(exits) if exits else np.empty(0)
         w_s = weight(surv) if (weight is not None and surv.size) else None
         w_e = weight(exits) if (weight is not None and exits.size) else None
         pairs = []
@@ -380,8 +426,10 @@ def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
     def work(rng, m):
         best = np.zeros(m)
 
-        def running_max(d, done, neg, died):
-            np.maximum(best, np.abs(d).max(axis=1), out=best)
+        def running_max(d, done, row, neg, died):
+            # max |d| by row, without an |d| the size of the tile
+            at = best[row:row + d.shape[0]]
+            np.maximum(at, np.maximum(d.max(axis=1), -d.min(axis=1)), out=at)
 
         _advance(law, np.zeros(m), n, rng, kill=False, observe=running_max)
         return [_sum_m2((best > u).astype(float), m)]

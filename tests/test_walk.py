@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,15 +108,15 @@ def test_stderr_stable_far_from_zero(gauss_law, x):
 
 def _drawn_per_path(sampler, x, n, kill=True):
     """Increments ``_advance`` draws per path, and its block lengths."""
-    drawn, lengths = [0], []
+    drawn, widths = [0], {}
 
-    def count(d, done, neg, died):
+    def count(d, done, row, neg, died):
         drawn[0] += d.size
-        lengths.append(d.shape[1])
+        widths[done] = d.shape[1]  # the tiles of one block share done
 
     walk._advance(sampler, np.full(CHUNK_SIZE, float(x)), n,
                   chunk_generator(3, 0), kill=kill, observe=count)
-    return drawn[0] / CHUNK_SIZE, lengths
+    return drawn[0] / CHUNK_SIZE, list(widths.values())
 
 
 @pytest.mark.parametrize("spec", ["gaussian", "laplace", "uniform", "pm1"])
@@ -175,43 +177,160 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def _set_tile(monkeypatch, floats):
+    """Walk in tiles of ``floats``, on scratch arrays of that size."""
+    monkeypatch.setattr(walk, "_TILE", floats)
+    monkeypatch.setattr(walk, "_SPARE", [])
+
+
 @pytest.mark.parametrize("negate", [False, True])
 @pytest.mark.parametrize("kill", [True, False])
 @pytest.mark.parametrize("b", range(1, 13))
-def test_blocks_match_cumsum_reference(gauss_law, b, kill, negate):
+def test_blocks_match_cumsum_reference(gauss_law, b, kill, negate,
+                                       monkeypatch):
     # blocks up to walk._NARROW wide are summed and scanned by columns;
     # every block must hold the bits of cumsum(axis=1) + pos, any(axis=1)
     # and the compacted last column.  A killed walk reaches done = 28 in
     # blocks 1, 1, 1, 1, 2, 3, 4, 6 and 9 wide, so its last block is b.
+    # At the default tile each block of these 300 paths is one tile; at a
+    # 100-float tile it is tiles of 100 // b rows, the last one short,
+    # which must reassemble into the same block.
     steps = 28 + b if kill else b
     start = np.linspace(0.0, 12.0, 300)
-    seen = []
+    runs = []
+    for tile in (walk._TILE, 100):
+        _set_tile(monkeypatch, tile)
+        tiles = []
 
-    def keep(d, done, neg, died):
-        seen.append((d.copy(), done, None if neg is None else neg.copy(),
-                     None if died is None else died.copy()))
+        def keep(d, done, row, neg, died):
+            tiles.append((done, row, d.copy(),
+                          None if neg is None else neg.copy(),
+                          None if died is None else died.copy()))
 
-    sampler = _RecordingSampler(gauss_law)
-    surv = walk._advance(sampler, start, steps, chunk_generator(9, 1),
-                         negate=negate, kill=kill, observe=keep)
-    assert seen[-1][0].shape[1] == b
-    pos, done = start, 0
-    for draws, (d, at, neg, died) in zip(sampler.blocks, seen, strict=True):
-        ref = np.cumsum(-draws if negate else draws, axis=1) + pos[:, None]
-        assert at == done
-        assert np.array_equal(_bits(d), _bits(ref))
+        sampler = _RecordingSampler(gauss_law)
+        surv = walk._advance(sampler, start, steps, chunk_generator(9, 1),
+                             negate=negate, kill=kill, observe=keep)
+        blocks = {}  # done -> the block's tiles, in row order
+        for draws, (at, row, d, neg, died) in zip(sampler.blocks, tiles,
+                                                  strict=True):
+            assert d.shape[0] <= max(1, tile // d.shape[1])
+            parts = blocks.setdefault(at, [])
+            assert row == sum(p[1].shape[0] for p in parts)
+            parts.append((draws, d, neg, died))
+        # each whole block as (done, draws, d, neg, died)
+        blocks = [(at, *(None if f[0] is None else np.concatenate(f)
+                         for f in zip(*parts)))
+                  for at, parts in blocks.items()]
+        assert blocks[-1][2].shape[1] == b
+        pos, done = start, 0
+        for at, draws, d, neg, died in blocks:
+            ref = np.cumsum(-draws if negate else draws, axis=1) + pos[:, None]
+            assert at == done
+            assert np.array_equal(_bits(d), _bits(ref))
+            if kill:
+                assert np.array_equal(neg, ref < 0.0)
+                assert np.array_equal(died, (ref < 0.0).any(axis=1))
+                pos = ref[~died, -1]
+            else:
+                assert neg is None and died is None
+                pos = ref[:, -1]
+            done += ref.shape[1]
+        assert done == steps
         if kill:
-            assert np.array_equal(neg, ref < 0.0)
-            assert np.array_equal(died, (ref < 0.0).any(axis=1))
-            pos = ref[~died, -1]
-        else:
-            assert neg is None and died is None
-            pos = ref[:, -1]
-        done += ref.shape[1]
-    assert done == steps
-    if kill:
-        assert 0 < surv.size < start.size
-    assert np.array_equal(_bits(surv), _bits(pos))
+            assert 0 < surv.size < start.size
+        assert np.array_equal(_bits(surv), _bits(pos))
+        runs.append((blocks, surv))
+    # both runs match the reference of their own draws: their draws must
+    # be the same too
+    (whole, surv), (tiled, tiled_surv) = runs
+    assert [blk[0] for blk in tiled] == [blk[0] for blk in whole]
+    for a, c in zip(whole, tiled):
+        assert np.array_equal(_bits(a[1]), _bits(c[1]))
+    assert np.array_equal(_bits(surv), _bits(tiled_surv))
+
+
+_GAUSS = IncrementLaw.gaussian(0.0, 1.0)
+_DRIFTED = IncrementLaw.laplace(-0.3, 1.0)
+
+
+def _three(dual):
+    return [Statistic.survival(dual), Statistic.exit_at_n(dual),
+            Statistic.interval(0.5, 1.5, dual)]
+
+
+# every estimator family on a few thousand paths
+_TILE_CASES = {
+    "primal": lambda: mc_estimates(_GAUSS, 0.0, 400, _three(False), 3000,
+                                   seed=21),
+    "dual": lambda: mc_estimates(IncrementLaw.uniform(-1.0, 1.0), 1.0, 60,
+                                 _three(True), 3000, seed=22),
+    "unconditioned": lambda: [mc_unconditioned(
+        _GAUSS, 150, Statistic.interval(0.0, 3.0), 3000, seed=23)],
+    "max_abs": lambda: [mc_max_abs_walk(_GAUSS, 150, 8.0, 3000, seed=24)],
+    "tilted": lambda: [mc_tilted_survival(
+        _DRIFTED, cramer_tilt(_DRIFTED), 0.0, 100, Statistic.survival(), 3000,
+        seed=25)],
+    "ladder": lambda: [estimate_V_ladder(_GAUSS, 1.0, cap=10 ** 3,
+                                         samples=2000, seed=26)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TILE_CASES))
+def test_tiles_give_the_same_bits(name, monkeypatch):
+    # 100 floats is no multiple of the block widths, so tiles end short
+    # of a block's last row, and blocks over 100 steps wide run one row
+    # per tile
+    call = _TILE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CensoringExcess)
+        whole = call()
+        _set_tile(monkeypatch, 100)
+        assert call() == whole
+
+
+_GUARDED = {
+    "unkilled": lambda law: mc_unconditioned(
+        law, 400, Statistic.interval(0.0, 1.0), CHUNK_SIZE, seed=31),
+    "killed_far": lambda law: mc_estimates(
+        law, 20.0, 400, [Statistic.survival(), Statistic.interval(20.0, 1.0)],
+        CHUNK_SIZE, seed=32),
+    "max_abs": lambda law: mc_max_abs_walk(law, 400, 10.0, CHUNK_SIZE,
+                                           seed=33),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_walk_memory_stays_tile_sized(gauss_law, name, monkeypatch):
+    # a chunk walks in 0.5 MiB tiles, not in whole blocks of up to 2^21
+    # floats (16 MiB) with their kill masks; an empty scratch pool counts
+    # the scratch arrays' allocation too
+    monkeypatch.setattr(walk, "_SPARE", [])
+    tracemalloc.start()
+    try:
+        _GUARDED[name](gauss_law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_scratch_pool_under_thread_contention(gauss_law, monkeypatch):
+    # each running walk must hold its own scratch set: a set shared by two
+    # walks would mix their positions and move the estimate
+    monkeypatch.setattr(walk, "_SPARE", [])
+    stats = [Statistic.survival(), Statistic.killed_position()]
+    args = (gauss_law, 0.5, 60, stats, 12 * CHUNK_SIZE, 5)
+    serial = mc_estimates(*args, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        crowded = mc_estimates(*args, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert crowded == serial
+    sets = walk._SPARE
+    assert 1 <= len(sets) <= 8
+    assert len({id(a) for s in sets for a in s}) == 4 * len(sets)
 
 
 def test_bad_thread_setting_rejected(gauss_law, monkeypatch):
