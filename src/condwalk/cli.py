@@ -77,7 +77,8 @@ def _cmd_predict(args) -> int:
 
 def _cmd_harmonic(args) -> int:
     law = parse_law(args.law)
-    tilt = cramer_tilt(law) if abs(law.mean) > 1e-13 else None
+    tilt = cramer_tilt(law)
+    tilt = tilt if tilt.lam != 0.0 else None
     tab = build_harmonic_table(law, dual=args.dual or args.action == "kappa",
                                tilt=tilt)
     if args.action == "build":

@@ -6,8 +6,9 @@ for the density laws (gaussian, laplace, uniform, their duals and their
 Cramér tilts) solve that equation deterministically: V is piecewise linear
 on a uniform node grid over [0, L], L ~ 40 sigma, and linear beyond L;
 product-integration (Nyström) weights come from the law's distribution
-function F and partial first moment M, whose closed forms, tilted or
-not, ``increments`` owns; one Richardson step combines the solves at
+function F and partial first moment M, whose closed forms ``increments``
+owns and which take the step's law object, tilted or not, and its
+mirror for the dual; one Richardson step combines the solves at
 steps h and h/2 (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4).  Weights below sqrt(tiny),
 the smallest normal float's square root, are read as 0: their products
@@ -39,8 +40,8 @@ import numpy as np
 
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
-from .increments import FINITE, GAUSSIAN, LAPLACE, UNIFORM, IncrementLaw, \
-    TiltedLaw, _cdf_partial_mean, _mirror, left_exit_prob
+from .increments import FINITE, IncrementLaw, TiltedLaw, _breaks, \
+    _cdf_partial_mean, _mirror, left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _check_x, \
     _chunked, _integer, _mc_many, _sum_m2
@@ -95,9 +96,8 @@ def estimate_V_killed(law, x: float, n: int, samples: int, seed: int,
                       dual: bool = False, threads: int | None = None) -> McEstimate:
     """E(x + S_n; tau_x > n), a monotone-in-n lower approximant of V(x)."""
     _require_zero_mean(law)
-    return _mc_many(law, law.sigma, x, n,
-                    [Statistic.killed_position(dual=dual)], samples, seed,
-                    threads)[0]
+    return _mc_many(law, x, n, [Statistic.killed_position(dual=dual)],
+                    samples, seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +114,7 @@ def is_solved(sampler) -> bool:
     True for the density laws and their Cramér tilts, False for
     finite-support laws, whose V is a ladder estimate at one point.
     """
-    return _density_law(sampler, False) is not None
-
-
-def _density_law(sampler, dual):
-    """The tilted density law (family, a, b, lam) of one step, or None.
-
-    The tuple is the one ``increments``' closed forms take; the dual step
-    is the mirrored law.  Finite-support laws have no density and give
-    None.
-    """
-    if isinstance(sampler, IncrementLaw):
-        if sampler.family == FINITE:
-            return None
-        law = (sampler.family, sampler.a, sampler.b, 0.0)
-    else:
-        base = sampler.base
-        law = (base.family, base.a, base.b, sampler.lam)
-    return _mirror(law) if dual else law
+    return sampler.family != FINITE
 
 
 def _node_weights(law, t, h):
@@ -156,13 +139,7 @@ def _node_weights(law, t, h):
     return full, right, left, hr[1:-1]
 
 
-def _kinks(law):
-    """Where the density of (family, a, b, lam) has a kink or a jump."""
-    family, a, b, _ = law
-    return {GAUSSIAN: [], LAPLACE: [a], UNIFORM: [a, b]}[family]
-
-
-def _node_step(law, sigma):
+def _node_step(law):
     """Node spacing near 0.1 sigma with the density's nearest kink on a node.
 
     A kink or jump of the density off the nodes puts a kink of V off the
@@ -173,8 +150,9 @@ def _node_step(law, sigma):
     estimate, so that h >= 0.05 sigma and the finer solve has at most
     1601 nodes (a 20 MB matrix).
     """
-    h = _SOLVE_STEP * sigma
-    unit = min((abs(k) for k in _kinks(law) if k != 0.0), default=0.0)
+    h = _SOLVE_STEP * law.sigma
+    unit = min((abs(k) for k in _breaks(law).tolist() if k != 0.0),
+               default=0.0)
     return h if unit < h / 2.0 else unit / math.ceil(unit / h)
 
 
@@ -207,7 +185,7 @@ def _step(law, h, n, x, m):
     return k, tail[n + m - 1:n - 1:-1]
 
 
-def _solved_table(law, sigma):
+def _solved_table(law):
     """The finer solve's node lattice, V on it with error estimates, and
     V(L) - L.
 
@@ -224,8 +202,8 @@ def _solved_table(law, sigma):
         return lu_solve(lu_factor(a, overwrite_a=True, check_finite=False),
                         r, check_finite=False)
 
-    h = _node_step(law, sigma)
-    n = math.ceil(_SOLVE_SPAN * sigma / h)
+    h = _node_step(law)
+    n = math.ceil(_SOLVE_SPAN * law.sigma / h)
     coarse, v_h2 = solve(h, n), solve(h / 2.0, 2 * n)
     v_h = np.repeat(coarse, 2)[:-1]
     k, r = _step(law, h, n, h / 2.0, n)
@@ -296,12 +274,11 @@ def build_harmonic_table(law, params: TableParams | None = None,
     ``params`` and ``threads`` are accepted and ignored.
     """
     sampler = tilt.sampler if tilt is not None else law
-    density = _density_law(sampler, dual)
-    if density is None:
+    if not is_solved(sampler):
         raise DomainError("a finite-support law has no harmonic table; "
                           "estimate_V_ladder gives V at one point")
     _require_zero_mean(sampler)
-    grid, values, offset = _solved_table(density, sampler.sigma)
+    grid, values, offset = _solved_table(_mirror(sampler) if dual else sampler)
     return HarmonicTable(grid, values, dual,
                          tilt.lam if tilt is not None else None, offset)
 
@@ -344,12 +321,6 @@ def _cells(edges, lo, hi):
     return (mid[:, None] + np.outer(half, x)).ravel(), np.outer(half, w).ravel()
 
 
-def _breaks(sampler):
-    """The atoms of a finite-support step law, else its density's kinks."""
-    law = _density_law(sampler, False)
-    return np.asarray(sampler.points if law is None else _kinks(law), float)
-
-
 def kappa_constant(law: IncrementLaw, dual_table: HarmonicTable,
                    tilt: TiltedLaw | None = None) -> float:
     """Killing-probability form: integral of P(t + X < 0) w(t) V*(t) dt.
@@ -385,8 +356,7 @@ def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
     knots = np.append(0.0, dual_table.grid)
     s, w = _cells(np.append(np.add.outer(_breaks(sampler), knots), np.arange(
         lo, 0.0, sampler.sigma or math.inf)), lo, 0.0)
-    step = _density_law(sampler, False)
-    if step is None:
+    if not is_solved(sampler):
         u = s[:, None] - np.asarray(sampler.points)
         v = np.where(u >= 0.0, dual_table(u), 0.0) @ np.asarray(sampler.probs)
     else:
@@ -395,7 +365,7 @@ def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
         means = dual_table._means
         slope = np.r_[0.0, np.diff(means) / np.diff(knots[1:]), 1.0]
         u = s[:, None] - knots
-        f, m = _cdf_partial_mean(step, u)
+        f, m = _cdf_partial_mean(sampler, u)
         jump = knots[-1] + dual_table.extrapolation_offset - means[-1]
         v = means[0] * f[:, 0] + jump * f[:, -1] \
             + (u * f - m) @ np.diff(slope, prepend=0.0)

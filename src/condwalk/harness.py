@@ -34,9 +34,10 @@ from pathlib import Path
 from .asymptotics import THEOREMS, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
-from .harmonic import HarmonicTable, _density_law, build_harmonic_table, \
+from .harmonic import HarmonicTable, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
-from .increments import cramer_tilt, format_law, is_lattice, parse_law
+from .increments import _mirror, cramer_tilt, format_law, is_lattice, \
+    parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, _integer, mc_estimate, \
@@ -259,14 +260,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     sampler = tilt.sampler if tilt else law
     # every ingredient is the walked law's: the tilted one under a tilt;
     # f_int is the integral of the indicator of [y, y + delta]
-    ing = {"sigma": tilt.tilted_sigma if tilt else law.sigma, "x": cfg.x,
-           "y": cfg.y, "delta": cfg.delta, "q": cfg.q, "t": cfg.t,
-           "f_int": cfg.delta}
+    ing = {"sigma": sampler.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
+           "q": cfg.q, "t": cfg.t, "f_int": cfg.delta}
     if tilt is not None:
         ing.update(lam=tilt.lam, log_mgf=tilt.log_mgf)
 
     # a symmetric step's V* is V, solved and cached once
-    symmetric = _density_law(sampler, True) == _density_law(sampler, False)
+    symmetric = is_solved(sampler) and _mirror(sampler) == sampler
 
     @functools.cache
     def table(dual):

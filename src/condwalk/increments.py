@@ -9,9 +9,11 @@ and the exponential change of measure
 
 where ``lam`` is the Cramér root solving E[X exp(lam*X)] = 0 and
 ``Lambda(lam) = log E[exp(lam*X)]``.  The tilted law always has mean zero.
-Every closed form of a density family under a tilt lives here: density,
-F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's weights) and
-Lambda with its first two derivatives, so the tilt needs no quadrature.
+Every closed form of a density family lives here and takes a law object,
+an ``IncrementLaw`` (``lam = 0``) or a tilted laplace or uniform law:
+density, F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's
+weights), the law of -X, the density's kinks, and Lambda with its first
+two derivatives, so the tilt needs no quadrature.
 A lam outside the strip where E[exp(lam*X)] is finite raises DomainError.
 """
 
@@ -51,6 +53,7 @@ class IncrementLaw:
     b: float = 1.0
     points: tuple = ()
     probs: tuple = ()
+    lam = 0.0  # not a field: an untilted law, for the closed forms
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a, self.b) + self.points + self.probs)):
@@ -158,14 +161,13 @@ class IncrementLaw:
         if self.family == FINITE:
             return float(sum(pr for x, pr in zip(self.points, self.probs)
                              if x <= t))
-        return float(_cdf_partial_mean((self.family, self.a, self.b, 0.0),
-                                       t)[0])
+        return float(_cdf_partial_mean(self, t)[0])
 
     def density(self, x):
         """Density of the continuous families, vectorized."""
         if self.family == FINITE:
             raise DomainError("finite-support laws have no density")
-        return _density((self.family, self.a, self.b, 0.0), x)
+        return _density(self, x)
 
     def abs_tail(self, v: float) -> float:
         """P(|X| > v)."""
@@ -207,21 +209,31 @@ def left_exit_prob(law: IncrementLaw, t):
     if law.family == FINITE:
         p = (np.asarray(law.points) < -t[..., None]) @ np.asarray(law.probs)
     else:
-        p = _cdf_partial_mean((law.family, law.a, law.b, 0.0), -t)[0]
+        p = _cdf_partial_mean(law, -t)[0]
     return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the density laws (family, a, b, lam): the density of
-# IncrementLaw(family, a, b) times exp(lam u - Lambda(lam)); lam = 0 is the law.
+# Closed forms of the density laws.  Each takes a law object, an
+# IncrementLaw of a density family or a _TiltedDensity (the base law's
+# density times exp(lam u - Lambda(lam))), and reads its family, a, b, lam.
 
 
 def _mirror(law):
-    """The law of -X."""
-    family, a, b, lam = law
-    if family == UNIFORM:
-        return family, -b, -a, -lam
-    return family, -a, b, -lam
+    """The law of -X, for a density law."""
+    a, b = (-law.b, -law.a) if law.family == UNIFORM else (-law.a, law.b)
+    if law.lam == 0.0:
+        return IncrementLaw(law.family, a, b)
+    return _TiltedDensity(law.family, a, b, -law.lam)
+
+
+def _breaks(law):
+    """The atoms of a finite-support law, else where its density has a
+    kink or a jump."""
+    if law.family == FINITE:
+        return np.asarray(law.points, float)
+    return np.asarray({GAUSSIAN: [], LAPLACE: [law.a],
+                       UNIFORM: [law.a, law.b]}[law.family], float)
 
 
 def _cdf_partial_mean(law, t):
@@ -230,7 +242,7 @@ def _cdf_partial_mean(law, t):
     Both are accurate to relative precision in the left tail, where they
     are small.
     """
-    family, a, b, lam = law
+    family, a, b, lam = law.family, law.a, law.b, law.lam
     if family == GAUSSIAN:
         z = (t - a) / b
         f = norm_cdf(z)
@@ -287,7 +299,7 @@ def _h_scaled(x, z, c):
 
 def _density(law, u):
     """The density at u, vectorized."""
-    family, a, b, lam = law
+    family, a, b, lam = law.family, law.a, law.b, law.lam
     u = np.asarray(u, dtype=float)
     if family == GAUSSIAN:
         z = (u - a - lam * b ** 2) / b
@@ -306,7 +318,7 @@ def _density(law, u):
     return np.where(inside, scale * np.exp(np.minimum(lam * (u - edge), 0.0)), 0.0)
 
 
-def _cumulants(law: IncrementLaw, lam: float):
+def _cumulants(law, lam: float):
     """Lambda(lam) = log E[e^{lam X}] of a density law, with Lambda'(lam)
     and Lambda''(lam): the mean and the variance of the tilted law."""
     a, b = law.a, law.b
@@ -350,16 +362,29 @@ def _check_strip(law: IncrementLaw, lam: float):
 
 
 @dataclass(frozen=True)
-class _InverseCdfTilt:
-    """Tilted laplace/uniform sampler via the explicit inverse CDF."""
+class _TiltedDensity:
+    """A laplace or uniform law tilted by ``lam`` != 0, sampled by the
+    explicit inverse CDF; its moments are Lambda'(lam) and Lambda''(lam)."""
 
-    base: IncrementLaw
+    family: str
+    a: float
+    b: float
     lam: float
-    mean: float
-    variance: float
 
     @property
-    def sigma(self):
+    def base(self) -> IncrementLaw:
+        return IncrementLaw(self.family, self.a, self.b)
+
+    @property
+    def mean(self) -> float:
+        return _cumulants(self, self.lam)[1]
+
+    @property
+    def variance(self) -> float:
+        return _cumulants(self, self.lam)[2]
+
+    @property
+    def sigma(self) -> float:
         return math.sqrt(self.variance)
 
     def sample_block(self, rng, shape, out=None):
@@ -371,22 +396,20 @@ class _InverseCdfTilt:
         """
         u = rng.random(shape, out=out)
         np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-        lam, law = self.lam, self.base
-        if law.family == UNIFORM:
-            lo, hi = law.a, law.b
-            # F^{-1}(u) = log( (1-u) e^{lam lo} + u e^{lam hi} ) / lam
+        lam, a, b = self.lam, self.a, self.b
+        if self.family == UNIFORM:
+            # F^{-1}(u) = log( (1-u) e^{lam a} + u e^{lam b} ) / lam
             w = np.negative(u)
             np.log1p(w, out=w)
-            w += lam * lo
+            w += lam * a
             np.log(u, out=u)
-            u += lam * hi
+            u += lam * b
             np.logaddexp(w, u, out=u)
             u /= lam
             return u
-        mu, b = law.a, law.b
-        p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below mu
-        # F^{-1}(u) = mu + log(w) / rate, with w = u / p_below and rate
-        # lam + 1/b below mu, w = (1 - u) / (1 - p_below) and lam - 1/b above
+        p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below a
+        # F^{-1}(u) = a + log(w) / rate, with w = u / p_below and rate
+        # lam + 1/b below a, w = (1 - u) / (1 - p_below) and lam - 1/b above
         below = u < p_below
         w = u / p_below
         np.subtract(1.0, u, out=u)
@@ -396,16 +419,16 @@ class _InverseCdfTilt:
         np.divide(u, lam + 1.0 / b, out=w)
         u /= lam - 1.0 / b
         np.putmask(u, below, w)
-        u += mu
+        u += a
         return u
 
     def density(self, x):
-        return _density((self.base.family, self.base.a, self.base.b, self.lam), x)
+        return _density(self, x)
 
     def support_bounds(self):
         """(lo, hi) carrying all but ~1e-30 of the tilted mass."""
-        a, b, lam = self.base.a, self.base.b, self.lam
-        if self.base.family == UNIFORM:
+        a, b, lam = self.a, self.b, self.lam
+        if self.family == UNIFORM:
             return a, b
         return a - 80.0 / (1.0 / b + lam), a + 80.0 / (1.0 / b - lam)
 
@@ -416,13 +439,16 @@ class TiltedLaw:
 
     lam: float
     log_mgf: float
-    tilted_variance: float
     base: IncrementLaw
-    sampler: object  # IncrementLaw or _InverseCdfTilt
+    sampler: object  # IncrementLaw or _TiltedDensity
+
+    @property
+    def tilted_variance(self) -> float:
+        return self.sampler.variance
 
     @property
     def tilted_sigma(self) -> float:
-        return math.sqrt(self.tilted_variance)
+        return self.sampler.sigma
 
 
 def _finite_exp_terms(law, lam):
@@ -486,7 +512,7 @@ def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     law whose support has one sign has none.  No quadrature is involved.
     """
     if abs(law.mean) <= 1e-13 * max(1.0, law.sigma):
-        return TiltedLaw(0.0, 0.0, law.variance, law, law)
+        return TiltedLaw(0.0, 0.0, law, law)
     if law.variance == 0.0:
         raise NoTiltExists(
             "degenerate one-atom law with nonzero mean cannot be re-centered",
@@ -515,12 +541,12 @@ def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     if law.family == FINITE:
         x, w, _ = _finite_exp_terms(law, lam)
         sampler = IncrementLaw.finite(tuple(x), tuple(w / np.sum(w)))
-        lg, var = log_mgf(law, lam), sampler.variance
+        lg = log_mgf(law, lam)
     else:
-        lg, mean, var = _cumulants(law, lam)
+        lg, mean, _ = _cumulants(law, lam)
         sampler = (IncrementLaw.gaussian(mean, law.b) if law.family == GAUSSIAN
-                   else _InverseCdfTilt(law, lam, mean, var))
-    return TiltedLaw(float(lam), lg, var, law, sampler)
+                   else _TiltedDensity(law.family, law.a, law.b, lam))
+    return TiltedLaw(float(lam), lg, law, sampler)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StateExplosion
-from .harmonic import _density_law, _node_step, _node_weights
+from .harmonic import _node_step, _node_weights
 from .increments import FINITE, IncrementLaw, _cdf_partial_mean, cramer_tilt
 from .targets import TargetFunction, eval_target
-from .walk import _check_start
+from .walk import _check_start, _integer
 
 ATOM_BUDGET = 10 ** 6
 MAX_DEPTH = 60
@@ -53,10 +53,10 @@ class JointLaw:
 
 def exact_joint_law(law: IncrementLaw, x: float, n: int) -> JointLaw:
     """Distribution of x + S_n on {tau_x > n}; positions exactly 0 survive."""
-    if law.family != "finite_support":
+    if law.family != FINITE:
         raise DomainError("exact computation needs a finite-support law")
-    if n < 1 or n > MAX_DEPTH:
-        raise DomainError(f"n must be in 1..{MAX_DEPTH}")
+    if not (_integer(n) and 1 <= n <= MAX_DEPTH):
+        raise DomainError(f"n must be an integer in 1..{MAX_DEPTH}, got {n!r}")
     _check_start(x, n)
     atoms = {round(float(x), 12): np.longdouble(1.0)}
     died = np.longdouble(0.0)
@@ -92,8 +92,8 @@ def exact_killed_moment(law: IncrementLaw, x: float, n: int) -> float:
 
 def sparre_andersen_survival(n: int) -> float:
     """P(tau_0 > n) = C(2n,n)/4^n for symmetric continuous increments."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    if not (_integer(n) and n >= 0):
+        raise DomainError(f"n must be an integer >= 0, got {n!r}")
     if n == 0:
         return 1.0
     if n <= 10 ** 5:
@@ -104,8 +104,8 @@ def sparre_andersen_survival(n: int) -> float:
 
 def sparre_andersen_exit_at(n: int) -> float:
     """P(tau_0 = n); the binomial ratio collapses to u_n / (2n - 1)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not (_integer(n) and n >= 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     return sparre_andersen_survival(n) / (2 * n - 1)
 
 
@@ -142,16 +142,16 @@ def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
     tilt = cramer_tilt(law)
     if tilt.lam < 0.0:
         raise DomainError(f"killed_law needs a drift <= 0, got {law.mean!r}")
-    lam, density = tilt.lam, _density_law(tilt.sampler, False)
-    h = _node_step(density, tilt.sampler.sigma)
+    lam, step = tilt.lam, tilt.sampler
+    h = _node_step(step)
     # one step's reach in cells: where hat weights fall to 1e-18 of the top
-    wide = math.ceil(max(np.abs(tilt.sampler.support_bounds())) / h)
-    full = _node_weights(density, np.arange(-wide - 1, wide + 2) * h, h)[0]
+    wide = math.ceil(max(np.abs(step.support_bounds())) / h)
+    full = _node_weights(step, np.arange(-wide - 1, wide + 2) * h, h)[0]
     r = int(np.abs(np.flatnonzero(full >= 1e-18 * full.max()) - wide).max())
-    cells = math.ceil((x + 8.0 * tilt.sampler.sigma * math.sqrt(n)) / h) + r
+    cells = math.ceil((x + 8.0 * step.sigma * math.sqrt(n)) / h) + r
 
     def evolve(h, cells, r):  # weighted survival and exit, and edge cdf
-        full = _node_weights(density, np.arange(-r - 1, r + 2) * h, h)[0]
+        full = _node_weights(step, np.arange(-r - 1, r + 2) * h, h)[0]
         edges = np.arange(-r, cells + 1) * h
         shape = 1.0 if lam == 0.0 else -math.expm1(-lam * h) / (lam * h)
         below, weight = np.split(np.exp(-lam * edges[:-1]) * shape, [r])
@@ -159,7 +159,7 @@ def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
         size = 1 << (cells + full.size).bit_length()  # no wrap-around
         kernel = np.fft.rfft(full, size)
         alive, died = np.full(n + 1, math.exp(-lam * x)), np.zeros(n + 1)
-        mass = np.diff(_cdf_partial_mean(density, edges - x)[0])
+        mass = np.diff(_cdf_partial_mean(step, edges - x)[0])
         died[1], alive[1], mass = mass[:r] @ below, mass[r:] @ weight, mass[r:]
         for j in range(2, n + 1):
             died[j] = mass[:r] @ kill
@@ -213,10 +213,10 @@ def verify_duality(law: IncrementLaw, h: TargetFunction, g: TargetFunction,
     increments).  Full path enumeration; each path contributes an exact
     piecewise-constant integral in the start point.
     """
-    if law.family != "finite_support":
+    if law.family != FINITE:
         raise DomainError("duality verification needs a finite-support law")
-    if n < 1 or n > 8:
-        raise DomainError("n must be in 1..8")
+    if not (_integer(n) and 1 <= n <= 8):
+        raise DomainError(f"n must be an integer in 1..8, got {n!r}")
     k = len(law.points)
     if k ** n > 4 * 10 ** 6:
         raise StateExplosion(f"{k}^{n} paths exceed the enumeration budget")

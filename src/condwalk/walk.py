@@ -301,15 +301,15 @@ def _chunked(samples, seed, threads, work):
     return out
 
 
-def _mc_many(sampler, sigma, x, n, stats, samples, seed, threads=None,
-             kill=True, weight=None):
+def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
+             weight=None):
     """Shared-path estimates of several statistics at once.
 
     ``weight`` maps terminal positions to path weights (importance
     sampling); it applies to survivor and horizon-exit evaluations alike.
     """
     _check_start(x, n)
-    evals = [_stat_eval(s, sigma, n) for s in stats]
+    evals = [_stat_eval(s, sampler.sigma, n) for s in stats]
     negate = [s.dual for s in stats]
     if any(negate) and not all(negate):
         raise DomainError("cannot mix dual and primal statistics in one pass")
@@ -362,20 +362,19 @@ def simulate_exit(law: IncrementLaw, x: float, horizon: int,
 def mc_estimate(law: IncrementLaw, x: float, n: int, stat: Statistic,
                 samples: int, seed: int, threads: int | None = None) -> McEstimate:
     """Unbiased Monte Carlo estimate of one killed-walk functional."""
-    return _mc_many(law, law.sigma, x, n, [stat], samples, seed, threads)[0]
+    return _mc_many(law, x, n, [stat], samples, seed, threads)[0]
 
 
 def mc_estimates(law: IncrementLaw, x: float, n: int, stats, samples: int,
                  seed: int, threads: int | None = None):
     """Several statistics evaluated on one shared set of paths."""
-    return _mc_many(law, law.sigma, x, n, list(stats), samples, seed, threads)
+    return _mc_many(law, x, n, list(stats), samples, seed, threads)
 
 
 def mc_unconditioned(law: IncrementLaw, n: int, stat: Statistic, samples: int,
                      seed: int, threads: int | None = None) -> McEstimate:
     """Same functionals without the killing boundary (plain S_n)."""
-    return _mc_many(law, law.sigma, 0.0, n, [stat], samples, seed, threads,
-                    kill=False)[0]
+    return _mc_many(law, 0.0, n, [stat], samples, seed, threads, kill=False)[0]
 
 
 def mc_tilted_survival(base: IncrementLaw, tilt: TiltedLaw, x: float, n: int,
@@ -402,9 +401,7 @@ def mc_tilted_survival(base: IncrementLaw, tilt: TiltedLaw, x: float, n: int,
         def weight(p):
             return np.exp(log_const - lam * p)
 
-    sampler = tilt.sampler
-    sigma = tilt.tilted_sigma
-    return _mc_many(sampler, sigma, x, n, [stat], samples, seed, threads,
+    return _mc_many(tilt.sampler, x, n, [stat], samples, seed, threads,
                     weight=weight)[0]
 
 
@@ -415,7 +412,7 @@ def mc_scaled_cdf_curve(law: IncrementLaw, x: float, n: int, t_grid,
     if any(b < a for a, b in zip(t_grid, t_grid[1:])):
         raise DomainError("t_grid must be sorted")
     stats = [Statistic.scaled_cdf(t) for t in t_grid]
-    return _mc_many(law, law.sigma, x, n, stats, samples, seed, threads)
+    return _mc_many(law, x, n, stats, samples, seed, threads)
 
 
 def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,

@@ -210,6 +210,11 @@ def test_harmonic_build_csv(tmp_path, capsys):
     assert lines[0] == "x,v_mean,v_stderr,count"
     assert len(lines) > 10
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+    # a mean that cramer_tilt reads as zero is not tilted, as a zero mean
+    for law in ("gaussian:5e-13,10", "gaussian:0,10"):
+        code, out = run_cli(capsys, "harmonic", "kappa", "--law", law)
+        assert code == 0
+        assert json.loads(out)["tilt"] is None
 
 
 def test_harmonic_refuses_finite_law_and_seed(capsys):

@@ -11,10 +11,11 @@ from condwalk import (CensoringExcess, DomainError, DriftedLaw,
                       QuadratureFailure, build_harmonic_table, cramer_tilt,
                       estimate_V_killed, estimate_V_ladder,
                       harmonicity_residual, kappa_constant,
-                      kappa_extension_form, parse_law, predict,
+                      kappa_extension_form, killed_law, parse_law, predict,
                       weighted_table_integral)
 from condwalk import harmonic
-from condwalk.harmonic import _density_law, _node_step
+from condwalk.harmonic import _node_step
+from condwalk.increments import _mirror
 from condwalk.rngstream import mix64
 
 from conftest import spitzer_drifted_survival, within_stderr
@@ -162,7 +163,7 @@ def test_solved_kink_near_zero(spec, tilted):
     law = parse_law(spec)
     tilt = cramer_tilt(law) if tilted else None
     sampler = tilt.sampler if tilted else law
-    step = _node_step(_density_law(sampler, False), sampler.sigma)
+    step = _node_step(sampler)
     assert step >= 0.05 * sampler.sigma
     tab = build_harmonic_table(law, tilt=tilt)
     offset = 1.0 / (1.0 / law.b + (tilt.lam if tilted else 0.0))
@@ -182,13 +183,13 @@ def _solve_inputs(spec, dual, tilted):
     law = parse_law(spec)
     tilt = cramer_tilt(law) if tilted else None
     sampler = tilt.sampler if tilted else law
-    return law, tilt, _density_law(sampler, dual), sampler.sigma
+    return law, tilt, _mirror(sampler) if dual else sampler
 
 
 @pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
 def test_flushed_weights_change_no_bit(monkeypatch, spec, dual, tilted):
     # the table from a solve that keeps every weight, down to 2e-322
-    law, tilt, _, _ = _solve_inputs(spec, dual, tilted)
+    law, tilt, _ = _solve_inputs(spec, dual, tilted)
     tab = build_harmonic_table(law, dual=dual, tilt=tilt)
     monkeypatch.setattr(harmonic, "_TINY", 0.0)
     ref = build_harmonic_table(law, dual=dual, tilt=tilt)
@@ -203,9 +204,9 @@ def test_flushed_weights_change_no_bit(monkeypatch, spec, dual, tilted):
 @pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
 def test_solve_matrix_holds_no_tiny_weight(spec, dual, tilted):
     # a product of two weights below sqrt(tiny) would be subnormal
-    _, _, law, sigma = _solve_inputs(spec, dual, tilted)
-    h = _node_step(law, sigma)
-    n = math.ceil(harmonic._SOLVE_SPAN * sigma / h)
+    _, _, law = _solve_inputs(spec, dual, tilted)
+    h = _node_step(law)
+    n = math.ceil(harmonic._SOLVE_SPAN * law.sigma / h)
     # the coarse and fine solves, and the step to the fine lattice's odd
     # nodes
     for args in ((h, n, 0.0, n + 1), (h / 2.0, 2 * n, 0.0, 2 * n + 1),
@@ -411,6 +412,48 @@ def test_tilted_kappa_gives_exact_drifted_exit_constant():
                    n=n, x=0.0, lam=tilt.lam, log_mgf=tilt.log_mgf).value
     assert abs(pred * n ** 1.5 * math.exp(-n * lg)
                / (2.0 * c(n) - c(n // 2)) - 1.0) <= 1e-4
+
+
+# float.hex of the tilted tables' V(0), V*(0) and offsets, both kappa forms
+# and the tilted step's moments: a change to how the closed forms are
+# reached, not to what they compute, keeps every bit
+_PINNED_TILTED = {
+    "laplace:-0.3,1": {
+        "v0": "0x1.d2215bd0d760dp-1", "v_offset": "0x1.c0a1952b37f00p-1",
+        "vstar0": "0x1.2c09324534832p+0",
+        "vstar_offset": "0x1.2c093245657a0p+0",
+        "kappa": "0x1.397157d724b7ap+0", "kappa_ext": "0x1.397157d724b64p+0",
+        "mean": "0x0.0p+0", "variance": "0x1.1127ea971e8cep+1",
+        "sigma": "0x1.75f918fb698d8p+0"},
+    "uniform:-1,2": {
+        "v0": "0x1.dffad238ead83p-2", "v_offset": "0x1.49df608f1d900p-2",
+        "vstar0": "0x1.49ec93e7088f2p-1",
+        "vstar_offset": "0x1.058f14aa14e20p-1",
+        "kappa": "0x1.f1b7989cd7b8dp-3", "kappa_ext": "0x1.f1b7989cd7b8dp-3",
+        "mean": "0x1.4000000000000p-52", "variance": "0x1.354a714b445b4p-1",
+        "sigma": "0x1.8df0d8aa19477p-1"}}
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED_TILTED))
+def test_tilted_solve_keeps_its_bits(spec):
+    law = parse_law(spec)
+    tilt = cramer_tilt(law)
+    primal = build_harmonic_table(law, tilt=tilt)
+    dual = build_harmonic_table(law, dual=True, tilt=tilt)
+    step = tilt.sampler
+    got = {"v0": primal(0.0), "v_offset": primal.extrapolation_offset,
+           "vstar0": dual(0.0), "vstar_offset": dual.extrapolation_offset,
+           "kappa": kappa_constant(law, dual, tilt=tilt),
+           "kappa_ext": kappa_extension_form(law, dual, tilt=tilt),
+           "mean": step.mean, "variance": step.variance, "sigma": step.sigma}
+    assert {k: float.hex(v) for k, v in got.items()} == _PINNED_TILTED[spec]
+    assert tilt.tilted_variance == step.variance
+    assert tilt.tilted_sigma == step.sigma
+
+
+def test_tilted_killed_law_keeps_its_bits():
+    killed = killed_law(parse_law("laplace:-0.3,1"), 0.0, 50)
+    assert float.hex(killed.survival[-1]) == "0x1.85652eaf2b1a9p-8"
 
 
 def test_kappa_forms_exact_on_hand_built_finite_table():

@@ -3,9 +3,11 @@
 ``import condwalk`` and a Monte Carlo run load numpy alone; scipy comes in
 on the first quadrature, table solve or gaussian CDF.  Each
 check runs in a fresh interpreter, since the test process has scipy
-loaded already.
+loaded already.  One more check reads the sources: only ``increments``
+names a density family.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -74,3 +76,18 @@ def test_lazy_imports_leave_numbers_bit_identical():
     here = {}
     exec(LAZY_VALUES, here)
     assert json.loads(out.splitlines()[-1]) == here["VALUES"]
+
+
+def test_only_increments_names_a_density_family():
+    # the closed forms take law objects, so no other module needs to
+    # know which family a law is of
+    families = {"GAUSSIAN", "LAPLACE", "UNIFORM"}
+    for path in sorted((SRC / "condwalk").glob("*.py")):
+        if path.name == "increments.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+        assert not names & families, path.name

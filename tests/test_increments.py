@@ -236,7 +236,8 @@ def test_tilted_uniform_cdf_partial_mean_to_50_digits(a, b, lam_w):
     # lam (b - a) > 709 overflowed it to NaN
     lam = lam_w / (b - a)
     t = np.concatenate([np.linspace(a, b, 33), [a + 1e-7, b - 1e-7]])
-    f, m = increments._cdf_partial_mean(("uniform", a, b, lam), t)
+    law = increments._TiltedDensity("uniform", a, b, lam)
+    f, m = increments._cdf_partial_mean(law, t)
     scale = max(abs(a), abs(b))
     for ti, fi, mi in zip(t, f, m):
         f_ref, m_ref = _uniform_f_m_reference(a, b, lam, ti)
@@ -262,6 +263,31 @@ def test_left_exit_monotone_and_in_unit_interval(t, dt):
     law = IncrementLaw.laplace(0.1, 0.9)
     p1, p2 = left_exit_prob(law, t), left_exit_prob(law, t + dt)
     assert 0.0 <= p2 <= p1 <= 1.0
+
+
+# -- mirrored laws -------------------------------------------------------------
+
+
+_MIRRORED = [IncrementLaw.gaussian(0.3, 1.5), IncrementLaw.laplace(-0.2, 0.7),
+             IncrementLaw.uniform(-1.0, 2.5),
+             cramer_tilt(parse_law("laplace:-0.3,1")).sampler,
+             cramer_tilt(parse_law("uniform:-1,2")).sampler]
+
+
+@pytest.mark.parametrize("law", _MIRRORED, ids=["gaussian", "laplace",
+                                                "uniform", "tilted_laplace",
+                                                "tilted_uniform"])
+def test_mirror_is_the_law_of_minus_x(law):
+    mirror = increments._mirror(law)
+    u = np.concatenate([np.linspace(-6.0, 6.0, 97),
+                        [law.a, -law.a, law.b, -law.b]])
+    assert np.array_equal(increments._density(mirror, u),
+                          increments._density(law, -u))
+    f = increments._cdf_partial_mean(mirror, u)[0]
+    f_minus = increments._cdf_partial_mean(law, -u)[0]
+    # F of -X at t is P(X >= -t) = 1 - F(-t): X has no atoms
+    assert np.max(np.abs(f + f_minus - 1.0)) <= 1e-15
+    assert increments._mirror(mirror) == law
 
 
 # -- lattice test --------------------------------------------------------------

@@ -46,6 +46,39 @@ def test_joint_law_rejects_bad_start(x):
         exact_killed_moment(TWO_POINT, x, 3)
 
 
+_H, _G = TargetFunction.indicator(0, 1.5), TargetFunction.indicator(0, 0.5)
+
+
+@pytest.mark.parametrize("oracle, args", [
+    (sparre_andersen_survival, (True,)),
+    (sparre_andersen_survival, (2.5,)),
+    (sparre_andersen_survival, (100000.5,)),
+    (sparre_andersen_survival, (4.0,)),
+    (sparre_andersen_exit_at, (True,)),
+    (sparre_andersen_exit_at, (2.5,)),
+    (exact_joint_law, (TWO_POINT, 0.0, "3")),
+    (exact_joint_law, (TWO_POINT, 0.0, 2.0)),
+    (exact_joint_law, (TWO_POINT, 0.0, True)),
+    (verify_duality, (TWO_POINT, _H, _G, 2.0)),
+    (verify_duality, (TWO_POINT, _H, _G, True)),
+    (verify_duality, (TWO_POINT, _H, _G, "2"))],
+    ids=["sa-bool", "sa-fraction", "sa-large-fraction", "sa-float",
+         "sa-exit-bool", "sa-exit-fraction", "joint-string", "joint-float",
+         "joint-bool", "duality-float", "duality-bool", "duality-string"])
+def test_exact_oracles_refuse_non_integer_counts(oracle, args):
+    # as every estimator does: a count is an Integral and not a bool
+    with pytest.raises(DomainError, match="integer"):
+        oracle(*args)
+
+
+def test_exact_oracles_take_numpy_integers():
+    assert sparre_andersen_survival(np.int64(3)) == 0.3125
+    assert sparre_andersen_exit_at(np.int64(1)) == 0.5
+    assert exact_joint_law(TWO_POINT, 1.0, np.int64(2)).survived_mass == 0.75
+    assert verify_duality(TWO_POINT, _H, _G, np.int64(1)) == \
+        verify_duality(TWO_POINT, _H, _G, 1)
+
+
 def test_killed_moment_values_and_monotonicity():
     assert exact_killed_moment(TWO_POINT, 0.0, 1) == 0.5
     assert exact_killed_moment(TWO_POINT, 0.0, 2) == 0.5

@@ -148,6 +148,7 @@ class _TwoArgumentSampler:
 
     def __init__(self, law):
         self.law = law
+        self.sigma = law.sigma
 
     def sample_block(self, rng, shape):
         return self.law.sample_block(rng, shape)
@@ -156,7 +157,7 @@ class _TwoArgumentSampler:
 def test_sampler_without_out_draws_the_same(gauss_law):
     stats = [Statistic.survival(), Statistic.exit_at_n(),
              Statistic.killed_position()]
-    args = (gauss_law.sigma, 0.0, 50, stats, 3000, 8)
+    args = (0.0, 50, stats, 3000, 8)
     assert walk._mc_many(_TwoArgumentSampler(gauss_law), *args) == \
         walk._mc_many(gauss_law, *args)
 
