@@ -10,9 +10,11 @@ function F and partial first moment M, whose closed forms ``increments``
 owns and which take the step's law object, tilted or not, and its
 mirror for the dual; one Richardson step combines the solves at
 steps h and h/2 (Atkinson, The Numerical Solution of Integral
-Equations of the Second Kind, 1997, ch. 4).  Weights below sqrt(tiny),
-the smallest normal float's square root, are read as 0: their products
-would be subnormal, slow in the LU, and no table changes by a bit.
+Equations of the Second Kind, 1997, ch. 4).  I - K is Toeplitz but for
+two columns, so each solve is Levinson's recursion plus a two-column
+correction: O(n^2) time, O(n) memory and no BLAS call.  Weights below
+sqrt(tiny), the smallest normal float's square root, are read as 0:
+their products would be subnormal, and no table changes by a bit.
 
 Finite-support laws get no table.  V(x) of one, and the independent
 cross-check of the solved tables, come from two Monte Carlo estimators:
@@ -27,7 +29,7 @@ and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
 kappa, its tilted versions and the weighted integrals of a table are
 fixed 6-point Gauss-Legendre rules on the table's cells, not quadratures.
 scipy.linalg is imported inside the solve, so ``import condwalk`` loads
-none of scipy; ``np.linalg.solve`` would not give bit-identical tables.
+none of scipy.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _node_step(law):
     6.7e-6 off, against 3e-8 at the aligned h = 1/18.  A kink closer to 0
     than 0.05 sigma stays off the nodes, at the price of a larger error
     estimate, so that h >= 0.05 sigma and the finer solve has at most
-    1601 nodes (a 20 MB matrix).
+    1601 nodes.
     """
     h = _SOLVE_STEP * law.sigma
     unit = min((abs(k) for k in _breaks(law).tolist() if k != 0.0),
@@ -159,30 +161,46 @@ def _node_step(law):
 _TINY = math.sqrt(np.finfo(float).tiny)  # smaller weights are read as 0
 
 
-def _step(law, h, n, x, m):
-    """K, r with (K V + r)_j = E[V(y + X); y + X >= 0] at y = x + j h, j < m.
+def _weights(law, h, n, x, m):
+    """Hat weights of the nodes 0, h, ..., n h at y = x + j h, j < m,
+    reversed so that node i's full hat at y_j is ``full[n + j - i]``.
 
-    V is linear between the nodes 0, h, ..., n h and V(L) + (y - L)
-    beyond L = n h.  Node i sits at offset (i - j) h - x, so Toeplitz K
-    takes one ``_node_weights`` call; its first and last columns hold half
-    hats, the last plus P(X > L - y), and r is E(y + X - L)^+.
+    V is linear between the nodes and V(L) + (y - L) beyond L = n h.  Node
+    0's half hat is ``right[n + j]``, node n's is ``left[j]`` plus
+    P(X > L - y), and ``tail[j]`` is E(y + X - L)^+.
 
-    Hat weights below sqrt(tiny), about 1.5e-154, are set to 0 first.  A
-    gaussian kernel's far weights go down to 2e-322, and the LU's rank
-    updates would multiply them into subnormals, which took two thirds
-    of an 801-node factorization's time.  The bound is a constant of the
-    float format: a product of two such weights is subnormal.  Each
-    weight is over 1e137 times below half an ulp of I - K's unit
+    Hat weights below sqrt(tiny), about 1.5e-154, are set to 0 first: a
+    gaussian kernel's far weights go down to 2e-322, and the solve would
+    multiply them into slow subnormals.  A product of two such weights is
+    subnormal; each is over 1e137 times below half an ulp of I - K's unit
     diagonal, and the tables come out bit-identical to solves that keep
     every weight.
     """
-    full, right, left, tail = _node_weights(
-        law, np.arange(-m, n + 2) * h - x, h)
-    for w in (full, right, left):
+    weights = _node_weights(law, np.arange(-m, n + 2) * h - x, h)
+    for w in weights[:3]:
         w[np.abs(w) < _TINY] = 0.0
-    k = np.lib.stride_tricks.sliding_window_view(full, n + 1)[::-1].copy("F")
-    k[:, 0], k[:, n] = right[m - 1::-1], left[n + m - 1:n - 1:-1]
-    return k, tail[n + m - 1:n - 1:-1]
+    return tuple(w[::-1] for w in weights)
+
+
+def _solve(law, h, n):
+    """V_h at the nodes 0, h, ..., n h, solving (I - K) V = r.
+
+    I - K = T + u_0 e_0' + u_n e_n' with T Toeplitz, T[j, i] = 1{i = j}
+    - ``full[n + j - i]``.  Levinson's recursion solves T for r, u_0 and
+    u_n, and the Woodbury identity, its 2 x 2 system written out, adds the
+    two columns (Golub and Van Loan, Matrix Computations, 4th ed., 4.7 and
+    2.1.4).  No BLAS call, so no thread count or CPU kernel moves a bit.
+    """
+    from scipy.linalg import solve_toeplitz
+    full, right, left, tail = _weights(law, h, n, 0.0, n + 1)
+    t = -full
+    t[n] += 1.0
+    z0, zn, y = solve_toeplitz((t[n:], t[n::-1]), np.column_stack(
+        [(full - right)[n:], (full - left)[:n + 1], tail[:n + 1]])).T
+    a, b, c, d = 1.0 + z0[0], zn[0], z0[n], 1.0 + zn[n]
+    det = a * d - b * c
+    return y - z0 * ((d * y[0] - b * y[n]) / det) \
+        - zn * ((a * y[n] - c * y[0]) / det)
 
 
 def _solved_table(law):
@@ -190,24 +208,19 @@ def _solved_table(law):
     V(L) - L.
 
     V_h solves V = K V + r at the nodes; on the lattice of step h/2 it is
-    the coarse nodes at even nodes and one harmonic step from them at odd
-    ones.  Richardson's (4 V_{h/2} - V_h) / 3 removes the h^2 error of
-    piecewise-linear V; |V_h - V_{h/2}| is reported as its error.
+    the coarse nodes at even nodes and one harmonic step, a sum of shifted
+    weights, from them at odd ones.  Richardson's (4 V_{h/2} - V_h) / 3
+    removes the h^2 error of piecewise-linear V; |V_h - V_{h/2}| is
+    reported as its error.
     """
-    def solve(step, n):
-        from scipy.linalg import lu_factor, lu_solve
-        a, r = _step(law, step, n, 0.0, n + 1)
-        np.negative(a, out=a)
-        a.flat[::n + 2] += 1.0
-        return lu_solve(lu_factor(a, overwrite_a=True, check_finite=False),
-                        r, check_finite=False)
-
     h = _node_step(law)
     n = math.ceil(_SOLVE_SPAN * law.sigma / h)
-    coarse, v_h2 = solve(h, n), solve(h / 2.0, 2 * n)
+    coarse, v_h2 = _solve(law, h, n), _solve(law, h / 2.0, 2 * n)
+    full, right, left, tail = _weights(law, h, n, h / 2.0, n)
     v_h = np.repeat(coarse, 2)[:-1]
-    k, r = _step(law, h, n, h / 2.0, n)
-    v_h[1::2] = k @ coarse + r
+    v_h[1::2] = right[n:] * coarse[0] + left[:n] * coarse[n] + tail[:n]
+    for i, v in enumerate(coarse[1:n].tolist(), 1):
+        v_h[1::2] += full[n - i:2 * n - i] * v
     v = (4.0 * v_h2 - v_h) / 3.0
     grid = tuple((np.arange(2 * n + 1) * (h / 2.0)).tolist())
     values = tuple(McEstimate(float(m), float(e), 0, 0)

@@ -179,7 +179,7 @@ class IngredientCache:
 
 # Bumped with any change to the table solver or the entry layout, so
 # that tables cached before it are misses.
-_CACHE_VERSION = 7
+_CACHE_VERSION = 8
 
 
 def _table_for(law, dual, tilt, cache):

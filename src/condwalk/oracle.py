@@ -91,15 +91,17 @@ def exact_killed_moment(law: IncrementLaw, x: float, n: int) -> float:
 
 
 def sparre_andersen_survival(n: int) -> float:
-    """P(tau_0 > n) = C(2n,n)/4^n for symmetric continuous increments."""
+    """P(tau_0 > n) = C(2n,n)/4^n for symmetric continuous increments: the
+    exact quotient up to n = 1000 (0.5 s at 10^5), then the Stirling series
+    log u_n = -log(pi n)/2 - 1/(8n) + 1/(192n^3) - 1/(640n^5) + 17/(14336n^7)
+    (next term below 1e-29), its correction summed apart from the log."""
     if not (_integer(n) and n >= 0):
         raise DomainError(f"n must be an integer >= 0, got {n!r}")
-    if n == 0:
-        return 1.0
-    if n <= 10 ** 5:
+    if n <= 1000:
         return math.comb(2 * n, n) / 4 ** n
-    lg = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) - n * math.log(4.0)
-    return math.exp(lg)
+    s = 1.0 / (n * n)
+    c = (-1 / 8 + s * (1 / 192 + s * (-1 / 640 + s * 17 / 14336))) / n
+    return math.exp(c) / math.sqrt(math.pi * n)
 
 
 def sparre_andersen_exit_at(n: int) -> float:

@@ -1,6 +1,9 @@
+import json
 import math
 import re
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from condwalk.increments import _mirror
 from condwalk.rngstream import mix64
 
 from conftest import spitzer_drifted_survival, within_stderr
+from test_imports import _fresh
 
+HERE = Path(__file__).resolve().parent
 UNIFORM = IncrementLaw.uniform(-1.0, 1.0)
 
 
@@ -211,9 +216,49 @@ def test_solve_matrix_holds_no_tiny_weight(spec, dual, tilted):
     # nodes
     for args in ((h, n, 0.0, n + 1), (h / 2.0, 2 * n, 0.0, 2 * n + 1),
                  (h, n, h / 2.0, n)):
-        k, _ = harmonic._step(law, *args)
-        tiny = (k != 0.0) & (np.abs(k) < math.sqrt(np.finfo(float).tiny))
-        assert not tiny.any()
+        for k in harmonic._weights(law, *args)[:3]:
+            tiny = (k != 0.0) & (np.abs(k) < math.sqrt(np.finfo(float).tiny))
+            assert not tiny.any()
+
+
+def _dense_step(law, h, n, x, m):
+    """K and r with (K V + r)_j = E[V(y + X); y + X >= 0] at y = x + j h,
+    j < m, assembled row by row from the hat weights."""
+    full, right, left, tail = harmonic._node_weights(
+        law, np.arange(-m, n + 2) * h - x, h)
+    k = np.empty((m, n + 1))
+    for j in range(m):
+        # node i sits at offset (i - j) h - x, the inner point m - 1 + i - j
+        k[j] = full[m - 1 - j:m + n - j]
+        k[j, 0], k[j, n] = right[m - 1 - j], left[n + m - 1 - j]
+    return k, tail[n + m - 1:n - 1:-1]
+
+
+@pytest.mark.parametrize("spec,tilted", [
+    ("gaussian:0,1", False), ("laplace:0,1", False), ("uniform:-1,1", False),
+    ("laplace:-0.3,1", True), ("uniform:-1,2", True)])
+@pytest.mark.parametrize("dual", [False, True])
+def test_toeplitz_solve_matches_dense_reference(spec, tilted, dual):
+    # the reference: I - K assembled as a dense matrix and solved by LU, at
+    # both levels, and the odd nodes as K V_h + r; the two solves differed
+    # by at most 2.4e-13 relative, about the LU's own residual
+    from scipy.linalg import solve
+    _, _, law = _solve_inputs(spec, dual, tilted)
+    h = _node_step(law)
+    n = math.ceil(harmonic._SOLVE_SPAN * law.sigma / h)
+    levels = []
+    for step, m in ((h, n), (h / 2.0, 2 * n)):
+        k, r = _dense_step(law, step, m, 0.0, m + 1)
+        want = solve(np.eye(m + 1) - k, r)
+        got = harmonic._solve(law, step, m)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        levels.append(want)
+    k, r = _dense_step(law, h, n, h / 2.0, n)
+    v_h = np.repeat(levels[0], 2)[:-1]
+    v_h[1::2] = k @ levels[0] + r
+    want = (4.0 * levels[1] - v_h) / 3.0
+    got = np.array([v.mean for v in harmonic._solved_table(law)[1]])
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 @pytest.mark.parametrize("spec,dual,tilted", [
@@ -419,23 +464,22 @@ def test_tilted_kappa_gives_exact_drifted_exit_constant():
 # reached, not to what they compute, keeps every bit
 _PINNED_TILTED = {
     "laplace:-0.3,1": {
-        "v0": "0x1.d2215bd0d760dp-1", "v_offset": "0x1.c0a1952b37f00p-1",
-        "vstar0": "0x1.2c09324534832p+0",
-        "vstar_offset": "0x1.2c093245657a0p+0",
-        "kappa": "0x1.397157d724b7ap+0", "kappa_ext": "0x1.397157d724b64p+0",
+        "v0": "0x1.d2215bd0d72adp-1", "v_offset": "0x1.c0a1952b2f980p-1",
+        "vstar0": "0x1.2c093245341ddp+0",
+        "vstar_offset": "0x1.2c093245549a0p+0",
+        "kappa": "0x1.397157d7244e2p+0", "kappa_ext": "0x1.397157d7244ccp+0",
         "mean": "0x0.0p+0", "variance": "0x1.1127ea971e8cep+1",
         "sigma": "0x1.75f918fb698d8p+0"},
     "uniform:-1,2": {
-        "v0": "0x1.dffad238ead83p-2", "v_offset": "0x1.49df608f1d900p-2",
-        "vstar0": "0x1.49ec93e7088f2p-1",
-        "vstar_offset": "0x1.058f14aa14e20p-1",
-        "kappa": "0x1.f1b7989cd7b8dp-3", "kappa_ext": "0x1.f1b7989cd7b8dp-3",
+        "v0": "0x1.dffad238eb08bp-2", "v_offset": "0x1.49df608f25980p-2",
+        "vstar0": "0x1.49ec93e70884bp-1",
+        "vstar_offset": "0x1.058f14aa137a0p-1",
+        "kappa": "0x1.f1b7989cd7a8cp-3", "kappa_ext": "0x1.f1b7989cd7a8cp-3",
         "mean": "0x1.4000000000000p-52", "variance": "0x1.354a714b445b4p-1",
         "sigma": "0x1.8df0d8aa19477p-1"}}
 
 
-@pytest.mark.parametrize("spec", sorted(_PINNED_TILTED))
-def test_tilted_solve_keeps_its_bits(spec):
+def _tilted_bits(spec):
     law = parse_law(spec)
     tilt = cramer_tilt(law)
     primal = build_harmonic_table(law, tilt=tilt)
@@ -446,9 +490,40 @@ def test_tilted_solve_keeps_its_bits(spec):
            "kappa": kappa_constant(law, dual, tilt=tilt),
            "kappa_ext": kappa_extension_form(law, dual, tilt=tilt),
            "mean": step.mean, "variance": step.variance, "sigma": step.sigma}
-    assert {k: float.hex(v) for k, v in got.items()} == _PINNED_TILTED[spec]
-    assert tilt.tilted_variance == step.variance
-    assert tilt.tilted_sigma == step.sigma
+    return {k: float.hex(v) for k, v in got.items()}
+
+
+@pytest.mark.parametrize("spec", sorted(_PINNED_TILTED))
+def test_tilted_solve_keeps_its_bits(spec):
+    assert _tilted_bits(spec) == _PINNED_TILTED[spec]
+    tilt = cramer_tilt(parse_law(spec))
+    assert tilt.tilted_variance == tilt.sampler.variance
+    assert tilt.tilted_sigma == tilt.sampler.sigma
+
+
+def test_table_bits_do_not_depend_on_blas_threads(monkeypatch):
+    # the solve calls no BLAS, so OpenBLAS's thread count moves no bit
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    out = _fresh(f"import json, sys\nsys.path.insert(0, {str(HERE)!r})\n"
+                 "from test_harmonic import _PINNED_TILTED, _tilted_bits\n"
+                 "print(json.dumps({s: _tilted_bits(s) "
+                 "for s in _PINNED_TILTED}))\n")
+    assert json.loads(out.splitlines()[-1]) == {
+        s: _tilted_bits(s) for s in _PINNED_TILTED}
+
+
+def test_table_memory_is_linear():
+    # the solve holds a few vectors of the fine lattice, not I - K: with
+    # the dense (n + 1)^2 matrix the peak was 5.35 MiB
+    law = parse_law("uniform:-1,1")
+    build_harmonic_table(law, dual=True)  # scipy.linalg loaded
+    tracemalloc.start()
+    try:
+        build_harmonic_table(law, dual=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_tilted_killed_law_keeps_its_bits():

@@ -101,6 +101,20 @@ def test_sparre_andersen_stirling_normalization():
     assert 0.99997 <= prod <= 1.0
 
 
+@pytest.mark.parametrize("n", [1001, 100001])
+def test_sparre_andersen_series_is_exact(n):
+    # the Stirling series past the exact range, against the exact quotient
+    exact = math.comb(2 * n, n) / 4 ** n
+    assert abs(sparre_andersen_survival(n) / exact - 1.0) <= 2e-15
+
+
+def test_sparre_andersen_series_keeps_the_ratio():
+    # u_n / u_{n-1} = (2n - 1) / (2n), where the quotient would take 33 s
+    n = 10 ** 6
+    ratio = sparre_andersen_survival(n) / sparre_andersen_survival(n - 1)
+    assert abs(ratio / ((2 * n - 1) / (2 * n)) - 1.0) <= 2e-15
+
+
 def test_sparre_andersen_exit_telescopes():
     for n in (2, 7, 31):
         direct = sparre_andersen_survival(n - 1) - sparre_andersen_survival(n)
