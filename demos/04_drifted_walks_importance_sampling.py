@@ -4,7 +4,9 @@ With drift mu < 0 survival is exponentially rare.  The Cramér root lam
 solves E[X exp(lam X)] = 0, and reweighting each surviving tilted path
 by exp(n Lambda + lam x - lam (x + S_n)) gives an unbiased estimator of
 the original survival probability at a tiny fraction of the direct
-cost.  The drifted survival asymptotic (exit-time prefactor times
+cost.  ``cramer_tilt`` returns the tilted law itself: it is walked, its
+harmonic tables are solved, and it carries lam and Lambda(lam) for
+kappa.  The drifted survival asymptotic (exit-time prefactor times
 exp(n Lambda)) is evaluated alongside.
 
 Run:  python demos/04_drifted_walks_importance_sampling.py
@@ -18,7 +20,7 @@ law = IncrementLaw.gaussian(-0.5, 1.0)
 tilt = cramer_tilt(law)
 print(f"law: gaussian(mu=-0.5, sigma=1)")
 print(f"Cramér root lam = {tilt.lam:.6f}, Lambda(lam) = {tilt.log_mgf:.6f}, "
-      f"tilted variance = {tilt.tilted_variance:.6f}")
+      f"tilted variance = {tilt.variance:.6f}")
 print(f"(the tilted law is the standard gaussian; survival decays like "
       f"exp({tilt.log_mgf:.4f} n) x n^-1.5)")
 
@@ -37,13 +39,13 @@ print()
 print("=" * 72)
 print("Where direct sampling is hopeless the tilted estimator still works")
 print("=" * 72)
-tab = build_harmonic_table(law, dual=True, tilt=tilt)
+tab = build_harmonic_table(tilt, dual=True)
 i_integral = weighted_table_integral(tab, tilt.lam)
-kap = kappa_constant(law, tab, tilt=tilt)
+kap = kappa_constant(tilt, tab)
 # IGL1 is AA002.1 under the tilt: the tilted law's ingredients, with
 # f_vstar_int = I, times exp(n Lambda + lam x)
 ing = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-       "sigma": tilt.tilted_sigma, "v_x": 2 ** -0.5,
+       "sigma": tilt.sigma, "v_x": 2 ** -0.5,
        "f_vstar_int": i_integral}
 print(f"ingredients: I = {i_integral:.4f}, kappa_lam = {kap:.4f}")
 for n in (50, 100, 200):

@@ -76,11 +76,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_harmonic(args) -> int:
-    law = parse_law(args.law)
-    tilt = cramer_tilt(law)
-    tilt = tilt if tilt.lam != 0.0 else None
-    tab = build_harmonic_table(law, dual=args.dual or args.action == "kappa",
-                               tilt=tilt)
+    law = cramer_tilt(parse_law(args.law))
+    tab = build_harmonic_table(law, dual=args.dual or args.action == "kappa")
     if args.action == "build":
         lines = ["x,v_mean,v_stderr,count"]
         for x, v in zip(tab.grid, tab.values):
@@ -91,11 +88,11 @@ def _cmd_harmonic(args) -> int:
         else:
             sys.stdout.write(out)
         return 0
-    k1 = kappa_constant(law, tab, tilt=tilt)
-    k2 = kappa_extension_form(law, tab, tilt=tilt)
+    k1 = kappa_constant(law, tab)
+    k2 = kappa_extension_form(law, tab)
     print(json.dumps({"kappa": k1, "kappa_extension_form": k2,
                       "relative_gap": abs(k1 - k2) / k1,
-                      "tilt": tilt.lam if tilt else None}))
+                      "tilt": law.lam or None}))
     return 0
 
 

@@ -7,8 +7,8 @@ Cramér tilts) solve that equation deterministically: V is piecewise linear
 on a uniform node grid over [0, L], L ~ 40 sigma, and linear beyond L;
 product-integration (Nyström) weights come from the law's distribution
 function F and partial first moment M, whose closed forms ``increments``
-owns and which take the step's law object, tilted or not, and its
-mirror for the dual; one Richardson step combines the solves at
+owns and which take the walked law, tilted or not, and its mirror for
+the dual; one Richardson step combines the solves at
 steps h and h/2 (Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4).  I - K is Toeplitz but for
 two columns, so each solve is Levinson's recursion plus a two-column
@@ -21,13 +21,14 @@ cross-check of the solved tables, come from two Monte Carlo estimators:
 the ladder estimator walks each path to its exit (or a step cap) and
 averages the exit value, while the killed estimator averages the
 position at a finite horizon, E(x + S_n; tau_x > n), which increases to
-V(x).  Both run under the base law, its dual (negated increments), or a
-mean-zero tilted law.
+V(x).  Both run under the walked law (a mean-zero law or the Cramér
+tilt of a drifted one) or its dual (negated increments).
 
 A HarmonicTable holds the solver's node lattice, interpolates linearly
 and extrapolates as x + offset, exact to o(1) as V(x)/x -> 1.
 kappa, its tilted versions and the weighted integrals of a table are
-fixed 6-point Gauss-Legendre rules on the table's cells, not quadratures.
+fixed 6-point Gauss-Legendre rules on the table's cells, summed without
+BLAS; kappa reads the base law, lam and Lambda(lam) off the walked law.
 scipy.linalg is imported inside the solve, so ``import condwalk`` loads
 none of scipy.
 """
@@ -42,8 +43,8 @@ import numpy as np
 
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
-from .increments import FINITE, IncrementLaw, TiltedLaw, _breaks, \
-    _cdf_partial_mean, _mirror, left_exit_prob
+from .increments import FINITE, _breaks, _cdf_partial_mean, _mirror, \
+    left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _check_x, \
     _chunked, _integer, _mc_many, _sum_m2
@@ -274,42 +275,38 @@ class HarmonicTable:
 
 
 def build_harmonic_table(law, params: TableParams | None = None,
-                         dual: bool = False, tilt: TiltedLaw | None = None,
+                         dual: bool = False,
                          threads: int | None = None) -> HarmonicTable:
-    """V (or V*, or their tilted versions) solved on the solver's lattice.
+    """V (or V*) of a mean-zero law, solved on the solver's lattice.
 
-    With a tilt the table is that of the mean-zero tilted law.  The grid
-    is the finer solve's node lattice (step about 0.05 sigma up to L,
-    about 800 points), each value has ``count`` 0 and ``stderr`` the
-    solver's error estimate, and the offset is V(L) - L; V at any x is
+    A Cramér tilt (``cramer_tilt``) has its lam recorded.  The grid is
+    the finer solve's node lattice (step about 0.05 sigma up to L, about
+    800 points), each value has ``count`` 0 and ``stderr`` the solver's
+    error estimate, and the offset is V(L) - L; V at any x is
     ``table(x)``.  A finite-support law has no density to solve with and
     raises DomainError: ``estimate_V_ladder`` gives V at one point.
     ``params`` and ``threads`` are accepted and ignored.
     """
-    sampler = tilt.sampler if tilt is not None else law
-    if not is_solved(sampler):
+    if not is_solved(law):
         raise DomainError("a finite-support law has no harmonic table; "
                           "estimate_V_ladder gives V at one point")
-    _require_zero_mean(sampler)
-    grid, values, offset = _solved_table(_mirror(sampler) if dual else sampler)
-    return HarmonicTable(grid, values, dual,
-                         tilt.lam if tilt is not None else None, offset)
+    _require_zero_mean(law)
+    grid, values, offset = _solved_table(_mirror(law) if dual else law)
+    return HarmonicTable(grid, values, dual, law.lam or None, offset)
 
 
 def harmonicity_residual(law, table: HarmonicTable, x: float, samples: int,
-                         seed: int, tilt: TiltedLaw | None = None,
-                         threads: int | None = None) -> McEstimate:
+                         seed: int, threads: int | None = None) -> McEstimate:
     """MC estimate of E[V(x + X) 1{x + X >= 0}] - V(x) under the table.
 
     Zero for the exact harmonic function; the estimate's deviation is
     bounded by the table's own error budget.
     """
     _check_x(x)
-    sampler = tilt.sampler if tilt is not None else law
     vx = table(x)
 
     def work(rng, m):
-        step = sampler.sample_block(rng, m)
+        step = law.sample_block(rng, m)
         pos = x - step if table.dual else x + step
         vals = np.where(pos >= 0.0, table(pos), 0.0)
         return [_sum_m2(vals, m)]
@@ -334,55 +331,53 @@ def _cells(edges, lo, hi):
     return (mid[:, None] + np.outer(half, x)).ravel(), np.outer(half, w).ravel()
 
 
-def kappa_constant(law: IncrementLaw, dual_table: HarmonicTable,
-                   tilt: TiltedLaw | None = None) -> float:
+def kappa_constant(law, dual_table: HarmonicTable) -> float:
     """Killing-probability form: integral of P(t + X < 0) w(t) V*(t) dt.
 
-    ``law`` is the base (possibly drifted) law.  With a tilt the dual table
-    must hold the tilted V*, and w(t) = e^{-Lambda - lam t} = E_lam[e^{-lam
-    (t + X)}; t + X < 0] / P(t + X < 0).  Cells break at the grid, the
-    law's atoms or kinks and every sigma, up to -``law.support_bounds()[0]``.
+    ``law`` is the walked law of the dual table, X follows its base law,
+    and w(t) = e^{-Lambda - lam t} = E_lam[e^{-lam (t + X)}; t + X < 0] /
+    P(t + X < 0), 1 untilted.  Cells break at the grid, the base's atoms
+    or kinks and every sigma, up to -``base.support_bounds()[0]``.
     """
-    lam, lg = (0.0, 0.0) if tilt is None else (tilt.lam, tilt.log_mgf)
-    hi = max(-law.support_bounds()[0], 0.0)
-    t, w = _cells(np.concatenate([dual_table.grid, -_breaks(law), np.arange(
-        0.0, hi, law.sigma or math.inf)]), 0.0, hi)
-    val = float(w @ (left_exit_prob(law, t) * np.exp(-lg - lam * t)
-                     * dual_table(t)))
+    base, lam, lg = law.base, law.lam, law.log_mgf
+    hi = max(-base.support_bounds()[0], 0.0)
+    t, w = _cells(np.concatenate([dual_table.grid, -_breaks(base), np.arange(
+        0.0, hi, base.sigma or math.inf)]), 0.0, hi)
+    val = float(np.sum(w * (left_exit_prob(base, t) * np.exp(-lg - lam * t)
+                            * dual_table(t))))
     if val <= 0.0:
         raise QuadratureFailure("kappa integral came out non-positive")
     return val
 
 
-def kappa_extension_form(law: IncrementLaw, dual_table: HarmonicTable,
-                         tilt: TiltedLaw | None = None) -> float:
+def kappa_extension_form(law, dual_table: HarmonicTable) -> float:
     """Extension form: the integral of e^{-lam s} v(s) over s < 0, with V*
     continued below zero by one harmonic step.
 
-    v(s) = E_tilted[V*(s - X); X <= s], under the base law when no tilt
-    is given, is an atom sum for finite laws and closed in F and M on the
-    table's linear pieces otherwise; cells break at the atoms or kinks
-    plus each knot, and every sigma.
+    v(s) = E[V*(s - X); X <= s] under the walked law ``law`` is an atom
+    sum for finite laws and closed in F and M on the table's linear
+    pieces otherwise; cells break at the atoms or kinks plus each knot,
+    and every sigma.
     """
-    lam, sampler = (0.0, law) if tilt is None else (tilt.lam, tilt.sampler)
-    lo = min(sampler.support_bounds()[0], 0.0)
+    lo = min(law.support_bounds()[0], 0.0)
     knots = np.append(0.0, dual_table.grid)
-    s, w = _cells(np.append(np.add.outer(_breaks(sampler), knots), np.arange(
-        lo, 0.0, sampler.sigma or math.inf)), lo, 0.0)
-    if not is_solved(sampler):
-        u = s[:, None] - np.asarray(sampler.points)
-        v = np.where(u >= 0.0, dual_table(u), 0.0) @ np.asarray(sampler.probs)
+    s, w = _cells(np.append(np.add.outer(_breaks(law), knots), np.arange(
+        lo, 0.0, law.sigma or math.inf)), lo, 0.0)
+    if not is_solved(law):
+        u = s[:, None] - np.asarray(law.points)
+        v = np.einsum("ij,j->i", np.where(u >= 0.0, dual_table(u), 0.0),
+                      np.asarray(law.probs))
     else:
         # V* = V*(0) 1{u >= 0} + jump 1{u >= T} + sum of slope changes
         # times ramps (u - u_k)^+, whose expectations are t F - M
         means = dual_table._means
         slope = np.r_[0.0, np.diff(means) / np.diff(knots[1:]), 1.0]
         u = s[:, None] - knots
-        f, m = _cdf_partial_mean(sampler, u)
+        f, m = _cdf_partial_mean(law, u)
         jump = knots[-1] + dual_table.extrapolation_offset - means[-1]
         v = means[0] * f[:, 0] + jump * f[:, -1] \
-            + (u * f - m) @ np.diff(slope, prepend=0.0)
-    return float(w @ (np.exp(-lam * s) * v))
+            + np.einsum("ij,j->i", u * f - m, np.diff(slope, prepend=0.0))
+    return float(np.sum(w * (np.exp(-law.lam * s) * v)))
 
 
 def weighted_table_integral(table: HarmonicTable, decay: float) -> float:
@@ -398,6 +393,6 @@ def weighted_table_integral(table: HarmonicTable, decay: float) -> float:
     T = table.grid[-1]
     t, w = _cells(np.append(table.grid, np.arange(
         0.0, min(T, 40.0 / decay), 1.0 / decay)), 0.0, T)
-    head = float(w @ (np.exp(-decay * t) * table(t)))
+    head = float(np.sum(w * (np.exp(-decay * t) * table(t))))
     c = table.extrapolation_offset
     return head + math.exp(-decay * T) * ((T + c) / decay + 1.0 / decay ** 2)

@@ -7,9 +7,10 @@ Carlo statistic for every horizon in n_list, and emits rows with
 the MC/predicted ratio and a +-4-stderr ratio interval.  Results are
 bit-reproducible from (config, seed) regardless of thread count.
 
-It builds at most one solved harmonic table per side, cached on disk
-and keyed by a hash of the law's canonical spelling, the side and the
-tilt; a symmetric step's dual table is its primal one, built once.
+The walked law is the law, or ``cramer_tilt(law)`` under a tilted
+theorem.  At most one solved table per side of it is built, cached on
+disk and keyed by a hash of the base law's canonical spelling, the side
+and lam; a symmetric step's dual table is its primal one, built once.
 V(x) is read off the primal table (one ladder estimate for a
 finite-support law); kappa and the weighted integrals are fixed
 Gauss-Legendre rules over the dual table's cells; none is cached.
@@ -36,8 +37,8 @@ from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
 from .harmonic import HarmonicTable, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
-from .increments import _mirror, cramer_tilt, format_law, is_lattice, \
-    parse_law
+from .increments import _is_symmetric, cramer_tilt, format_law, \
+    is_lattice, parse_law
 from .rngstream import mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, _integer, mc_estimate, \
@@ -182,13 +183,13 @@ class IngredientCache:
 _CACHE_VERSION = 8
 
 
-def _table_for(law, dual, tilt, cache):
-    key = {"kind": "table", "version": _CACHE_VERSION, "law": format_law(law),
-           "dual": dual, "tilt": tilt.lam if tilt else None}
+def _table_for(walked, dual, cache):
+    key = {"kind": "table", "version": _CACHE_VERSION, "dual": dual,
+           "law": format_law(walked.base), "tilt": walked.lam or None}
     columns = dataclasses.fields(McEstimate)
 
     def compute():
-        tab = build_harmonic_table(law, dual=dual, tilt=tilt)
+        tab = build_harmonic_table(walked, dual=dual)
         return {"grid": list(tab.grid),
                 "values": {f.name: [getattr(v, f.name) for v in tab.values]
                            for f in columns},
@@ -256,36 +257,36 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
                           f"table, and the finite-support law {cfg.law!r} "
                           f"has none")
     stat = _left_statistic(cfg, theorem.left)
-    tilt = cramer_tilt(law) if theorem.walk == "tilted" else None
-    sampler = tilt.sampler if tilt else law
+    tilted = theorem.walk == "tilted"
+    walked = cramer_tilt(law) if tilted else law
     # every ingredient is the walked law's: the tilted one under a tilt;
     # f_int is the integral of the indicator of [y, y + delta]
-    ing = {"sigma": sampler.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
+    ing = {"sigma": walked.sigma, "x": cfg.x, "y": cfg.y, "delta": cfg.delta,
            "q": cfg.q, "t": cfg.t, "f_int": cfg.delta}
-    if tilt is not None:
-        ing.update(lam=tilt.lam, log_mgf=tilt.log_mgf)
+    if tilted:
+        ing.update(lam=walked.lam, log_mgf=walked.log_mgf)
 
     # a symmetric step's V* is V, solved and cached once
-    symmetric = is_solved(sampler) and _mirror(sampler) == sampler
+    symmetric = is_solved(walked) and _is_symmetric(walked)
 
     @functools.cache
     def table(dual):
         if dual and symmetric:
             return dataclasses.replace(table(False), dual=True)
-        return _table_for(law, dual, tilt, cache)
+        return _table_for(walked, dual, cache)
 
-    if "v_x" in needs and is_solved(sampler):
+    if "v_x" in needs and is_solved(walked):
         ing["v_x"] = table(False)(cfg.x)
     elif "v_x" in needs:
-        ing["v_x"] = estimate_V_ladder(sampler, cfg.x, samples=10 ** 5,
+        ing["v_x"] = estimate_V_ladder(walked, cfg.x, samples=10 ** 5,
                                        seed=mix64(cfg.seed ^ 0xA5A5),
                                        threads=threads).mean
     if "kappa" in needs:
-        ing["kappa"] = kappa_constant(law, table(True), tilt=tilt)
+        ing["kappa"] = kappa_constant(walked, table(True))
     if "f_vstar_int" in needs:
         # I = int e^{-lam t} V_lam*(t) dt under a tilt, else EXPF's decay a
         ing["f_vstar_int"] = weighted_table_integral(
-            table(True), tilt.lam if tilt else cfg.a)
+            table(True), walked.lam if tilted else cfg.a)
 
     preds = [predict(tid, **{**ing, "n": n}).value for n in cfg.n_list]
     for n, pred in zip(cfg.n_list, preds):
@@ -297,8 +298,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         seed_n = mix64(cfg.seed ^ mix64(7000 + j))
         if theorem.walk == "free":
             mc = mc_unconditioned(law, n, stat, cfg.samples, seed_n, threads)
-        elif tilt is not None:
-            mc = mc_tilted_survival(law, tilt, cfg.x, n, stat, cfg.samples,
+        elif tilted:
+            mc = mc_tilted_survival(law, walked, cfg.x, n, stat, cfg.samples,
                                     seed_n, threads)
         else:
             mc = mc_estimate(law, cfg.x, n, stat, cfg.samples, seed_n, threads)

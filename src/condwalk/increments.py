@@ -8,9 +8,10 @@ and the exponential change of measure
     P_lam(X in dx) = exp(lam*x - Lambda(lam)) P(X in dx),
 
 where ``lam`` is the Cramér root solving E[X exp(lam*X)] = 0 and
-``Lambda(lam) = log E[exp(lam*X)]``.  The tilted law always has mean zero.
-Every closed form of a density family lives here and takes a law object,
-an ``IncrementLaw`` (``lam = 0``) or a tilted laplace or uniform law:
+``Lambda(lam) = log E[exp(lam*X)]``.  ``cramer_tilt`` returns the walked
+law: the law itself when its mean is zero, else a mean-zero ``TiltedLaw``
+that samples and integrates as an ``IncrementLaw`` (``lam = 0``) does.
+Every closed form of a density family lives here and takes either law:
 density, F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's
 weights), the law of -X, the density's kinks, and Lambda with its first
 two derivatives, so the tilt needs no quadrature.
@@ -19,6 +20,7 @@ A lam outside the strip where E[exp(lam*X)] is finite raises DomainError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +47,9 @@ class IncrementLaw:
 
     ``a``/``b`` hold the two scalar parameters of the continuous families
     (mu/sigma, mu/scale, lo/hi); finite-support laws carry their atoms in
-    ``points``/``probs``.  Construct through the classmethods.
+    ``points``/``probs``.  Construct through the classmethods.  The
+    methods read only family, a, b, points, probs and lam, so a
+    ``TiltedLaw`` shares them.
     """
 
     family: str
@@ -53,7 +57,11 @@ class IncrementLaw:
     b: float = 1.0
     points: tuple = ()
     probs: tuple = ()
-    lam = 0.0  # not a field: an untilted law, for the closed forms
+    lam = log_mgf = 0.0  # not fields: an untilted law is its own tilt
+
+    @property
+    def base(self) -> "IncrementLaw":
+        return self
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.a, self.b) + self.points + self.probs)):
@@ -97,6 +105,8 @@ class IncrementLaw:
 
     @property
     def mean(self) -> float:
+        if self.lam != 0.0 and self.family != FINITE:
+            return _cumulants(self, self.lam)[1]
         if self.family == GAUSSIAN or self.family == LAPLACE:
             return self.a
         if self.family == UNIFORM:
@@ -105,6 +115,8 @@ class IncrementLaw:
 
     @property
     def variance(self) -> float:
+        if self.lam != 0.0 and self.family != FINITE:
+            return _cumulants(self, self.lam)[2]
         if self.family == GAUSSIAN:
             return self.b ** 2
         if self.family == LAPLACE:
@@ -125,7 +137,8 @@ class IncrementLaw:
         """Draw an array of increments; consumes the generator state.
 
         ``out``, a C-contiguous float64 array of that shape, receives the
-        draws instead of a new array.
+        draws instead of a new array.  A tilted laplace or uniform law
+        draws by its explicit inverse CDF.
         """
         if self.family == FINITE:
             cum = np.cumsum(self.probs)
@@ -142,16 +155,20 @@ class IncrementLaw:
                     np.add(idx, np.greater_equal(u, edge, out=at), out=idx)
             # u < 1 = cum[-1] keeps idx in range; "clip" spares take a buffer
             return np.take(self.points, idx, out=out, mode="clip")
+        shift = self.a
         if self.family == GAUSSIAN:
             out, scale = rng.standard_normal(shape, out=out), self.b
+            shift = _gaussian_mean(self)
+        elif self.lam != 0.0:
+            return _tilted_inverse_cdf(self, rng.random(shape, out=out))
         elif self.family == UNIFORM:
             out, scale = rng.random(shape, out=out), self.b - self.a
         else:
             out, scale = _standard_laplace(rng.random(shape, out=out)), self.b
         if scale != 1.0:
             out *= scale
-        if self.a != 0.0:
-            out += self.a
+        if shift != 0.0:
+            out += shift
         return out
 
     # -- distribution --------------------------------------------------
@@ -179,7 +196,11 @@ class IncrementLaw:
     def support_bounds(self):
         """(lo, hi) carrying all but ~1e-30 of the mass."""
         if self.family == GAUSSIAN:
-            return self.a - 40 * self.b, self.a + 40 * self.b
+            mu = _gaussian_mean(self)
+            return mu - 40 * self.b, mu + 40 * self.b
+        if self.family == LAPLACE and self.lam != 0.0:
+            b, lam = self.b, self.lam
+            return self.a - 80.0 / (1.0 / b + lam), self.a + 80.0 / (1.0 / b - lam)
         if self.family == LAPLACE:
             return self.a - 80 * self.b, self.a + 80 * self.b
         if self.family == UNIFORM:
@@ -203,6 +224,37 @@ def _standard_laplace(u):
     return np.copysign(t, u, out=u)
 
 
+def _tilted_inverse_cdf(law, u):
+    """Turn u ~ U[0, 1) into draws of a tilted laplace or uniform law, in
+    place beside one scratch array."""
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
+    lam, a, b = law.lam, law.a, law.b
+    if law.family == UNIFORM:
+        # F^{-1}(u) = log( (1-u) e^{lam a} + u e^{lam b} ) / lam
+        w = np.negative(u)
+        np.log1p(w, out=w)
+        w += lam * a
+        np.log(u, out=u)
+        u += lam * b
+        np.logaddexp(w, u, out=u)
+        u /= lam
+        return u
+    p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below a
+    # F^{-1}(u) = a + log(w) / rate, with w = u / p_below and rate
+    # lam + 1/b below a, w = (1 - u) / (1 - p_below) and lam - 1/b above
+    below = u < p_below
+    w = u / p_below
+    np.subtract(1.0, u, out=u)
+    u /= 1.0 - p_below
+    np.putmask(u, below, w)
+    np.log(u, out=u)
+    np.divide(u, lam + 1.0 / b, out=w)
+    u /= lam - 1.0 / b
+    np.putmask(u, below, w)
+    u += a
+    return u
+
+
 def left_exit_prob(law: IncrementLaw, t):
     """P(t + X < 0) = P(X < -t), strict, vectorized in t."""
     t = np.asarray(t, dtype=float)
@@ -215,16 +267,27 @@ def left_exit_prob(law: IncrementLaw, t):
 
 # ---------------------------------------------------------------------------
 # Closed forms of the density laws.  Each takes a law object, an
-# IncrementLaw of a density family or a _TiltedDensity (the base law's
-# density times exp(lam u - Lambda(lam))), and reads its family, a, b, lam.
+# IncrementLaw of a density family or a TiltedLaw (the base law's density
+# times exp(lam u - Lambda(lam))), and reads its family, a, b, lam.
 
 
 def _mirror(law):
     """The law of -X, for a density law."""
+    if law.lam != 0.0:
+        return TiltedLaw(_mirror(law.base), -law.lam, law.log_mgf)
     a, b = (-law.b, -law.a) if law.family == UNIFORM else (-law.a, law.b)
-    if law.lam == 0.0:
-        return IncrementLaw(law.family, a, b)
-    return _TiltedDensity(law.family, a, b, -law.lam)
+    return IncrementLaw(law.family, a, b)
+
+
+def _is_symmetric(law) -> bool:
+    """Whether a density law is its own mirror: mean zero, and untilted
+    or gaussian (a tilted gaussian is a shifted one)."""
+    return law.mean == 0.0 and (law.lam == 0.0 or law.family == GAUSSIAN)
+
+
+def _gaussian_mean(law):
+    """a + lam b^2, the mean of a gaussian law, tilted or not."""
+    return law.a + law.lam * law.b ** 2 if law.lam else law.a
 
 
 def _breaks(law):
@@ -244,9 +307,10 @@ def _cdf_partial_mean(law, t):
     """
     family, a, b, lam = law.family, law.a, law.b, law.lam
     if family == GAUSSIAN:
-        z = (t - a) / b
+        mu = _gaussian_mean(law)
+        z = (t - mu) / b
         f = norm_cdf(z)
-        return f, a * f - b * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return f, mu * f - b * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     if family == LAPLACE:
         # density c e^{al (t-a)} left of a and c e^{-be (t-a)} right of it
         al, be = 1.0 / b + lam, 1.0 / b - lam
@@ -302,7 +366,7 @@ def _density(law, u):
     family, a, b, lam = law.family, law.a, law.b, law.lam
     u = np.asarray(u, dtype=float)
     if family == GAUSSIAN:
-        z = (u - a - lam * b ** 2) / b
+        z = (u - _gaussian_mean(law)) / b
         return np.exp(-0.5 * z * z) / (b * _SQRT2PI)
     if family == LAPLACE:
         d = u - a
@@ -362,93 +426,34 @@ def _check_strip(law: IncrementLaw, lam: float):
 
 
 @dataclass(frozen=True)
-class _TiltedDensity:
-    """A laplace or uniform law tilted by ``lam`` != 0, sampled by the
-    explicit inverse CDF; its moments are Lambda'(lam) and Lambda''(lam)."""
-
-    family: str
-    a: float
-    b: float
-    lam: float
-
-    @property
-    def base(self) -> IncrementLaw:
-        return IncrementLaw(self.family, self.a, self.b)
-
-    @property
-    def mean(self) -> float:
-        return _cumulants(self, self.lam)[1]
-
-    @property
-    def variance(self) -> float:
-        return _cumulants(self, self.lam)[2]
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.variance)
-
-    def sample_block(self, rng, shape, out=None):
-        """Draw an array of tilted increments, into ``out`` if given.
-
-        The uniforms are drawn into ``out`` and the transform runs in
-        place beside one scratch array, so a call allocates one array of
-        the block's size at most.
-        """
-        u = rng.random(shape, out=out)
-        np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-        lam, a, b = self.lam, self.a, self.b
-        if self.family == UNIFORM:
-            # F^{-1}(u) = log( (1-u) e^{lam a} + u e^{lam b} ) / lam
-            w = np.negative(u)
-            np.log1p(w, out=w)
-            w += lam * a
-            np.log(u, out=u)
-            u += lam * b
-            np.logaddexp(w, u, out=u)
-            u /= lam
-            return u
-        p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below a
-        # F^{-1}(u) = a + log(w) / rate, with w = u / p_below and rate
-        # lam + 1/b below a, w = (1 - u) / (1 - p_below) and lam - 1/b above
-        below = u < p_below
-        w = u / p_below
-        np.subtract(1.0, u, out=u)
-        u /= 1.0 - p_below
-        np.putmask(u, below, w)
-        np.log(u, out=u)
-        np.divide(u, lam + 1.0 / b, out=w)
-        u /= lam - 1.0 / b
-        np.putmask(u, below, w)
-        u += a
-        return u
-
-    def density(self, x):
-        return _density(self, x)
-
-    def support_bounds(self):
-        """(lo, hi) carrying all but ~1e-30 of the tilted mass."""
-        a, b, lam = self.a, self.b, self.lam
-        if self.family == UNIFORM:
-            return a, b
-        return a - 80.0 / (1.0 / b + lam), a + 80.0 / (1.0 / b - lam)
-
-
-@dataclass(frozen=True)
 class TiltedLaw:
-    """Cramér root with its cumulant value and a mean-zero sampler."""
+    """The Cramér tilt of ``base`` by its root ``lam``, with ``log_mgf``
+    = Lambda(lam): a mean-zero law that shares IncrementLaw's methods.
+    A tilted gaussian is the gaussian shifted by lam b^2 and a tilted
+    finite law re-weights the atoms; each draws as that untilted law."""
 
+    base: IncrementLaw
     lam: float
     log_mgf: float
-    base: IncrementLaw
-    sampler: object  # IncrementLaw or _TiltedDensity
 
-    @property
-    def tilted_variance(self) -> float:
-        return self.sampler.variance
+    family = property(lambda self: self.base.family)
+    a = property(lambda self: self.base.a)
+    b = property(lambda self: self.base.b)
+    points = property(lambda self: self.base.points)
 
-    @property
-    def tilted_sigma(self) -> float:
-        return self.sampler.sigma
+    @functools.cached_property
+    def probs(self) -> tuple:
+        """A finite base's atom probabilities, re-weighted by e^{lam x}."""
+        _, w, _ = _finite_exp_terms(self.base, self.lam)
+        return tuple((w / np.sum(w)).tolist())
+
+    sampler = property(lambda self: self)  # perfbench reads tilt.sampler
+    mean = IncrementLaw.mean
+    variance = IncrementLaw.variance
+    sigma = IncrementLaw.sigma
+    sample_block = IncrementLaw.sample_block
+    density = IncrementLaw.density
+    support_bounds = IncrementLaw.support_bounds
 
 
 def _finite_exp_terms(law, lam):
@@ -503,8 +508,9 @@ def _increasing_root(g, sigma):
     return 0.5 * (lo + hi)
 
 
-def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
-    """Solve E[X e^{lam X}] = 0 and package the tilted law.
+def cramer_tilt(law: IncrementLaw) -> IncrementLaw | TiltedLaw:
+    """The walked law: ``law`` itself when its mean is zero, else the
+    TiltedLaw of the root of E[X e^{lam X}] = 0.
 
     Closed-form root for gaussian and laplace; otherwise bisection on the
     closed-form Lambda'(lam) (uniform) or the finite sum E[X e^{lam X}],
@@ -512,7 +518,7 @@ def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     law whose support has one sign has none.  No quadrature is involved.
     """
     if abs(law.mean) <= 1e-13 * max(1.0, law.sigma):
-        return TiltedLaw(0.0, 0.0, law, law)
+        return law
     if law.variance == 0.0:
         raise NoTiltExists(
             "degenerate one-atom law with nonzero mean cannot be re-centered",
@@ -537,16 +543,7 @@ def cramer_tilt(law: IncrementLaw) -> TiltedLaw:
     if abs(residual) > 1e-12:
         raise NoTiltExists(
             f"root residual {residual:.3e} exceeds 1e-12 at lam={lam!r}")
-
-    if law.family == FINITE:
-        x, w, _ = _finite_exp_terms(law, lam)
-        sampler = IncrementLaw.finite(tuple(x), tuple(w / np.sum(w)))
-        lg = log_mgf(law, lam)
-    else:
-        lg, mean, _ = _cumulants(law, lam)
-        sampler = (IncrementLaw.gaussian(mean, law.b) if law.family == GAUSSIAN
-                   else _TiltedDensity(law.family, law.a, law.b, lam))
-    return TiltedLaw(float(lam), lg, law, sampler)
+    return TiltedLaw(law, float(lam), log_mgf(law, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,10 @@ def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
     if law.family == FINITE:
         raise DomainError("a finite-support law needs exact_joint_law")
     _check_start(x, n)
-    tilt = cramer_tilt(law)
-    if tilt.lam < 0.0:
+    step = cramer_tilt(law)
+    lam = step.lam
+    if lam < 0.0:
         raise DomainError(f"killed_law needs a drift <= 0, got {law.mean!r}")
-    lam, step = tilt.lam, tilt.sampler
     h = _node_step(step)
     # one step's reach in cells: where hat weights fall to 1e-18 of the top
     wide = math.ceil(max(np.abs(step.support_bounds())) / h)
@@ -157,18 +157,21 @@ def killed_law(law: IncrementLaw, x: float, n: int) -> KilledLaw:
         edges = np.arange(-r, cells + 1) * h
         shape = 1.0 if lam == 0.0 else -math.expm1(-lam * h) / (lam * h)
         below, weight = np.split(np.exp(-lam * edges[:-1]) * shape, [r])
-        kill = np.convolve(below, full[::-1])[2 * r:]  # death per cell
+        kill = np.zeros(r)  # death per cell: sum of below[i] full[i - k]
+        for k in range(r):
+            kill[:k + 1] += below[k] * full[k::-1]
         size = 1 << (cells + full.size).bit_length()  # no wrap-around
         kernel = np.fft.rfft(full, size)
         alive, died = np.full(n + 1, math.exp(-lam * x)), np.zeros(n + 1)
         mass = np.diff(_cdf_partial_mean(step, edges - x)[0])
-        died[1], alive[1], mass = mass[:r] @ below, mass[r:] @ weight, mass[r:]
-        for j in range(2, n + 1):
-            died[j] = mass[:r] @ kill
+        died[1], alive[1] = (mass[:r] * below).sum(), (mass[r:] * weight).sum()
+        mass = mass[r:]
+        for j in range(2, n + 1):  # ndarray.sum skips np.sum's dispatch
+            died[j] = (mass[:r] * kill).sum()
             mass = np.fft.irfft(np.fft.rfft(mass, size) * kernel,
                                 size)[r:r + cells]
-            alive[j] = mass @ weight
-        scale = np.exp(np.arange(n + 1) * tilt.log_mgf + lam * x)
+            alive[j] = (mass * weight).sum()
+        scale = np.exp(np.arange(n + 1) * step.log_mgf + lam * x)
         cdf = np.append(0.0, np.cumsum(mass * weight)) * scale[-1]
         return np.array([alive, died]) * scale, cdf
 

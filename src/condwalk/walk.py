@@ -377,12 +377,12 @@ def mc_unconditioned(law: IncrementLaw, n: int, stat: Statistic, samples: int,
     return _mc_many(law, 0.0, n, [stat], samples, seed, threads, kill=False)[0]
 
 
-def mc_tilted_survival(base: IncrementLaw, tilt: TiltedLaw, x: float, n: int,
-                       stat: Statistic, samples: int, seed: int,
-                       threads: int | None = None) -> McEstimate:
+def mc_tilted_survival(base: IncrementLaw, tilt: IncrementLaw | TiltedLaw,
+                       x: float, n: int, stat: Statistic, samples: int,
+                       seed: int, threads: int | None = None) -> McEstimate:
     """Importance-sampling estimate under the tilted measure.
 
-    Simulates the mean-zero tilted walk and multiplies every contribution
+    Walks ``tilt`` = cramer_tilt(base) and multiplies every contribution
     by exp(n*Lambda + lam*x - lam*(x + S_n)), which makes the estimate
     unbiased for the base-measure functional.  Restricted to statistics
     whose value depends only on the horizon state.
@@ -401,7 +401,7 @@ def mc_tilted_survival(base: IncrementLaw, tilt: TiltedLaw, x: float, n: int,
         def weight(p):
             return np.exp(log_const - lam * p)
 
-    return _mc_many(tilt.sampler, x, n, [stat], samples, seed, threads,
+    return _mc_many(tilt, x, n, [stat], samples, seed, threads,
                     weight=weight)[0]
 
 

@@ -187,7 +187,7 @@ def run_battery():
     mc30 = mc_tilted_survival(DRIFTED, tilt, 0.0, 30, Statistic.survival(),
                               10 ** 6, seed=1230)
     tilted = {"lam": tilt.lam, "log_mgf": tilt.log_mgf,
-              "sigma": tilt.tilted_sigma, "v_x": V0, "f_vstar_int": i_integral}
+              "sigma": tilt.sigma, "v_x": V0, "f_vstar_int": i_integral}
     pred30 = predict("IGL1", n=30, x=0.0, **tilted).value
     mc120 = mc_tilted_survival(DRIFTED, tilt, 0.0, 120, Statistic.survival(),
                                10 ** 6, seed=mix64(1_300 + 120))

@@ -119,8 +119,7 @@ def test_table_extrapolation_query(gauss_table):
 
 def test_tilted_table_matches_plain_gaussian(gauss_table):
     drifted = IncrementLaw.gaussian(-0.5, 1.0)
-    tilt = cramer_tilt(drifted)
-    tab = build_harmonic_table(drifted, tilt=tilt)
+    tab = build_harmonic_table(cramer_tilt(drifted))
     # the tilted law IS gaussian(0,1), and the solve draws no random numbers
     assert tab.tilt == 0.5
     for a, b in zip(tab.values, gauss_table.values):
@@ -166,12 +165,11 @@ def test_solved_kink_near_zero(spec, tilted):
     # shrinking the node step (and with it the matrix); left of the kink the
     # undershoot below 0 is exponential at rate 1/b + lam, so V(x) = x + 1/rate
     law = parse_law(spec)
-    tilt = cramer_tilt(law) if tilted else None
-    sampler = tilt.sampler if tilted else law
-    step = _node_step(sampler)
-    assert step >= 0.05 * sampler.sigma
-    tab = build_harmonic_table(law, tilt=tilt)
-    offset = 1.0 / (1.0 / law.b + (tilt.lam if tilted else 0.0))
+    walked = cramer_tilt(law) if tilted else law
+    step = _node_step(walked)
+    assert step >= 0.05 * walked.sigma
+    tab = build_harmonic_table(walked)
+    offset = 1.0 / (1.0 / law.b + walked.lam)
     for x, v in zip(tab.grid, tab.values):
         assert abs(v.mean - (x + offset)) <= 1e-6
 
@@ -186,18 +184,17 @@ _FLUSH_CASES = [("gaussian:0,1", False, False),
 
 def _solve_inputs(spec, dual, tilted):
     law = parse_law(spec)
-    tilt = cramer_tilt(law) if tilted else None
-    sampler = tilt.sampler if tilted else law
-    return law, tilt, _mirror(sampler) if dual else sampler
+    walked = cramer_tilt(law) if tilted else law
+    return walked, _mirror(walked) if dual else walked
 
 
 @pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
 def test_flushed_weights_change_no_bit(monkeypatch, spec, dual, tilted):
     # the table from a solve that keeps every weight, down to 2e-322
-    law, tilt, _ = _solve_inputs(spec, dual, tilted)
-    tab = build_harmonic_table(law, dual=dual, tilt=tilt)
+    walked, _ = _solve_inputs(spec, dual, tilted)
+    tab = build_harmonic_table(walked, dual=dual)
     monkeypatch.setattr(harmonic, "_TINY", 0.0)
-    ref = build_harmonic_table(law, dual=dual, tilt=tilt)
+    ref = build_harmonic_table(walked, dual=dual)
     assert [float.hex(v) for v in tab.grid] == [float.hex(v) for v in ref.grid]
     for got, want in zip(tab.values, ref.values):
         assert float.hex(got.mean) == float.hex(want.mean)
@@ -209,7 +206,7 @@ def test_flushed_weights_change_no_bit(monkeypatch, spec, dual, tilted):
 @pytest.mark.parametrize("spec,dual,tilted", _FLUSH_CASES)
 def test_solve_matrix_holds_no_tiny_weight(spec, dual, tilted):
     # a product of two weights below sqrt(tiny) would be subnormal
-    _, _, law = _solve_inputs(spec, dual, tilted)
+    _, law = _solve_inputs(spec, dual, tilted)
     h = _node_step(law)
     n = math.ceil(harmonic._SOLVE_SPAN * law.sigma / h)
     # the coarse and fine solves, and the step to the fine lattice's odd
@@ -243,7 +240,7 @@ def test_toeplitz_solve_matches_dense_reference(spec, tilted, dual):
     # both levels, and the odd nodes as K V_h + r; the two solves differed
     # by at most 2.4e-13 relative, about the LU's own residual
     from scipy.linalg import solve
-    _, _, law = _solve_inputs(spec, dual, tilted)
+    _, law = _solve_inputs(spec, dual, tilted)
     h = _node_step(law)
     n = math.ceil(harmonic._SOLVE_SPAN * law.sigma / h)
     levels = []
@@ -272,13 +269,12 @@ def test_solved_table_matches_ladder(spec, dual, tilted):
     # paths count zero, which biases the estimate low by about the censor
     # rate times (x + V(0))
     law = parse_law(spec)
-    tilt = cramer_tilt(law) if tilted else None
-    sampler = tilt.sampler if tilted else law
-    tab = build_harmonic_table(law, dual=dual, tilt=tilt)
-    for k, x in enumerate((0.0, sampler.sigma, 4.0 * sampler.sigma)):
+    walked = cramer_tilt(law) if tilted else law
+    tab = build_harmonic_table(walked, dual=dual)
+    for k, x in enumerate((0.0, walked.sigma, 4.0 * walked.sigma)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CensoringExcess)
-            est = estimate_V_ladder(sampler, x, cap=10 ** 5,
+            est = estimate_V_ladder(walked, x, cap=10 ** 5,
                                     samples=2 * 10 ** 4,
                                     seed=mix64(9_000 + k), dual=dual,
                                     threads=2)
@@ -380,11 +376,10 @@ def test_kappa_finite_support_forms_agree():
 
 
 def test_kappa_tilted_forms_agree():
-    law = IncrementLaw.gaussian(-0.5, 1.0)
-    tilt = cramer_tilt(law)
-    tab = build_harmonic_table(law, dual=True, tilt=tilt)
-    k = kappa_constant(law, tab, tilt=tilt)
-    k2 = kappa_extension_form(law, tab, tilt=tilt)
+    tilt = cramer_tilt(IncrementLaw.gaussian(-0.5, 1.0))
+    tab = build_harmonic_table(tilt, dual=True)
+    k = kappa_constant(tilt, tab)
+    k2 = kappa_extension_form(tilt, tab)
     assert k > 0
     assert abs(k - k2) / k <= 0.02
 
@@ -430,11 +425,10 @@ def test_kappa_solved_is_half_variance(spec):
 @pytest.mark.parametrize("spec", ["gaussian:-0.5,1", "laplace:-0.3,1",
                                   "uniform:-1,2"])
 def test_kappa_tilted_forms_agree_closely(spec):
-    law = parse_law(spec)
-    tilt = cramer_tilt(law)
-    tab = build_harmonic_table(law, dual=True, tilt=tilt)
-    k = kappa_constant(law, tab, tilt=tilt)
-    assert abs(kappa_extension_form(law, tab, tilt=tilt) / k - 1.0) <= 1e-6
+    tilt = cramer_tilt(parse_law(spec))
+    tab = build_harmonic_table(tilt, dual=True)
+    k = kappa_constant(tilt, tab)
+    assert abs(kappa_extension_form(tilt, tab) / k - 1.0) <= 1e-6
 
 
 def test_tilted_kappa_gives_exact_drifted_exit_constant():
@@ -442,18 +436,16 @@ def test_tilted_kappa_gives_exact_drifted_exit_constant():
     # 2 kappa_lam V_lam(0) / (sqrt(2 pi) s_lam^3).  Spitzer's recursion
     # gives c(n), the left side, exactly; c(n) = K + a/n + O(n^-2), so
     # 2 c(4000) - c(2000) is K to O(n^-2)
-    law = parse_law("gaussian:-0.5,1")
-    tilt = cramer_tilt(law)
-    kappa = kappa_constant(law, build_harmonic_table(law, dual=True,
-                                                     tilt=tilt), tilt=tilt)
-    v0 = build_harmonic_table(law, tilt=tilt)(0.0)
+    tilt = cramer_tilt(parse_law("gaussian:-0.5,1"))
+    kappa = kappa_constant(tilt, build_harmonic_table(tilt, dual=True))
+    v0 = build_harmonic_table(tilt)(0.0)
     n = 4000
     lg, scaled = spitzer_drifted_survival(-0.5, 1.0, n)
 
     def c(m):
         return m ** 1.5 * (math.exp(-lg) * scaled[m - 1] - scaled[m])
 
-    pred = predict("TAU-S-TILT", kappa=kappa, v_x=v0, sigma=tilt.tilted_sigma,
+    pred = predict("TAU-S-TILT", kappa=kappa, v_x=v0, sigma=tilt.sigma,
                    n=n, x=0.0, lam=tilt.lam, log_mgf=tilt.log_mgf).value
     assert abs(pred * n ** 1.5 * math.exp(-n * lg)
                / (2.0 * c(n) - c(n // 2)) - 1.0) <= 1e-4
@@ -467,7 +459,7 @@ _PINNED_TILTED = {
         "v0": "0x1.d2215bd0d72adp-1", "v_offset": "0x1.c0a1952b2f980p-1",
         "vstar0": "0x1.2c093245341ddp+0",
         "vstar_offset": "0x1.2c093245549a0p+0",
-        "kappa": "0x1.397157d7244e2p+0", "kappa_ext": "0x1.397157d7244ccp+0",
+        "kappa": "0x1.397157d7244e4p+0", "kappa_ext": "0x1.397157d7244cdp+0",
         "mean": "0x0.0p+0", "variance": "0x1.1127ea971e8cep+1",
         "sigma": "0x1.75f918fb698d8p+0"},
     "uniform:-1,2": {
@@ -480,15 +472,13 @@ _PINNED_TILTED = {
 
 
 def _tilted_bits(spec):
-    law = parse_law(spec)
-    tilt = cramer_tilt(law)
-    primal = build_harmonic_table(law, tilt=tilt)
-    dual = build_harmonic_table(law, dual=True, tilt=tilt)
-    step = tilt.sampler
+    step = cramer_tilt(parse_law(spec))
+    primal = build_harmonic_table(step)
+    dual = build_harmonic_table(step, dual=True)
     got = {"v0": primal(0.0), "v_offset": primal.extrapolation_offset,
            "vstar0": dual(0.0), "vstar_offset": dual.extrapolation_offset,
-           "kappa": kappa_constant(law, dual, tilt=tilt),
-           "kappa_ext": kappa_extension_form(law, dual, tilt=tilt),
+           "kappa": kappa_constant(step, dual),
+           "kappa_ext": kappa_extension_form(step, dual),
            "mean": step.mean, "variance": step.variance, "sigma": step.sigma}
     return {k: float.hex(v) for k, v in got.items()}
 
@@ -496,20 +486,31 @@ def _tilted_bits(spec):
 @pytest.mark.parametrize("spec", sorted(_PINNED_TILTED))
 def test_tilted_solve_keeps_its_bits(spec):
     assert _tilted_bits(spec) == _PINNED_TILTED[spec]
-    tilt = cramer_tilt(parse_law(spec))
-    assert tilt.tilted_variance == tilt.sampler.variance
-    assert tilt.tilted_sigma == tilt.sampler.sigma
+
+
+def _killed_bits():
+    killed = killed_law(parse_law("laplace:-0.3,1"), 0.0, 50)
+    return float.hex(killed.survival[-1])
 
 
 def test_table_bits_do_not_depend_on_blas_threads(monkeypatch):
-    # the solve calls no BLAS, so OpenBLAS's thread count moves no bit
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    out = _fresh(f"import json, sys\nsys.path.insert(0, {str(HERE)!r})\n"
-                 "from test_harmonic import _PINNED_TILTED, _tilted_bits\n"
-                 "print(json.dumps({s: _tilted_bits(s) "
-                 "for s in _PINNED_TILTED}))\n")
-    assert json.loads(out.splitlines()[-1]) == {
-        s: _tilted_bits(s) for s in _PINNED_TILTED}
+    # the solve, kappa and killed_law call no BLAS, so neither OpenBLAS's
+    # thread count nor its CPU kernel moves a bit
+    settings = [("OPENBLAS_NUM_THREADS", "1"),
+                ("OPENBLAS_CORETYPE", "Sandybridge")]
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and "avx2" in cpuinfo.read_text():
+        settings.append(("OPENBLAS_CORETYPE", "Haswell"))
+    code = (f"import json, sys\nsys.path.insert(0, {str(HERE)!r})\n"
+            "from test_harmonic import _PINNED_TILTED, _killed_bits, "
+            "_tilted_bits\n"
+            "print(json.dumps([{s: _tilted_bits(s) for s in _PINNED_TILTED}, "
+            "_killed_bits()]))\n")
+    here = [{s: _tilted_bits(s) for s in _PINNED_TILTED}, _killed_bits()]
+    for name, value in settings:
+        with monkeypatch.context() as env:
+            env.setenv(name, value)
+            assert json.loads(_fresh(code).splitlines()[-1]) == here, value
 
 
 def test_table_memory_is_linear():
@@ -527,8 +528,7 @@ def test_table_memory_is_linear():
 
 
 def test_tilted_killed_law_keeps_its_bits():
-    killed = killed_law(parse_law("laplace:-0.3,1"), 0.0, 50)
-    assert float.hex(killed.survival[-1]) == "0x1.85652eaf2b1a9p-8"
+    assert _killed_bits() == "0x1.85652eaf2b1a8p-8"
 
 
 def test_kappa_forms_exact_on_hand_built_finite_table():
@@ -576,14 +576,12 @@ def test_table_integrals_use_no_adaptive_quadrature(monkeypatch):
         raise AssertionError("adaptive quadrature called")
 
     monkeypatch.setattr(harmonic, "quad", refuse)
-    drifted = parse_law("laplace:-0.3,1")
-    tilt = cramer_tilt(drifted)
+    tilt = cramer_tilt(parse_law("laplace:-0.3,1"))
     finite = parse_law("finite:-1,0.5;1,0.5")
-    cases = [(UNIFORM, build_harmonic_table(UNIFORM, dual=True), None),
-             (drifted, build_harmonic_table(drifted, dual=True, tilt=tilt),
-              tilt),
-             (finite, _hand_table(), None)]
-    for law, tab, t in cases:
-        assert kappa_constant(law, tab, tilt=t) > 0.0
-        assert kappa_extension_form(law, tab, tilt=t) > 0.0
+    cases = [(UNIFORM, build_harmonic_table(UNIFORM, dual=True)),
+             (tilt, build_harmonic_table(tilt, dual=True)),
+             (finite, _hand_table())]
+    for law, tab in cases:
+        assert kappa_constant(law, tab) > 0.0
+        assert kappa_extension_form(law, tab) > 0.0
         assert weighted_table_integral(tab, 0.5) > 0.0

@@ -194,12 +194,12 @@ def test_cache_recomputes_truncated_entry(tmp_path):
 def test_table_cache_key_is_versioned(tmp_path, monkeypatch):
     builds = []
 
-    def fake_build(law, dual, tilt):
+    def fake_build(law, dual):
         builds.append(dual)
         return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
 
     monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
-    args = (parse_law("gaussian:0,1"), True, None, IngredientCache(tmp_path))
+    args = (parse_law("gaussian:0,1"), True, IngredientCache(tmp_path))
     first = harness._table_for(*args)
     assert harness._table_for(*args) == first and len(builds) == 1
     monkeypatch.setattr(harness, "_CACHE_VERSION", harness._CACHE_VERSION + 1)
@@ -216,7 +216,7 @@ def test_table_cache_returns_the_table_as_built(tmp_path, monkeypatch, spec,
                           None, 0.25)
     monkeypatch.setattr(harness, "build_harmonic_table",
                         lambda *args, **kwargs: built)
-    args = (parse_law(spec), True, None, IngredientCache(tmp_path))
+    args = (parse_law(spec), True, IngredientCache(tmp_path))
     assert harness._table_for(*args) == built  # cold
     assert harness._table_for(*args) == built  # warm
 
@@ -225,14 +225,14 @@ def test_one_cached_table_per_law_whatever_its_spelling(tmp_path,
                                                        monkeypatch):
     builds = []
 
-    def fake_build(law, dual, tilt):
+    def fake_build(law, dual):
         builds.append(dual)
         return HarmonicTable((0.0, 1.0), (McEstimate(0.7, 0.01, 10, 5),) * 2)
 
     monkeypatch.setattr(harness, "build_harmonic_table", fake_build)
     cache = IngredientCache(tmp_path)
     spellings = ("gaussian:0,1", "gaussian:0.0,1.0", "gaussian:0,1.0")
-    tables = [harness._table_for(parse_law(spec), True, None, cache)
+    tables = [harness._table_for(parse_law(spec), True, cache)
               for spec in spellings]
     assert tables == tables[:1] * 3 and len(builds) == 1
     assert len(list(tmp_path.iterdir())) == 1
@@ -415,9 +415,9 @@ def test_symmetric_dual_table_is_the_primal_one(monkeypatch):
     seen = []
     real = harness.kappa_constant
 
-    def kappa(law, dual_table, tilt=None):
+    def kappa(law, dual_table):
         seen.append(dual_table)
-        return real(law, dual_table, tilt=tilt)
+        return real(law, dual_table)
 
     monkeypatch.setattr(harness, "kappa_constant", kappa)
     run_experiment(_solved_cfg(theorem_id="TAU-S"))
@@ -440,7 +440,7 @@ def test_tau_s_tilt_solved_v_matches_ladder(monkeypatch):
     tilt = cramer_tilt(parse_law(cfg.law))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CensoringExcess)
-        est = estimate_V_ladder(tilt.sampler, 0.0, cap=10 ** 5,
+        est = estimate_V_ladder(tilt, 0.0, cap=10 ** 5,
                                 samples=2 * 10 ** 4, seed=mix64(9_100),
                                 threads=2)
     assert abs(est.mean - v) <= 4.0 * est.stderr + est.censor_rate * v, est

@@ -3,8 +3,9 @@
 ``import condwalk`` and a Monte Carlo run load numpy alone; scipy comes in
 on the first quadrature, table solve or gaussian CDF.  Each
 check runs in a fresh interpreter, since the test process has scipy
-loaded already.  One more check reads the sources: only ``increments``
-names a density family.
+loaded already.  Two more checks read the sources: only ``increments``
+names a density family, and ``harmonic`` and ``oracle`` reduce without
+BLAS.
 """
 
 import ast
@@ -91,3 +92,17 @@ def test_only_increments_names_a_density_family():
         names |= {node.attr for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)}
         assert not names & families, path.name
+
+
+def test_harmonic_and_oracle_reduce_without_blas():
+    # numpy's matmul, dot and correlate call BLAS, whose kernels round
+    # differently from CPU to CPU; the tables, kappa and killed_law sum
+    # with numpy's own reductions, so their bits do not depend on it
+    banned = {"dot", "vdot", "inner", "matmul", "convolve", "correlate",
+              "linalg"}
+    for name in ("harmonic.py", "oracle.py"):
+        tree = ast.parse((SRC / "condwalk" / name).read_text())
+        assert not any(isinstance(node, ast.MatMult)
+                       for node in ast.walk(tree)), name
+        assert not {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)} & banned, name

@@ -37,8 +37,8 @@ _SAMPLERS = {
     "laplace": IncrementLaw.laplace(-0.5, 1.5),
     "uniform": IncrementLaw.uniform(-1.0, 3.0),
     "finite": IncrementLaw.finite([-1.0, 0.5, 2.0], [0.5, 0.3, 0.2]),
-    "tilted_laplace": cramer_tilt(IncrementLaw.laplace(-0.3, 1.0)).sampler,
-    "tilted_uniform": cramer_tilt(IncrementLaw.uniform(-2.0, 1.0)).sampler,
+    "tilted_laplace": cramer_tilt(IncrementLaw.laplace(-0.3, 1.0)),
+    "tilted_uniform": cramer_tilt(IncrementLaw.uniform(-2.0, 1.0)),
 }
 
 
@@ -134,21 +134,54 @@ def test_gaussian_tilt_closed_form():
     t = cramer_tilt(IncrementLaw.gaussian(-0.5, 1.0))
     assert t.lam == pytest.approx(0.5, abs=1e-12)
     assert t.log_mgf == pytest.approx(-0.125, abs=1e-12)
-    assert t.tilted_variance == pytest.approx(1.0, rel=1e-12)
-    assert t.sampler == IncrementLaw.gaussian(0.0, 1.0)
+    assert t.variance == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["gaussian:-0.5,2", "finite:-1,0.6;1,0.4"])
+def test_tilted_law_draws_and_integrates_as_the_plain_law(spec):
+    # a tilted gaussian is the gaussian shifted by lam b^2, and a tilted
+    # finite law re-weights the atoms by e^{lam x}: the tilt draws as that
+    # untilted law does, bit for bit (random stream v3)
+    law = parse_law(spec)
+    t = cramer_tilt(law)
+    if law.family == "gaussian":
+        plain = IncrementLaw.gaussian(law.a + t.lam * law.b ** 2, law.b)
+    else:
+        x = np.asarray(law.points)
+        w = np.asarray(law.probs) * np.exp(t.lam * x - np.max(t.lam * x))
+        plain = IncrementLaw.finite(law.points, w / np.sum(w))
+    for shape in [(300, 7), 1000]:
+        want = plain.sample_block(chunk_generator(5, 2), shape).tobytes()
+        buf = np.empty(shape)
+        assert t.sample_block(chunk_generator(5, 2), shape, out=buf) is buf
+        assert buf.tobytes() == want
+        assert t.sample_block(chunk_generator(5, 2), shape).tobytes() == want
+    if law.family != "gaussian":
+        return
+    u = np.linspace(-9.0, 9.0, 181)
+    for got, ref in [(t, plain), (increments._mirror(t),
+                                  IncrementLaw.gaussian(-plain.a, plain.b))]:
+        for a, b in zip(increments._cdf_partial_mean(got, u),
+                        increments._cdf_partial_mean(ref, u)):
+            assert a.tobytes() == b.tobytes()
+    assert (increments._density(t, u).tobytes()
+            == increments._density(plain, u).tobytes())
+    assert t.support_bounds() == plain.support_bounds()
 
 
 def test_zero_mean_identity_tilt():
-    t = cramer_tilt(IncrementLaw.gaussian(0.0, 2.0))
+    law = IncrementLaw.gaussian(0.0, 2.0)
+    t = cramer_tilt(law)
+    assert t is law
     assert t.lam == 0.0 and t.log_mgf == 0.0
-    assert t.tilted_variance == 4.0
+    assert t.variance == 4.0
 
 
 def test_finite_support_root_residual():
     law = IncrementLaw.finite([-2.0, 1.0], [0.25, 0.75])
     t = cramer_tilt(law)
     assert abs(tilted_mean(law, t.lam)) <= 1e-12
-    assert abs(sum(x * p for x, p in zip(t.sampler.points, t.sampler.probs))) <= 1e-12
+    assert abs(sum(x * p for x, p in zip(t.points, t.probs))) <= 1e-12
 
 
 def test_laplace_tilt_against_analytic_root():
@@ -191,7 +224,7 @@ def test_log_mgf_negative_at_root_for_drifted_laws():
         t = cramer_tilt(law)
         assert t.lam != 0.0
         assert t.log_mgf < 0.0
-        assert t.tilted_variance > 0.0
+        assert t.variance > 0.0
 
 
 def test_residual_grid_around_root():
@@ -211,10 +244,10 @@ def test_tilt_round_trip_sampling(family):
         "finite": IncrementLaw.finite([-2.0, 1.0], [0.25, 0.75]),
     }[family]
     tilt = cramer_tilt(law)
-    draws = tilt.sampler.sample_block(chunk_generator(42, 3), 10 ** 6)
-    s_lam = math.sqrt(tilt.tilted_variance)
+    draws = tilt.sample_block(chunk_generator(42, 3), 10 ** 6)
+    s_lam = math.sqrt(tilt.variance)
     assert abs(draws.mean()) <= 4.0 * s_lam / 1e3
-    assert draws.var() == pytest.approx(tilt.tilted_variance, rel=0.02)
+    assert draws.var() == pytest.approx(tilt.variance, rel=0.02)
 
 
 def _uniform_f_m_reference(a, b, lam, t):
@@ -236,7 +269,8 @@ def test_tilted_uniform_cdf_partial_mean_to_50_digits(a, b, lam_w):
     # lam (b - a) > 709 overflowed it to NaN
     lam = lam_w / (b - a)
     t = np.concatenate([np.linspace(a, b, 33), [a + 1e-7, b - 1e-7]])
-    law = increments._TiltedDensity("uniform", a, b, lam)
+    base = IncrementLaw.uniform(a, b)
+    law = increments.TiltedLaw(base, lam, log_mgf(base, lam))
     f, m = increments._cdf_partial_mean(law, t)
     scale = max(abs(a), abs(b))
     for ti, fi, mi in zip(t, f, m):
@@ -270,8 +304,8 @@ def test_left_exit_monotone_and_in_unit_interval(t, dt):
 
 _MIRRORED = [IncrementLaw.gaussian(0.3, 1.5), IncrementLaw.laplace(-0.2, 0.7),
              IncrementLaw.uniform(-1.0, 2.5),
-             cramer_tilt(parse_law("laplace:-0.3,1")).sampler,
-             cramer_tilt(parse_law("uniform:-1,2")).sampler]
+             cramer_tilt(parse_law("laplace:-0.3,1")),
+             cramer_tilt(parse_law("uniform:-1,2"))]
 
 
 @pytest.mark.parametrize("law", _MIRRORED, ids=["gaussian", "laplace",
@@ -362,7 +396,7 @@ def test_closed_form_tilt_matches_reference(spec):
     assert t.lam == pytest.approx(lam, rel=1e-10, abs=0.0)
     assert t.log_mgf == pytest.approx(lg, rel=1e-10, abs=0.0)
     assert log_mgf(law, t.lam) == t.log_mgf
-    assert t.tilted_variance == pytest.approx(var, rel=1e-10, abs=0.0)
+    assert t.variance == pytest.approx(var, rel=1e-10, abs=0.0)
 
 
 def test_tilt_makes_no_quadrature_call(monkeypatch):
@@ -396,17 +430,17 @@ def test_tilted_density_moments_match_tilted_law(spec):
     from scipy.integrate import quad as scipy_quad
 
     t = cramer_tilt(parse_law(spec))
-    lo, hi = t.sampler.support_bounds()
+    lo, hi = t.support_bounds()
     kink = [t.base.a] if t.base.family == "laplace" else None
 
     def moment(k):
-        return scipy_quad(lambda u: u ** k * float(t.sampler.density(u)),
+        return scipy_quad(lambda u: u ** k * float(t.density(u)),
                           lo, hi, points=kink, epsabs=1e-13, epsrel=1e-11,
                           limit=200)[0]
 
     assert moment(0) == pytest.approx(1.0, rel=1e-10, abs=0.0)
-    assert abs(moment(1) - t.sampler.mean) <= 1e-10
-    assert moment(2) == pytest.approx(t.tilted_variance, rel=1e-10, abs=0.0)
+    assert abs(moment(1) - t.mean) <= 1e-10
+    assert moment(2) == pytest.approx(t.variance, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("fn", [tilted_mean, log_mgf])
