@@ -14,6 +14,9 @@ and lam; a symmetric step's dual table is its primal one, built once.
 V(x) is read off the primal table (one ladder estimate for a
 finite-support law); kappa and the weighted integrals are fixed
 Gauss-Legendre rules over the dual table's cells; none is cached.
+Each row's Monte Carlo estimate is cached beside the tables, keyed by
+everything that fixes it and by the random stream's version, so a warm
+run draws no row's paths.
 Lattice laws are refused: the theorems assume non-lattice increments.
 A config cannot supply an ingredient: exact constants go to
 ``asymptotics.predict``, which takes them all by name.
@@ -39,7 +42,7 @@ from .harmonic import HarmonicTable, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
 from .increments import _is_symmetric, cramer_tilt, format_law, \
     is_lattice, parse_law
-from .rngstream import mix64
+from .rngstream import STREAM_VERSION, mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, _integer, mc_estimate, \
     mc_tilted_survival, mc_unconditioned
@@ -143,10 +146,17 @@ class ReportRow:
 
 class IngredientCache:
     def __init__(self, root: str | os.PathLike | None = None):
+        """A cache in the directory ``root``, created if missing; a root
+        that cannot be a directory is a DomainError."""
         if root is None:
             root = os.environ.get("CONDWALK_CACHE",
                                   Path.home() / ".cache" / "condwalk")
         self.root = Path(root)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DomainError(f"cache root {str(self.root)!r} cannot be a "
+                              f"directory: {exc}") from None
 
     def _path(self, key: dict) -> Path:
         blob = json.dumps(key, sort_keys=True)
@@ -166,7 +176,6 @@ class IngredientCache:
         except (FileNotFoundError, ValueError):
             pass
         value = compute()
-        self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
@@ -200,6 +209,42 @@ def _table_for(walked, dual, cache):
     vals = tuple(map(McEstimate, *(raw["values"][f.name] for f in columns)))
     return HarmonicTable(tuple(raw["grid"]), vals, raw["dual"], raw["tilt"],
                          raw["offset"])
+
+
+# Bumped with any change to an estimate entry's layout; a change to the
+# random stream bumps STREAM_VERSION, which the key holds too.
+_ESTIMATE_VERSION = 1
+
+
+def _estimate_for(cfg, law, walked, walk, stat, n, seed, threads, cache):
+    """One row's Monte Carlo estimate on the ``walk`` (killed, tilted or
+    free) of ``law``, read from ``cache`` when an earlier run wrote it.
+
+    The key holds everything that fixes the estimate: the law's
+    canonical spelling, the walk and the tilt's bits, every field of the
+    statistic, x, n, the path count, the seed and the stream version.
+    It holds no thread count, because estimates do not depend on it, and
+    no name or theorem id, so two ids that walk the same statistic share
+    an entry.
+    """
+    key = {"kind": "estimate", "version": _ESTIMATE_VERSION,
+           "stream": STREAM_VERSION, "law": format_law(law), "walk": walk,
+           "lam": walked.lam or None, "log_mgf": walked.log_mgf or None,
+           "stat": dataclasses.asdict(stat), "x": float(cfg.x), "n": int(n),
+           "samples": int(cfg.samples), "seed": seed}
+
+    def compute():
+        if walk == "free":
+            mc = mc_unconditioned(law, n, stat, cfg.samples, seed, threads)
+        elif walk == "tilted":
+            mc = mc_tilted_survival(law, walked, cfg.x, n, stat, cfg.samples,
+                                    seed, threads)
+        else:
+            mc = mc_estimate(law, cfg.x, n, stat, cfg.samples, seed, threads)
+        return dataclasses.asdict(mc)
+
+    return McEstimate(**(cache.get_or_compute(key, compute) if cache
+                         else compute()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +284,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     law.  A lattice law, a finite-support law under an id that needs a
     table ingredient, and a prediction that is not positive (one that
     underflows to 0) are DomainErrors, raised before any path is drawn.
+    Each row's estimate is read from ``cache`` when an earlier run wrote
+    it, else walked and written there before the next row is walked.
     """
     tid = cfg.theorem_id
     theorem = THEOREMS.get(tid)
@@ -296,13 +343,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     rows = []
     for j, (n, pred) in enumerate(zip(cfg.n_list, preds)):
         seed_n = mix64(cfg.seed ^ mix64(7000 + j))
-        if theorem.walk == "free":
-            mc = mc_unconditioned(law, n, stat, cfg.samples, seed_n, threads)
-        elif tilted:
-            mc = mc_tilted_survival(law, walked, cfg.x, n, stat, cfg.samples,
-                                    seed_n, threads)
-        else:
-            mc = mc_estimate(law, cfg.x, n, stat, cfg.samples, seed_n, threads)
+        mc = _estimate_for(cfg, law, walked, theorem.walk, stat, n, seed_n,
+                           threads, cache)
         ratio = mc.mean / pred
         half = 4.0 * mc.stderr / pred
         rows.append(ReportRow(cfg.name, tid, n, mc, pred, ratio,

@@ -280,9 +280,12 @@ def _mirror(law):
 
 
 def _is_symmetric(law) -> bool:
-    """Whether a density law is its own mirror: mean zero, and untilted
-    or gaussian (a tilted gaussian is a shifted one)."""
-    return law.mean == 0.0 and (law.lam == 0.0 or law.family == GAUSSIAN)
+    """Whether a density law is its own mirror: an untilted law of mean
+    zero, or a Cramér-tilted gaussian, which is N(0, b) by construction
+    even where its shift a + lam b^2 rounds to a few ulps off zero."""
+    if law.lam:
+        return law.family == GAUSSIAN
+    return law.mean == 0.0
 
 
 def _gaussian_mean(law):

@@ -7,8 +7,8 @@ into the generator state.  The key is built from two SplitMix64 finalizer
 passes, so nearby (seed, chunk) pairs get unrelated keys (the per-(seed,
 stream) keying of Salmon et al., SC'11), and results are independent of
 how chunks are scheduled across worker threads.  This is random stream
-version 3; version 2 drew from the slower Philox generator under the
-same keys.
+version ``STREAM_VERSION``; version 2 drew from the slower Philox
+generator under the same keys.
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ import numpy as np
 from .errors import DomainError
 
 CHUNK_SIZE = 1 << 16
+
+# The random stream's version: the generator and its keys here, and the
+# block schedule, samplers' transforms and summation order of ``walk``.
+# Bumped with any change to them that changes an estimate, which also
+# retires every estimate an experiment cached under the old stream.
+STREAM_VERSION = 3
 
 _MASK64 = (1 << 64) - 1
 

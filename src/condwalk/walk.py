@@ -30,9 +30,10 @@ pairs are merged in chunk order, so every estimate is bit-identical for
 a given seed whatever the worker-thread count.
 
 The generator, the block schedule, the samplers' transforms and the
-summation order make up the random stream, now version 3: a change to
-any of them changes estimates, so it is one deliberate, versioned
-change.  The tile size is not part of it.
+summation order make up the random stream, whose version is
+``rngstream.STREAM_VERSION``: a change to any of them changes estimates,
+so it is one deliberate change that bumps that constant.  The tile size
+is not part of it.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero

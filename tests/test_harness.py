@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from condwalk.harness import row_record
 from condwalk.increments import parse_law
 from condwalk.oracle import _pc_product_integral
 from condwalk.rngstream import mix64
-from condwalk.walk import McEstimate
+from condwalk.walk import McEstimate, Statistic
 
 EXPERIMENTS = sorted(Path(__file__).resolve().parents[1].glob("experiments/*.json"))
 
@@ -238,6 +239,147 @@ def test_one_cached_table_per_law_whatever_its_spelling(tmp_path,
     assert len(list(tmp_path.iterdir())) == 1
 
 
+@pytest.mark.parametrize("under", ["file", "file/cache"])
+def test_unusable_cache_root_is_a_domain_error(tmp_path, computes_nothing,
+                                              under):
+    (tmp_path / "file").write_text("")
+    root = tmp_path / under
+    with pytest.raises(DomainError, match=re.escape(repr(str(root)))):
+        run_experiment(_fast_cfg(), cache=IngredientCache(root))
+
+
+# -- row estimates cached ----------------------------------------------------
+
+
+_WALKS = ("mc_estimate", "mc_tilted_survival", "mc_unconditioned")
+
+
+def _fake_walks(monkeypatch):
+    """Replace the three walks by fakes; returns the names called."""
+    calls = []
+
+    def fake(name):
+        def walk(*args):
+            calls.append(name)
+            return McEstimate(0.5, 0.01, 1000, len(calls))
+        return walk
+
+    for name in _WALKS:
+        monkeypatch.setattr(harness, name, fake(name))
+    return calls
+
+
+# a changed value for every field of a Statistic and of its target
+_STAT_CHANGES = {"kind": "exit_at_n", "f": TargetFunction.indicator(0.0, 1.0),
+                 "y": 1.0, "delta": 1.0, "t": 1.0, "dual": True}
+_TARGET_CHANGES = {"breaks": (1.0,), "values": (1.0,), "rate": 0.25,
+                   "origin": 1.0}
+
+
+def test_estimate_key_holds_what_fixes_the_estimate(tmp_path, monkeypatch):
+    assert set(_STAT_CHANGES) == {f.name for f in dataclasses.fields(Statistic)}
+    assert set(_TARGET_CHANGES) == {
+        f.name for f in dataclasses.fields(TargetFunction)}
+    calls = _fake_walks(monkeypatch)
+    law = parse_law("laplace:-0.3,1")
+    walked = cramer_tilt(law)
+    stat = Statistic.target(TargetFunction.exponential(0.5))
+    cfg = _solved_cfg(x=1.0)
+    base = dict(cfg=cfg, law=law, walked=walked, walk="tilted", stat=stat,
+                n=100, seed=7, threads=1, cache=IngredientCache(tmp_path))
+
+    def estimate(**over):
+        return harness._estimate_for(**{**base, **over})
+
+    first = estimate()
+    assert calls == ["mc_tilted_survival"]
+
+    # hits: the thread count, the law's spelling, and what names the row
+    respelled = parse_law("laplace:-0.30,1.0")
+    for over in (dict(threads=2), dict(law=respelled,
+                                       walked=cramer_tilt(respelled)),
+                 dict(cfg=dataclasses.replace(cfg, name="other",
+                                              theorem_id="TAU-S",
+                                              band=(0.5, 2.0)))):
+        assert estimate(**over) == first, over
+    assert len(calls) == 1
+
+    # misses: each is walked once, then read back
+    lam, log_mgf = (math.nextafter(v, 0.0)
+                    for v in (walked.lam, walked.log_mgf))
+    misses = [dict(law=parse_law("laplace:-0.3,1.5")), dict(walk="killed"),
+              dict(walk="free"),
+              dict(walked=dataclasses.replace(walked, lam=lam)),
+              dict(walked=dataclasses.replace(walked, log_mgf=log_mgf)),
+              dict(cfg=dataclasses.replace(cfg, x=2.0)), dict(n=101),
+              dict(cfg=dataclasses.replace(cfg, samples=2000)), dict(seed=8)]
+    misses += [dict(stat=dataclasses.replace(stat, **{k: v}))
+               for k, v in _STAT_CHANGES.items()]
+    misses += [dict(stat=dataclasses.replace(
+        stat, f=dataclasses.replace(stat.f, **{k: v})))
+        for k, v in _TARGET_CHANGES.items()]
+    for over in misses:
+        before = len(calls)
+        assert estimate(**over) == estimate(**over)
+        assert len(calls) == before + 1, over
+    for version in ("STREAM_VERSION", "_ESTIMATE_VERSION"):
+        with monkeypatch.context() as m:
+            m.setattr(harness, version, getattr(harness, version) + 1)
+            before = len(calls)
+            estimate()
+            assert len(calls) == before + 1, version
+
+
+def _refuse_walks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached row walks no path")
+
+    for name in _WALKS:
+        monkeypatch.setattr(harness, name, refuse)
+
+
+@pytest.mark.parametrize("law, tid", [("gaussian:0,1", "TAU-S"),
+                                      ("gaussian:0,1", "LLT"),
+                                      ("laplace:-0.3,1", "TAU-S-TILT")])
+def test_warm_run_walks_no_path(tmp_path, monkeypatch, law, tid):
+    # a killed, a free and a tilted walk
+    cfg = _solved_cfg(law=law, theorem_id=tid, y=1.0, delta=1.0,
+                      n_list=(25, 100))
+    cache = IngredientCache(tmp_path)
+    cold = run_experiment(cfg, cache=cache)
+    _refuse_walks(monkeypatch)
+    assert run_experiment(cfg, cache=cache) == cold
+    assert _entries(tmp_path)["estimate"] == 2
+
+
+def test_cached_estimates_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # written by a 2-thread run over two chunks, read by a 1-thread run
+    cfg = _fast_cfg(n_list=(25, 100))
+    cache = IngredientCache(tmp_path)
+    cold = run_experiment(cfg, threads=2, cache=cache)
+    assert cold == run_experiment(cfg, threads=1)
+    _refuse_walks(monkeypatch)
+    assert run_experiment(cfg, threads=1, cache=cache) == cold
+
+
+def test_truncated_estimate_entry_is_recomputed(tmp_path, monkeypatch):
+    cfg = _solved_cfg(theorem_id="LLT", y=0.0, delta=1.0)  # reads no table
+    cache = IngredientCache(tmp_path)
+    cold = run_experiment(cfg, cache=cache)
+    (entry,) = tmp_path.iterdir()
+    entry.write_text(entry.read_text()[:20])
+    walks = []
+    real = harness.mc_unconditioned
+
+    def walk(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "mc_unconditioned", walk)
+    assert run_experiment(cfg, cache=cache) == cold and len(walks) == 1
+    assert run_experiment(cfg, cache=cache) == cold and len(walks) == 1
+
+
 @pytest.mark.parametrize("policy", [{"v_source": "killd"},
                                     {"kappa_source": "bogus"},
                                     {"kappa_source": "supplied"},
@@ -380,6 +522,18 @@ def _recorded_builds(monkeypatch):
     return builds
 
 
+_ESTIMATE_FIELDS = {f.name for f in dataclasses.fields(McEstimate)}
+
+
+def _entries(root):
+    """How many table and estimate entries the cache at ``root`` holds."""
+    raws = [json.loads(p.read_text()) for p in root.iterdir()]
+    tables = sum("grid" in raw for raw in raws)
+    estimates = sum(set(raw) == _ESTIMATE_FIELDS for raw in raws)
+    assert tables + estimates == len(raws), raws
+    return {"table": tables, "estimate": estimates}
+
+
 def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
     # the symmetric law's V* is V: one primal table cold, none warm, and
     # no table on a grid
@@ -388,22 +542,24 @@ def test_density_v_reads_the_cached_primal_table(tmp_path, monkeypatch):
     cold = run_experiment(cfg, cache=cache)
     assert [b.get("dual", False) for b in builds] == [False]
     assert all("grid" not in b for b in builds)
-    assert len(list(tmp_path.iterdir())) == 1
+    assert _entries(tmp_path) == {"table": 1, "estimate": 1}
     builds.clear()
     assert run_experiment(cfg, cache=cache) == cold and not builds
 
 
 @pytest.mark.parametrize("law, sides", [("gaussian:-0.5,1", [False]),
                                         ("uniform:-1,2", [False, True]),
-                                        ("laplace:-0.3,1", [False, True])])
+                                        ("laplace:-0.3,1", [False, True]),
+                                        ("gaussian:-0.5,0.3", [False])])
 def test_one_table_per_distinct_step_law(tmp_path, monkeypatch, law, sides):
-    # the tilted gaussian is the symmetric gaussian:0,1; the tilted
-    # uniform and laplace laws are skewed, so V* is a second solve
+    # a tilted gaussian is N(0, b), symmetric even where its shift rounds
+    # off zero (it does for gaussian:-0.5,0.3); the tilted uniform and
+    # laplace laws are skewed, so V* is a second solve
     builds = _recorded_builds(monkeypatch)
     cfg = _solved_cfg(law=law, theorem_id="TAU-S-TILT")
     cold = run_experiment(cfg, cache=IngredientCache(tmp_path))
     assert sorted(b.get("dual", False) for b in builds) == sides
-    assert len(list(tmp_path.iterdir())) == len(sides)
+    assert _entries(tmp_path) == {"table": len(sides), "estimate": 1}
     builds.clear()
     assert run_experiment(cfg) == cold
     assert sorted(b.get("dual", False) for b in builds) == sides
