@@ -26,11 +26,11 @@ sqrt n; tilde denotes division by sigma*sqrt(n)):
   AA002.1   2V(x)/(sqrt(2pi) s^3 n^1.5) * integral f(t-y) V*(t) dt
   AA002.2   2 y V(x)/(sqrt(2pi) s^3 n^1.5) * If
   AA002bis  interval version of AA002.2
-  MD-C      conditioned moderate deviations at y = s sqrt(q n log n)
+  MD-C      AA001D at the moderate-deviation point y = s sqrt(q n log n)
   EXPF      exponential functional, AA002.1 with f = exp(-a t)
   BB001     psi(y~, x~)/(s sqrt n) * If
   BB001D    interval version of BB001
-  MD-L      large-x moderate deviations
+  MD-L      LLT's interval form at y - x, y that point (BB001D's Gauss term)
   BB002.1   2/(sqrt(2pi) s^2 n) phi+(x~) * integral f(t-y) V*(t) dt
   BB002.2   2 y/(sqrt(2pi) s^2 n) phi+(x~) * If
   BB002bis  interval version of BB002.2
@@ -43,7 +43,7 @@ sqrt n; tilde denotes division by sigma*sqrt(n)):
             f = exp(-lam t)
   IGL2      drifted survival, large x: BB002.1 likewise
   LLT       unconditioned local theorem main term
-  MD        unconditioned moderate deviations
+  MD        LLT's interval form at that point
 """
 
 from __future__ import annotations
@@ -86,9 +86,8 @@ class Theorem:
     walk: str = "killed"
 
 
-# ingredients that are scales, horizons or the exit constant, so must be
-# positive
-_POSITIVE = ("sigma", "kappa", "n", "delta")
+# ingredients that must be positive: scales, horizons, kappa and q
+_POSITIVE = ("sigma", "kappa", "n", "delta", "q")
 
 
 def predict(theorem_id: str, **ing) -> Prediction:
@@ -96,7 +95,7 @@ def predict(theorem_id: str, **ing) -> Prediction:
 
     A name that no kernel reads raises DomainError.  Every ingredient
     present, needed or not, must be a finite real number and not a bool
-    (t may also be +inf); sigma, kappa, n and delta must be positive, n
+    (t may also be +inf); sigma, kappa, n, delta and q must be positive, n
     an integer and x non-negative.  Anything else raises DomainError.
     """
     theorem = THEOREMS.get(theorem_id)
@@ -135,6 +134,25 @@ def _interval(kernel):
     return lambda ing: kernel({**ing, "f_int": 1.0}) * ing["delta"]
 
 
+def md_point(sigma, n, q) -> float:
+    """The moderate-deviation point y_n = sigma sqrt(q n log n)."""
+    return sigma * math.sqrt(q * n * math.log(n))
+
+
+def _at_md_point(kernel):
+    """A fixed-y kernel read at y = md_point(sigma, n, q); a given y raises."""
+    def form(ing):
+        if ing.get("y") is not None:
+            raise DomainError(f"y is sigma sqrt(q n log n), got {ing['y']!r}")
+        return kernel({**ing, "y": md_point(ing["sigma"], ing["n"], ing["q"])})
+    return form
+
+
+def _large_y(kernel):
+    """A V*-weighted kernel at large y, where V*(t) ~ t: f_vstar_int = y If."""
+    return lambda ing: kernel({**ing, "f_vstar_int": ing["y"] * ing["f_int"]})
+
+
 def _tilted(kernel):
     """A drifted walk's form: the kernel, read with the tilted law's
     ingredients, times exp(n Lambda + lam x)."""
@@ -153,40 +171,15 @@ def _aa002_1(ing):
     return 2.0 * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * ing["f_vstar_int"]
 
 
-def _aa002_2(ing):
-    v_x, sigma, n = ing["v_x"], ing["sigma"], ing["n"]
-    return 2.0 * ing["y"] * v_x / (SQRT2PI * sigma ** 3 * n ** 1.5) * ing["f_int"]
-
-
-def _md_c(ing):
-    v_x, sigma, n, q = ing["v_x"], ing["sigma"], ing["n"], ing["q"]
-    return (2.0 * v_x / (SQRT2PI * sigma ** 2)
-            * ing["delta"] * math.sqrt(q * math.log(n)) / n ** (1.0 + q / 2.0))
-
-
 def _bb001(ing):
     c = ing["sigma"] * math.sqrt(ing["n"])
     return levy_psi(ing["y"] / c, ing["x"] / c) / c * ing["f_int"]
-
-
-def _md_l(ing):
-    sigma, n, q = ing["sigma"], ing["n"], ing["q"]
-    eta = ing["x"] / (sigma * math.sqrt(n))
-    expo = -0.5 * eta * eta + eta * math.sqrt(q * math.log(n))
-    return ing["delta"] * math.exp(expo) / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
 
 
 def _bb002_1(ing):
     sigma, n = ing["sigma"], ing["n"]
     xt = ing["x"] / (sigma * math.sqrt(n))
     return 2.0 / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0] * ing["f_vstar_int"]
-
-
-def _bb002_2(ing):
-    sigma, n = ing["sigma"], ing["n"]
-    xt = ing["x"] / (sigma * math.sqrt(n))
-    return (2.0 * ing["y"] / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0]
-            * ing["f_int"])
 
 
 def _iclt_s(ing):
@@ -218,11 +211,6 @@ def _llt(ing):
     return ing["f_int"] * math.exp(-0.5 * (ing["y"] / c) ** 2) / (SQRT2PI * c)
 
 
-def _md(ing):
-    sigma, n, q = ing["sigma"], ing["n"], ing["q"]
-    return ing["delta"] / (SQRT2PI * sigma * n ** ((1.0 + q) / 2.0))
-
-
 # -- registry --------------------------------------------------------------
 
 _SMALL = ("v_x", "sigma", "n")
@@ -239,13 +227,13 @@ THEOREMS = {
     "AA002.1": Theorem(
         _aa002_1, (*_SMALL, "f_vstar_int"), "x in [0, a_n sqrt(n)], y in [0, a]"),
     "AA002.2": Theorem(
-        _aa002_2, (*_SMALL, "y", "f_int"),
+        _large_y(_aa002_1), (*_SMALL, "y", "f_int"),
         "x in [0, a_n sqrt(n)], y in [1/a_n, a_n sqrt(n)]"),
     "AA002bis": Theorem(
-        _interval(_aa002_2), (*_SMALL, "y", "delta"),
+        _interval(_large_y(_aa002_1)), (*_SMALL, "y", "delta"),
         "as AA002.2; Delta in [Delta_0, o(y)]", "interval"),
     "MD-C": Theorem(
-        _md_c, (*_SMALL, "q", "delta"),
+        _at_md_point(_interval(_aa001)), (*_SMALL, "q", "delta"),
         "y = sigma sqrt(q n log n) with small q; slow convergence", "interval"),
     "EXPF": Theorem(
         _aa002_1, (*_SMALL, "f_vstar_int"), "x in [0, a_n sqrt(n)]",
@@ -257,14 +245,17 @@ THEOREMS = {
         _interval(_bb001), (*_LARGE, "y", "delta"),
         "as BB001; Delta in [Delta_0, n^(1/2-eps)]", "interval"),
     "MD-L": Theorem(
-        _md_l, (*_LARGE, "q", "delta"),
+        _at_md_point(_interval(
+            lambda ing: _llt({**ing, "y": ing["y"] - ing["x"]}))),
+        (*_LARGE, "q", "delta"),
         "x = eta sigma sqrt(n), y = sigma sqrt(q n log n)", "interval"),
     "BB002.1": Theorem(
         _bb002_1, (*_LARGE, "f_vstar_int"), "x ~ sqrt(n), y in [0, a]"),
     "BB002.2": Theorem(
-        _bb002_2, (*_LARGE, "y", "f_int"), "x ~ sqrt(n), y in [1/a_n, a_n sqrt(n)]"),
+        _large_y(_bb002_1), (*_LARGE, "y", "f_int"),
+        "x ~ sqrt(n), y in [1/a_n, a_n sqrt(n)]"),
     "BB002bis": Theorem(
-        _interval(_bb002_2), (*_LARGE, "y", "delta"),
+        _interval(_large_y(_bb002_1)), (*_LARGE, "y", "delta"),
         "as BB002.2; Delta in [Delta_0, o(y)]", "interval"),
     "ICLT-S": Theorem(_iclt_s, _SMALL, "x = o(sqrt n)", "scaled_cdf"),
     "ICLT-L": Theorem(_iclt_l, _LARGE, "x of order sqrt(n) or larger",
@@ -286,8 +277,8 @@ THEOREMS = {
         "negative drift, x ~ sqrt(n)", "survival", "tilted"),
     "LLT": Theorem(_llt, ("sigma", "n", "y", "f_int"), "narrow target around y",
                    "interval", "free"),
-    "MD": Theorem(_md, ("sigma", "n", "q", "delta"), "y = sigma sqrt(q n log n)",
-                  "interval", "free"),
+    "MD": Theorem(_at_md_point(_interval(_llt)), ("sigma", "n", "q", "delta"),
+                  "y = sigma sqrt(q n log n)", "interval", "free"),
 }
 
 THEOREM_IDS = tuple(sorted(THEOREMS))

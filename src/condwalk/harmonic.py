@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
-from .increments import FINITE, _breaks, _cdf_partial_mean, _mirror, \
-    left_exit_prob
+from .increments import FINITE, _breaks, _cdf_partial_mean, _is_symmetric, \
+    _mirror, left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _check_x, \
     _chunked, _integer, _mc_many, _sum_m2
@@ -331,14 +331,23 @@ def _cells(edges, lo, hi):
     return (mid[:, None] + np.outer(half, x)).ravel(), np.outer(half, w).ravel()
 
 
+def _check_vstar(law, tab: HarmonicTable):
+    """Refuse a table of another tilt, or a primal one of an asymmetric law."""
+    if tab.tilt != (law.lam or None) or not (tab.dual or _is_symmetric(law)):
+        raise DomainError(f"a table with dual={tab.dual}, tilt={tab.tilt!r} "
+                          f"is not V* of a law of tilt {law.lam or None!r}")
+
+
 def kappa_constant(law, dual_table: HarmonicTable) -> float:
     """Killing-probability form: integral of P(t + X < 0) w(t) V*(t) dt.
 
     ``law`` is the walked law of the dual table, X follows its base law,
     and w(t) = e^{-Lambda - lam t} = E_lam[e^{-lam (t + X)}; t + X < 0] /
     P(t + X < 0), 1 untilted.  Cells break at the grid, the base's atoms
-    or kinks and every sigma, up to -``base.support_bounds()[0]``.
+    or kinks and every sigma, up to -``base.support_bounds()[0]``.  A
+    table that cannot be V* of ``law`` is a DomainError.
     """
+    _check_vstar(law, dual_table)
     base, lam, lg = law.base, law.lam, law.log_mgf
     hi = max(-base.support_bounds()[0], 0.0)
     t, w = _cells(np.concatenate([dual_table.grid, -_breaks(base), np.arange(
@@ -359,6 +368,7 @@ def kappa_extension_form(law, dual_table: HarmonicTable) -> float:
     pieces otherwise; cells break at the atoms or kinks plus each knot,
     and every sigma.
     """
+    _check_vstar(law, dual_table)
     lo = min(law.support_bounds()[0], 0.0)
     knots = np.append(0.0, dual_table.grid)
     s, w = _cells(np.append(np.add.outer(_breaks(law), knots), np.arange(

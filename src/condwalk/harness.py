@@ -35,7 +35,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .asymptotics import THEOREMS, predict
+from .asymptotics import THEOREMS, md_point, predict
 from .errors import DomainError, InsufficientSweep, MissingIngredient, \
     UnknownTheorem
 from .harmonic import HarmonicTable, build_harmonic_table, \
@@ -251,16 +251,14 @@ def _estimate_for(cfg, law, walked, walk, stat, n, seed, threads, cache):
 # Experiment runner
 
 
-def _left_statistic(cfg: ExperimentConfig, left: str) -> Statistic:
-    """The Monte Carlo statistic a registry entry's left side names."""
+def _left_statistic(cfg, theorem, sigma, n) -> Statistic:
+    """The statistic a registry entry's left side names at horizon n, once
+    predict has checked y and delta: ``md_point`` if the id reads no y."""
+    left = theorem.left
     if left == "interval":
-        if cfg.y is None or cfg.delta is None:
-            raise MissingIngredient(
-                f"{cfg.theorem_id} requires y and delta in the config")
-        return Statistic.interval(cfg.y, cfg.delta)
+        y = cfg.y if "y" in theorem.needs else md_point(sigma, n, cfg.q)
+        return Statistic.interval(y, cfg.delta)
     if left == "exp_target":
-        if cfg.a is None:
-            raise MissingIngredient(f"{cfg.theorem_id} requires a in the config")
         return Statistic.target(TargetFunction.exponential(cfg.a), 0.0)
     if left == "exit_at_n":
         return Statistic.exit_at_n()
@@ -282,8 +280,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     is read off it, and the statistic and the walk come from its left
     side.  Under a tilt both tables, and so V, are those of the tilted
     law.  A lattice law, a finite-support law under an id that needs a
-    table ingredient, and a prediction that is not positive (one that
-    underflows to 0) are DomainErrors, raised before any path is drawn.
+    table ingredient, a y given to an id that reads none, and a prediction
+    that is not positive are DomainErrors, raised before any path is drawn.
     Each row's estimate is read from ``cache`` when an earlier run wrote
     it, else walked and written there before the next row is walked.
     """
@@ -303,7 +301,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         raise DomainError(f"{tid} needs {', '.join(tabled)} off a harmonic "
                           f"table, and the finite-support law {cfg.law!r} "
                           f"has none")
-    stat = _left_statistic(cfg, theorem.left)
+    if theorem.left == "exp_target" and cfg.a is None:
+        raise MissingIngredient(f"{tid} requires a in the config")
     tilted = theorem.walk == "tilted"
     walked = cramer_tilt(law) if tilted else law
     # every ingredient is the walked law's: the tilted one under a tilt;
@@ -314,11 +313,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
         ing.update(lam=walked.lam, log_mgf=walked.log_mgf)
 
     # a symmetric step's V* is V, solved and cached once
-    symmetric = is_solved(walked) and _is_symmetric(walked)
-
     @functools.cache
     def table(dual):
-        if dual and symmetric:
+        if dual and _is_symmetric(walked):
             return dataclasses.replace(table(False), dual=True)
         return _table_for(walked, dual, cache)
 
@@ -343,6 +340,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     rows = []
     for j, (n, pred) in enumerate(zip(cfg.n_list, preds)):
         seed_n = mix64(cfg.seed ^ mix64(7000 + j))
+        stat = _left_statistic(cfg, theorem, walked.sigma, n)
         mc = _estimate_for(cfg, law, walked, theorem.walk, stat, n, seed_n,
                            threads, cache)
         ratio = mc.mean / pred

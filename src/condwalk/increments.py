@@ -280,12 +280,12 @@ def _mirror(law):
 
 
 def _is_symmetric(law) -> bool:
-    """Whether a density law is its own mirror: an untilted law of mean
-    zero, or a Cramér-tilted gaussian, which is N(0, b) by construction
-    even where its shift a + lam b^2 rounds to a few ulps off zero."""
+    """Whether V* is V: an untilted density law of mean zero, or a tilted
+    gaussian, N(0, b) by construction even where a + lam b^2 rounds a few
+    ulps off zero.  Never a finite-support law, which has no table."""
     if law.lam:
         return law.family == GAUSSIAN
-    return law.mean == 0.0
+    return law.mean == 0.0 and law.family != FINITE
 
 
 def _gaussian_mean(law):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from condwalk import DomainError, MissingIngredient, THEOREM_IDS, \
-    UnknownTheorem, predict
+    UnknownTheorem, killed_law, parse_law, predict
+from condwalk.asymptotics import md_point
 from condwalk.special import levy_psi, levy_psi_integral, norm_cdf
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -136,6 +137,40 @@ def test_exp_functional():
     assert quad_n.value == pytest.approx(p.value / 8.0, rel=1e-12)
 
 
+# -- interval ids against the exact killed law --------------------------------
+
+
+def _fine(y):
+    """y snapped to a multiple of 0.05, a fine-cell edge of killed_law's
+    gaussian:0,1 grid, where its cdf is exact rather than interpolated."""
+    return round(y / 0.05) * 0.05
+
+
+@pytest.mark.parametrize("tid, n, ratio", [
+    ("AA002bis", 100, 1.2272), ("AA002bis", 400, 1.1963),
+    ("BB002bis", 100, 1.2649), ("BB002bis", 400, 1.2116),
+    ("MD-L", 100, 0.8229), ("MD-L", 400, 0.8227)])
+def test_interval_ids_against_killed_law(tid, n, ratio):
+    # gaussian:0,1 with Delta = 1: AA002bis from x = 0 and BB002bis from
+    # x = sqrt(n) at y = n^(1/4); MD-L from x = sqrt(n) at its own point
+    # for q = 0.1, snapped by nudging q so that the point is y itself.
+    # The ratios are pinned, not banded: AA002bis's and BB002bis's excess
+    # is partly the interval's midpoint, (y + 1/2)/y, and MD-L's main term
+    # is BB001D's over 1 - e^{-2 x~ y~}, which nears 1 only slowly
+    x = 0.0 if tid == "AA002bis" else math.sqrt(n)
+    ing = {"sigma": 1.0, "n": n, "delta": 1.0}
+    if tid == "MD-L":
+        y = _fine(md_point(1.0, n, 0.1))
+        ing.update(x=x, q=y * y / (n * math.log(n)))
+        assert md_point(1.0, n, ing["q"]) == pytest.approx(y, rel=1e-15)
+    else:
+        y = _fine(n ** 0.25)
+        ing.update(y=y, **({"v_x": V0} if x == 0.0 else {"x": x}))
+    lo, hi = killed_law(parse_law("gaussian:0,1"), x, n).cdf([y, y + 1.0])
+    assert (hi - lo) / predict(tid, **ing).value == pytest.approx(ratio,
+                                                                  abs=1e-4)
+
+
 # -- structural invariants ---------------------------------------------------------
 
 
@@ -204,6 +239,9 @@ def test_missing_ingredient_and_unknown_theorem():
 
 _TAU_S_ING = {"kappa": 0.5, "v_x": V0, "sigma": 1.0, "n": 100}
 _TILTED = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0}
+_MD_ING = {"sigma": 1.0, "n": 400, "q": 0.1, "delta": 1.0}
+_MD_C_ING = {**_MD_ING, "v_x": V0}
+_MD_L_ING = {**_MD_ING, "x": 20.0}
 
 
 @pytest.mark.parametrize("tid, ing", [
@@ -228,11 +266,21 @@ _TILTED = {"lam": 0.5, "log_mgf": -0.125, "sigma": 1.0}
     ("TAU-S-TILT", {"kappa": 0.5, "n": 30, "x": math.nan, "v_x": V0,
                     **_TILTED}),
     ("ICLT-S", {"v_x": V0, "sigma": 1.0, "n": 100, "x": -1.0}),
-    ("TAU-S", {**_TAU_S_ING, "y": "20"})], ids=[
+    ("TAU-S", {**_TAU_S_ING, "y": "20"}),
+    ("MD-C", {**_MD_C_ING, "q": -0.1}),
+    ("MD-L", {**_MD_L_ING, "q": -0.1}),
+    ("MD", {**_MD_ING, "q": -0.5}),
+    ("MD-C", {**_MD_C_ING, "q": 0.0}),
+    # the moderate-deviation ids place their interval themselves
+    ("MD-C", {**_MD_C_ING, "y": 15.481265086414143}),
+    ("MD-L", {**_MD_L_ING, "y": 40.0}),
+    ("MD", {**_MD_ING, "y": 15.480910240819798})], ids=[
     "v-x-nan", "kappa-inf", "v-x-string", "sigma-negative", "sigma-zero",
     "n-zero", "delta-nan", "kappa-zero", "kappa-negative", "n-bool",
     "n-fraction", "n-float", "sigma-bool", "tilted-sigma-negative", "t-nan", "t-minus-inf",
-    "x-nan-unneeded", "x-negative", "y-string-unneeded"])
+    "x-nan-unneeded", "x-negative", "y-string-unneeded", "md-c-q-negative",
+    "md-l-q-negative", "md-q-negative", "md-c-q-zero", "md-c-y-given",
+    "md-l-y-given", "md-y-given"])
 def test_invalid_ingredient_rejected(tid, ing):
     with pytest.raises(DomainError):
         predict(tid, **ing)

@@ -187,6 +187,19 @@ def test_run_subcommand_exit_codes(tmp_path, capsys):
         assert code == 2, bad
 
 
+def test_run_refuses_a_y_for_a_moderate_deviation_id(tmp_path, capsys):
+    # MD walks its interval at sigma sqrt(q n log n) of each n, so a
+    # configured y is a configuration error
+    cfg = {"name": "cli-md", "law": "gaussian:0,1", "theorem_id": "MD",
+           "y": 15.48, "delta": 1.0, "q": 0.1, "n_list": [100, 400],
+           "samples": 1000, "seed": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", "--config", str(path),
+                        "--cache", str(tmp_path / "cache"))
+    assert code == 2 and out == ""
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = {"name": "cli-sweep", "law": "gaussian:0,1", "theorem_id": "LLT",
            "y": 0.0, "delta": 1.0, "n_list": [100, 400], "samples": 200000,

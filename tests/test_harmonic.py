@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -382,6 +383,20 @@ def test_kappa_tilted_forms_agree():
     k2 = kappa_extension_form(tilt, tab)
     assert k > 0
     assert abs(k - k2) / k <= 0.02
+
+
+@pytest.mark.parametrize("form", [kappa_constant, kappa_extension_form])
+def test_kappa_refuses_a_table_that_is_not_vstar(form):
+    # the primal table of an asymmetric tilted law read as V* gave
+    # 1.04982 where V* gives 1.22439, with both forms agreeing
+    tilt = cramer_tilt(parse_law("laplace:-0.3,1"))
+    with pytest.raises(DomainError, match="dual=False, tilt="):
+        form(tilt, build_harmonic_table(tilt))
+    with pytest.raises(DomainError, match="tilt=None is not V"):
+        form(tilt, build_harmonic_table(parse_law("laplace:0,1"), dual=True))
+    finite = parse_law("finite:-1,0.5;0.5,0.25;1.5,0.25")
+    with pytest.raises(DomainError, match="dual=False, tilt="):
+        form(finite, dataclasses.replace(_hand_table(), dual=False))
 
 
 def test_weighted_table_integral_linear_oracle(gauss_table):

@@ -16,7 +16,7 @@ from condwalk import (CensoringExcess, CondwalkError, DomainError,
                       sparre_andersen_exit_at, sparre_andersen_survival,
                       verify_duality)
 from condwalk import harness
-from condwalk.asymptotics import THEOREMS
+from condwalk.asymptotics import THEOREMS, md_point
 from condwalk.harmonic import HarmonicTable, LadderEstimate
 from condwalk.harness import row_record
 from condwalk.increments import parse_law
@@ -67,11 +67,46 @@ def test_unknown_theorem_rejected():
         run_experiment(_fast_cfg(theorem_id="AA317"))
 
 
-@pytest.mark.parametrize("tid, over", [("MD-C", {"q": 0.1, "delta": 1.0}),
-                                       ("EXPF", {})])
+@pytest.mark.parametrize("tid, over", [("MD-C", {"q": 0.1}), ("EXPF", {})])
 def test_left_side_needs_its_config_fields(tid, over):
     with pytest.raises(MissingIngredient):
         run_experiment(_fast_cfg(theorem_id=tid, **over))
+
+
+def _no_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    for name in ("mc_estimate", "mc_unconditioned", "mc_tilted_survival"):
+        monkeypatch.setattr(harness, name, refuse)
+
+
+_MD_IDS = [("MD-C", 0.0), ("MD-L", 20.0), ("MD", 0.0)]
+
+
+@pytest.mark.parametrize("tid, x", _MD_IDS)
+def test_md_ids_walk_their_interval_at_the_md_point(tid, x, monkeypatch):
+    walked = []
+
+    def record(*args):
+        walked.append(args[-4])  # the statistic, before n, samples, seed
+        return McEstimate(1e-3, 1e-5, 1000, 0)
+
+    for name in ("mc_estimate", "mc_unconditioned"):
+        monkeypatch.setattr(harness, name, record)
+    run_experiment(_fast_cfg(theorem_id=tid, x=x, q=0.1, delta=1.0,
+                             n_list=(100, 400)))
+    assert [s.y for s in walked] == [
+        md_point(1.0, n, 0.1) for n in (100, 400)]
+    assert walked[0].y == pytest.approx(6.786, abs=1e-3)
+
+
+@pytest.mark.parametrize("tid, x", _MD_IDS)
+def test_md_ids_refuse_a_config_y(tid, x, monkeypatch):
+    _no_paths(monkeypatch)
+    with pytest.raises(DomainError, match="sigma sqrt\\(q n log n\\)"):
+        run_experiment(_fast_cfg(theorem_id=tid, x=x, y=15.481265086414143,
+                                 q=0.1, delta=1.0, n_list=(100, 400)))
 
 
 def test_sweep_needs_two_horizons():
