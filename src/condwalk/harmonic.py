@@ -82,8 +82,8 @@ def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
                 rows = np.nonzero(died)[0]
                 exits.append(x - d[rows, neg[rows].argmax(axis=1)])
 
-        pos = _advance(law, np.full(m, float(x)), cap, rng, negate=dual,
-                       observe=exit_values)
+        pos = _advance(law, np.broadcast_to(float(x), m), cap, rng,
+                       negate=dual, observe=exit_values)
         return [_sum_m2(np.concatenate(exits) if exits else np.empty(0), m),
                 _sum_m2(np.ones(pos.size), m)]
 

@@ -241,16 +241,21 @@ def _tilted_inverse_cdf(law, u):
         return u
     p_below = 0.5 * (1.0 - lam * b)  # mass of the tilted law below a
     # F^{-1}(u) = a + log(w) / rate, with w = u / p_below and rate
-    # lam + 1/b below a, w = (1 - u) / (1 - p_below) and lam - 1/b above
+    # lam + 1/b below a, w = (1 - u) / (1 - p_below) and lam - 1/b above;
+    # both branches are taken whole and blended once, as m A + (1 - m) B
+    # with m = [u < p_below], exact for finite A, B: a masked select costs
+    # more than the second log.
     below = u < p_below
     w = u / p_below
+    np.log(w, out=w)
+    w /= lam + 1.0 / b
+    w *= below
     np.subtract(1.0, u, out=u)
     u /= 1.0 - p_below
-    np.putmask(u, below, w)
     np.log(u, out=u)
-    np.divide(u, lam + 1.0 / b, out=w)
     u /= lam - 1.0 / b
-    np.putmask(u, below, w)
+    u *= np.logical_not(below, out=below)
+    u += w
     u += a
     return u
 

@@ -14,16 +14,18 @@ cache: each tile is drawn into one tile buffer, summed, scanned for
 deaths and compacted before the next is drawn.  Rows are drawn in
 row-major order, so the tiles of a block take the draws the whole block
 would take, in the same order; a block wider than a tile runs one row
-per tile.  A block at most 8 steps wide, as the first blocks of walks
-near zero are, is summed and scanned for deaths column by column, where
-numpy's row-wise cumsum and any would pay a cost per row; the column
-adds are cumsum's additions in cumsum's order, so the estimates are the
-same.  The tile buffer, its two masks and the chunk's positions are
-scratch arrays kept for the next walk: about 1.1 MiB for each walk that
-runs at once.  Whatever an estimator needs beyond the surviving
-positions (exits at the horizon, the value at first exit, a running
-maximum) it reads from each tile, with the tile's first row, through a
-small observer.
+per tile.  A tile of a block at most 64 steps wide (a killed walk's
+blocks up to step 141, and a full chunk's unkilled blocks of 32 steps)
+is copied transposed into a step-major buffer, and summed and scanned
+there on contiguous rows of one step each, where numpy's row-wise cumsum
+and any would pay a cost per path; an unkilled walk that nothing
+observes keeps only the running sum of the tile's columns.  Both add in
+cumsum's order, so the estimates are the same.  The tile buffer, its
+step-major copy, its two masks and the chunk's positions are scratch
+arrays kept for the next walk: about 1.6 MiB for each walk that runs at
+once.  Whatever an estimator needs beyond the surviving positions (exits
+at the horizon, the value at first exit, a running maximum) it reads
+from each tile, with the tile's first row, through a small observer.
 ``_chunked`` splits the paths into fixed chunks of 2^16; chunk i draws
 from an SFC64 stream keyed by (seed, i), and the chunks' (sum, M2)
 pairs are merged in chunk order, so every estimate is bit-identical for
@@ -33,7 +35,7 @@ The generator, the block schedule, the samplers' transforms and the
 summation order make up the random stream, whose version is
 ``rngstream.STREAM_VERSION``: a change to any of them changes estimates,
 so it is one deliberate change that bumps that constant.  The tile size
-is not part of it.
+and the step-major width are not part of it.
 
 The boundary convention matches the exit time definition
 tau_x = inf{k >= 1 : x + S_k < 0}: a path sitting exactly at zero
@@ -59,10 +61,10 @@ _BLOCK_ELEMS = 1 << 21  # per-block increment budget (floats): the schedule
 # Floats drawn, summed and scanned at a time: a tile of whole rows of a
 # block, 0.5 MiB, so it stays in a core's L2 cache.
 _TILE = 1 << 16
-# Widest block summed and scanned column by column: numpy's axis-1
-# cumsum and any pay a cost per row that dominates narrow blocks, and
-# the strided column adds lose to cumsum from about 16 columns on.
-_NARROW = 8
+# Widest block walked step-major: numpy's axis-1 cumsum and any pay a
+# cost per row that dominates narrow blocks, while the transposed copy's
+# row adds pay one call per step, which loses to cumsum from about 64 on.
+_STEP_MAJOR = 64
 # Scratch arrays of finished walks, taken by the next: a walk allocates no
 # array the size of a tile or a chunk, so the C heap does not hand such
 # arrays back to the system between walks to fault them in again.  At
@@ -177,24 +179,33 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
 
     Returns the survivors' positions.  A block of b steps is walked in
     tiles of t = max(1, _TILE // b) whole rows: each tile's increments are
-    drawn into the tile buffer, summed into positions in place, scanned
-    for deaths, shown to ``observe`` and compacted before the next tile is
+    drawn into the tile buffer, summed into positions, scanned for
+    deaths, shown to ``observe`` and compacted before the next tile is
     drawn.  The tiles draw, in row order, what the whole block would
-    draw.  ``observe(d, done, row, neg, died)`` sees every tile: ``d``
-    holds the positions after steps done+1 .. done+b of the block's rows
-    row .. row+t-1, ``neg`` marks d < 0 and ``died`` its rows (both None
-    without killing).  All three are views of scratch buffers, so an
-    observer copies what it keeps.  A sampler whose ``sample_block``
-    takes no ``out`` (a timing wrapper, say) hands back fresh arrays of
-    the same draws.
+    draw.  A block at most _STEP_MAJOR wide is copied, transposed, into a
+    step-major buffer, whose row k holds the tile's step k: the partial
+    sums are b - 1 contiguous row adds (cumsum's additions in cumsum's
+    order) and the deaths an OR of contiguous mask rows.  An unkilled
+    walk that nothing observes copies nothing and builds no positions: it
+    adds the tile's columns into one running sum, in the same order.  A
+    wider block runs cumsum(axis=1) on the tile in place.
+    ``observe(d, done, row, neg, died)`` sees every tile: ``d`` holds, as
+    an (rows, b) array, the positions after steps done+1 .. done+b of the
+    block's rows row .. row+t-1, ``neg`` marks d < 0 and ``died`` its rows
+    (both None without killing).  All three are views of scratch buffers,
+    step-major ones transposed, so an observer copies what it keeps.  The
+    scratch set (positions, tile, step-major copy and two masks, about
+    1.6 MiB) goes back to ``_SPARE`` for the next walk.  A sampler whose
+    ``sample_block`` takes no ``out`` (a timing wrapper, say) hands back
+    fresh arrays of the same draws.
     """
     into = "out" in inspect.signature(sampler.sample_block).parameters
     try:
         scratch = _SPARE.pop()
     except IndexError:
-        scratch = (np.empty(CHUNK_SIZE), np.empty(_TILE),
+        scratch = (np.empty(CHUNK_SIZE), np.empty(_TILE), np.empty(_TILE),
                    np.empty(_TILE, bool), np.empty(_TILE, bool))
-    start, tile, lt, died = scratch  # positions, tile, tile < 0, dead rows
+    start, tile, major, lt, died = scratch  # the docstring's scratch set
     try:
         # survivors are compacted into the front of a copy of the positions
         start[:pos.size] = pos
@@ -208,7 +219,7 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
             t = max(1, _TILE // b)
             if t * b > tile.size:  # one row per tile, wider than the buffer
                 tile, lt = np.empty(t * b), np.empty(t * b, bool)
-            narrow = b <= _NARROW
+            by_step = b <= _STEP_MAJOR  # <= _TILE: the tile fits in major
             alive = 0
             for row in range(0, rows, t):
                 r = min(t, rows - row)
@@ -219,24 +230,31 @@ def _advance(sampler, pos, steps, rng, negate=False, kill=True, observe=None):
                     d = sampler.sample_block(rng, (r, b))
                 if negate:
                     np.negative(d, out=d)
-                if narrow:
-                    # cumsum's additions in cumsum's order, without its
-                    # per-row cost
+                at = pos[row:row + r]
+                if by_step and not kill and observe is None:
+                    # pos is read in place: no row of an unkilled walk dies
+                    last = major[:r]
+                    np.copyto(last, d[:, 0])
                     for k in range(1, b):
-                        np.add(d[:, k - 1], d[:, k], out=d[:, k])
+                        np.add(last, d[:, k], out=last)
+                    at += last
+                    alive += r
+                    continue
+                if by_step:
+                    s = major[:r * b].reshape(b, r)
+                    np.copyto(s, d.T)
+                    for k in range(1, b):
+                        np.add(s[k - 1], s[k], out=s[k])
+                    d, neg = s.T, lt[:r * b].reshape(b, r).T
                 else:
                     d.cumsum(axis=1, out=d)
-                d += pos[row:row + r, None]
-                neg = dead = None
+                    neg = lt[:r * b].reshape(r, b)
+                d += at[:, None]
                 if kill:
-                    neg = np.less(d, 0.0, out=lt[:r * b].reshape(r, b))
-                    dead = died[:r]
-                    if narrow:
-                        np.copyto(dead, neg[:, 0])
-                        for k in range(1, b):
-                            np.logical_or(dead, neg[:, k], out=dead)
-                    else:
-                        np.logical_or.reduce(neg, axis=1, out=dead)
+                    np.less(d, 0.0, out=neg)
+                    dead = np.logical_or.reduce(neg, axis=1, out=died[:r])
+                else:
+                    neg = dead = None
                 if observe is not None:
                     observe(d, done, row, neg, dead)
                 last = d[:, b - 1]
@@ -327,8 +345,8 @@ def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
                 at_n = rows[neg[rows].argmax(axis=1) == b - 1]
                 exits.append(d[at_n, b - 1])
 
-        surv = _advance(sampler, np.full(m, float(x)), n, rng, negate[0],
-                        kill, horizon_exits if kill else None)
+        surv = _advance(sampler, np.broadcast_to(float(x), m), n, rng,
+                        negate[0], kill, horizon_exits if kill else None)
         exits = np.concatenate(exits) if exits else np.empty(0)
         w_s = weight(surv) if (weight is not None and surv.size) else None
         w_e = weight(exits) if (weight is not None and exits.size) else None
@@ -429,7 +447,8 @@ def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
             at = best[row:row + d.shape[0]]
             np.maximum(at, np.maximum(d.max(axis=1), -d.min(axis=1)), out=at)
 
-        _advance(law, np.zeros(m), n, rng, kill=False, observe=running_max)
+        _advance(law, np.broadcast_to(0.0, m), n, rng, kill=False,
+                 observe=running_max)
         return [_sum_m2((best > u).astype(float), m)]
 
     return _chunked(samples, seed, threads, work)[0]

@@ -84,3 +84,12 @@ def test_setup_loads_no_scipy(workload, tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test: a boundary and a bulk pass through
+    the walk kernel agree with their exact references, and every check
+    still catches a perturbed reference."""
+    out = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr

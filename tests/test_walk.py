@@ -184,19 +184,29 @@ def _set_tile(monkeypatch, floats):
     monkeypatch.setattr(walk, "_SPARE", [])
 
 
+def _age_for(b):
+    """A killed walk's age, from 28 on, whose next block is b wide."""
+    done = 28
+    while done // 2 < b:
+        done += done // 2
+    return done
+
+
 @pytest.mark.parametrize("negate", [False, True])
 @pytest.mark.parametrize("kill", [True, False])
-@pytest.mark.parametrize("b", range(1, 13))
+@pytest.mark.parametrize("b", [*range(1, 13), walk._STEP_MAJOR - 1,
+                               walk._STEP_MAJOR, walk._STEP_MAJOR + 1])
 def test_blocks_match_cumsum_reference(gauss_law, b, kill, negate,
                                        monkeypatch):
-    # blocks up to walk._NARROW wide are summed and scanned by columns;
+    # blocks up to walk._STEP_MAJOR wide are summed and scanned step-major;
     # every block must hold the bits of cumsum(axis=1) + pos, any(axis=1)
     # and the compacted last column.  A killed walk reaches done = 28 in
-    # blocks 1, 1, 1, 1, 2, 3, 4, 6 and 9 wide, so its last block is b.
+    # blocks 1, 1, 1, 1, 2, 3, 4, 6 and 9 wide (141 after 14, 21, 31 and
+    # 47 more), so its last block is b.
     # At the default tile each block of these 300 paths is one tile; at a
     # 100-float tile it is tiles of 100 // b rows, the last one short,
     # which must reassemble into the same block.
-    steps = 28 + b if kill else b
+    steps = _age_for(b) + b if kill else b
     start = np.linspace(0.0, 12.0, 300)
     runs = []
     for tile in (walk._TILE, 100):
@@ -248,6 +258,34 @@ def test_blocks_match_cumsum_reference(gauss_law, b, kill, negate,
     for a, c in zip(whole, tiled):
         assert np.array_equal(_bits(a[1]), _bits(c[1]))
     assert np.array_equal(_bits(surv), _bits(tiled_surv))
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_unobserved_free_walk_matches_cumsum_reference(gauss_law, negate,
+                                                       monkeypatch):
+    # an unkilled walk that nothing observes keeps only the running sum of
+    # each block's steps; its survivors must hold the bits of
+    # pos + cumsum(draws, axis=1)[:, -1], block after block.  A budget of
+    # w steps walks 2w + 1 steps in blocks w, w and 1 wide.
+    start = np.linspace(0.0, 12.0, 300)
+    for tile in (walk._TILE, 100):
+        _set_tile(monkeypatch, tile)
+        for w in (1, 12, walk._STEP_MAJOR, walk._STEP_MAJOR + 1):
+            monkeypatch.setattr(walk, "_BLOCK_ELEMS", w * start.size)
+            sampler = _RecordingSampler(gauss_law)
+            surv = walk._advance(sampler, start, 2 * w + 1,
+                                 chunk_generator(9, 2), negate=negate,
+                                 kill=False)
+            pos, rows, widths = start, [], []
+            for draws in sampler.blocks:
+                rows.append(-draws if negate else draws)
+                if sum(d.shape[0] for d in rows) == start.size:
+                    block = np.concatenate(rows)
+                    pos = np.cumsum(block, axis=1)[:, -1] + pos
+                    widths.append(block.shape[1])
+                    rows = []
+            assert not rows and widths == [w, w, 1]
+            assert np.array_equal(_bits(surv), _bits(pos))
 
 
 _GAUSS = IncrementLaw.gaussian(0.0, 1.0)
@@ -331,7 +369,7 @@ def test_scratch_pool_under_thread_contention(gauss_law, monkeypatch):
     assert crowded == serial
     sets = walk._SPARE
     assert 1 <= len(sets) <= 8
-    assert len({id(a) for s in sets for a in s}) == 4 * len(sets)
+    assert len({id(a) for s in sets for a in s}) == 5 * len(sets)
 
 
 def test_bad_thread_setting_rejected(gauss_law, monkeypatch):
