@@ -36,8 +36,10 @@ sqrt n; tilde denotes division by sigma*sqrt(n)):
   BB002bis  interval version of BB002.2
   ICLT-S    P(endpoint scaled <= t, surv) ~ 2V(x)/(s sqrt(2 pi n)) Phi+(t)
   ICLT-L    integral of psi(., x~) on [0, t]; t = inf gives 2 Phi(x~) - 1
-  TAU-S     P(exit = n) ~ 2 kappa V(x)/(sqrt(2pi) s^3 n^1.5)
-  TAU-L     2 kappa/(sqrt(2pi) s^2 n) phi+(x~)
+  TAU-S     P(exit = n) ~ 2 kappa V(x)/(sqrt(2pi) s^3 n^1.5): AA002.1 at
+            the killing target f(t) = P(t + X < 0), whose integral
+            against V* is kappa
+  TAU-L     2 kappa/(sqrt(2pi) s^2 n) phi+(x~): BB002.1 likewise
   TAU-S-TILT, TAU-L-TILT   TAU-S and TAU-L under the tilt
   IGL1      drifted survival, small x: AA002.1 under the tilt at
             f = exp(-lam t)
@@ -153,6 +155,12 @@ def _large_y(kernel):
     return lambda ing: kernel({**ing, "f_vstar_int": ing["y"] * ing["f_int"]})
 
 
+def _killing(kernel):
+    """P(tau_x = n): a V*-weighted kernel at the killing target
+    f(t) = P(t + X < 0), whose integral against V* is kappa."""
+    return lambda ing: kernel({**ing, "f_vstar_int": ing["kappa"]})
+
+
 def _tilted(kernel):
     """A drifted walk's form: the kernel, read with the tilted law's
     ingredients, times exp(n Lambda + lam x)."""
@@ -193,17 +201,6 @@ def _iclt_l(ing):
     t = ing.get("t")  # missing or None means t = inf
     xt = ing["x"] / (ing["sigma"] * math.sqrt(ing["n"]))
     return levy_psi_integral(math.inf if t is None else t, xt)
-
-
-def _tau_s(ing):
-    kappa, sigma, n = ing["kappa"], ing["sigma"], ing["n"]
-    return 2.0 * kappa * ing["v_x"] / (SQRT2PI * sigma ** 3 * n ** 1.5)
-
-
-def _tau_l(ing):
-    kappa, sigma, n = ing["kappa"], ing["sigma"], ing["n"]
-    xt = ing["x"] / (sigma * math.sqrt(n))
-    return 2.0 * kappa / (SQRT2PI * sigma ** 2 * n) * rayleigh(xt)[0]
 
 
 def _llt(ing):
@@ -260,14 +257,15 @@ THEOREMS = {
     "ICLT-S": Theorem(_iclt_s, _SMALL, "x = o(sqrt n)", "scaled_cdf"),
     "ICLT-L": Theorem(_iclt_l, _LARGE, "x of order sqrt(n) or larger",
                       "scaled_cdf"),
-    "TAU-S": Theorem(_tau_s, ("kappa", *_SMALL), "x in [0, a_n sqrt(n)]",
+    "TAU-S": Theorem(_killing(_aa002_1), ("kappa", *_SMALL),
+                     "x in [0, a_n sqrt(n)]", "exit_at_n"),
+    "TAU-L": Theorem(_killing(_bb002_1), ("kappa", *_LARGE), "x ~ sqrt(n)",
                      "exit_at_n"),
-    "TAU-L": Theorem(_tau_l, ("kappa", *_LARGE), "x ~ sqrt(n)", "exit_at_n"),
     "TAU-S-TILT": Theorem(
-        _tilted(_tau_s), ("kappa", *_SMALL, "x", *_TILT),
+        _tilted(_killing(_aa002_1)), ("kappa", *_SMALL, "x", *_TILT),
         "drifted walk, x in [0, a_n sqrt(n)]", "exit_at_n", "tilted"),
     "TAU-L-TILT": Theorem(
-        _tilted(_tau_l), ("kappa", *_LARGE, *_TILT),
+        _tilted(_killing(_bb002_1)), ("kappa", *_LARGE, *_TILT),
         "drifted walk, x ~ sqrt(n)", "exit_at_n", "tilted"),
     "IGL1": Theorem(
         _tilted(_aa002_1), (*_SMALL, "f_vstar_int", "x", *_TILT),

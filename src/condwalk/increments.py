@@ -594,15 +594,9 @@ def parse_law(spec: str) -> IncrementLaw:
     try:
         family, _, rest = spec.strip().partition(":")
         family = family.strip().lower()
-        if family == "gaussian":
-            mu, sigma = (float(v) for v in rest.split(","))
-            return IncrementLaw.gaussian(mu, sigma)
-        if family == "laplace":
-            mu, scale = (float(v) for v in rest.split(","))
-            return IncrementLaw.laplace(mu, scale)
-        if family == "uniform":
-            lo, hi = (float(v) for v in rest.split(","))
-            return IncrementLaw.uniform(lo, hi)
+        if family in (GAUSSIAN, LAPLACE, UNIFORM):
+            a, b = (float(v) for v in rest.split(","))
+            return getattr(IncrementLaw, family)(a, b)
         if family == "finite":
             pts, prs = [], []
             for atom in rest.split(";"):
@@ -618,11 +612,7 @@ def parse_law(spec: str) -> IncrementLaw:
 
 
 def format_law(law: IncrementLaw) -> str:
-    if law.family == GAUSSIAN:
-        return f"gaussian:{law.a!r},{law.b!r}"
-    if law.family == LAPLACE:
-        return f"laplace:{law.a!r},{law.b!r}"
-    if law.family == UNIFORM:
-        return f"uniform:{law.a!r},{law.b!r}"
+    if law.family != FINITE:
+        return f"{law.family}:{law.a!r},{law.b!r}"
     atoms = ";".join(f"{x!r},{p!r}" for x, p in zip(law.points, law.probs))
     return f"finite:{atoms}"

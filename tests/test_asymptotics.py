@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from condwalk import DomainError, MissingIngredient, THEOREM_IDS, \
-    UnknownTheorem, killed_law, parse_law, predict
+    UnknownTheorem, build_harmonic_table, cramer_tilt, kappa_constant, \
+    killed_law, parse_law, predict, weighted_table_integral
 from condwalk.asymptotics import md_point
 from condwalk.special import levy_psi, levy_psi_integral, norm_cdf
 
@@ -169,6 +170,34 @@ def test_interval_ids_against_killed_law(tid, n, ratio):
     lo, hi = killed_law(parse_law("gaussian:0,1"), x, n).cdf([y, y + 1.0])
     assert (hi - lo) / predict(tid, **ing).value == pytest.approx(ratio,
                                                                   abs=1e-4)
+
+
+@pytest.mark.parametrize("tid, spec, n, ratio", [
+    ("TAU-L", "gaussian:0,1", 100, 0.99896),
+    ("TAU-L", "gaussian:0,1", 400, 0.99973),
+    ("TAU-L-TILT", "gaussian:-0.5,1", 100, 0.99940),
+    ("TAU-L-TILT", "gaussian:-0.5,1", 400, 0.99984),
+    ("IGL2", "gaussian:-0.5,1", 100, 0.92714),
+    ("IGL2", "gaussian:-0.5,1", 400, 0.97979)])
+def test_large_x_exit_and_survival_ids_against_killed_law(tid, spec, n, ratio):
+    # P(tau_x = n) for the TAU ids and P(tau_x > n) for IGL2 from
+    # x = sigma sqrt(n), with kappa and I computed off the walked law's V*
+    # table as run_experiment computes them.  IGL2's ratio nears 1 slowly
+    law = parse_law(spec)
+    walked = cramer_tilt(law)
+    table = build_harmonic_table(walked, dual=True)
+    x = walked.sigma * math.sqrt(n)
+    ing = {"sigma": walked.sigma, "n": n, "x": x}
+    if walked.lam:
+        ing.update(lam=walked.lam, log_mgf=walked.log_mgf)
+    if tid == "IGL2":
+        ing["f_vstar_int"] = weighted_table_integral(table, walked.lam)
+    else:
+        ing["kappa"] = kappa_constant(walked, table)
+    exact = killed_law(law, x, n)
+    exact = exact.survival[n] if tid == "IGL2" else exact.exit[n]
+    assert exact / predict(tid, **ing).value == pytest.approx(ratio,
+                                                              abs=1e-4)
 
 
 # -- structural invariants ---------------------------------------------------------

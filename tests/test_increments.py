@@ -352,6 +352,17 @@ def test_grammar_round_trip(spec):
     assert parse_law(format_law(law)) == law
 
 
+@pytest.mark.parametrize("spec, canonical", [
+    ("gaussian:0.0,1.0", "gaussian:0.0,1.0"),
+    (" Gaussian:0,1", "gaussian:0.0,1.0"),
+    ("laplace:-0.5,1.25", "laplace:-0.5,1.25"),
+    ("uniform:-1,2", "uniform:-1.0,2.0"),
+    ("finite:1,0.25;-1,0.75", "finite:-1.0,0.75;1.0,0.25")])
+def test_grammar_canonical_spelling(spec, canonical):
+    # cached tables and row estimates are keyed by this spelling
+    assert format_law(parse_law(spec)) == canonical
+
+
 def test_grammar_rejects_garbage():
     with pytest.raises(DomainError):
         parse_law("cauchy:0,1")

@@ -10,7 +10,7 @@ from condwalk import (DomainError, IncrementLaw, KernelSpec, brownian_exit,
                       kernel_fourier, kernel_fourier_exact, levy_psi,
                       levy_psi_integral, mc_max_abs_walk, psi_normalizer,
                       rayleigh, rayleigh_levy_integral, smoothing_kernel)
-from condwalk.special import norm_cdf, quad, rayleigh_density
+from condwalk.special import norm_cdf, quad, rayleigh_cdf, rayleigh_density
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -177,6 +177,41 @@ def test_brownian_exit_band_matches_gaussian_difference_oracle():
     oracle = (float(norm_cdf(b / c - xt)) - float(norm_cdf(a / c - xt))
               - float(norm_cdf(b / c + xt)) + float(norm_cdf(a / c + xt)))
     assert brownian_exit(x, sigma, n, a, b) == pytest.approx(oracle, abs=1e-10)
+
+
+def test_brownian_exit_keeps_relative_accuracy_in_the_far_tail():
+    # the half-line's mass less that of [0, a] cancels here: it is 11 %
+    # low at a = 9 and negative at a = 12
+    for a in (3.0, 6.0, 9.0, 12.0, 20.0):
+        exact = float(norm_cdf(1.0 - a) - norm_cdf(-1.0 - a))
+        got = brownian_exit(1.0, 1.0, 1.0, a)
+        assert got > 0.0 and abs(got / exact - 1.0) <= 1e-12, a
+
+
+def test_meander_masses_keep_relative_accuracy_at_small_arguments():
+    # 2 Phi(x) - 1 cancels as x -> 0 (1.1e-7 off at 1e-9), 1 - e^{-t^2/2}
+    # underflows to 0 at t = 1e-8
+    exact = math.erf(1e-9 / math.sqrt(2.0))
+    for got in (levy_psi_integral(math.inf, 1e-9),
+                brownian_exit(1e-9, 1.0, 1.0)):
+        assert abs(got / exact - 1.0) <= 1e-15
+    assert abs(rayleigh(1e-8)[1] / rayleigh_cdf(1e-8) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psi_normalizer(math.nan),
+    lambda: brownian_exit(math.nan, 1.0, 1.0),
+    lambda: brownian_exit(1.0, math.nan, 1.0),
+    lambda: brownian_exit(1.0, 1.0, math.nan),
+    lambda: fuk_nagaev_bound(math.nan, 1.0, 10, IncrementLaw.gaussian(0, 1)),
+    lambda: fuk_nagaev_bound(1.0, math.nan, 10, IncrementLaw.gaussian(0, 1)),
+    lambda: mc_max_abs_walk(IncrementLaw.gaussian(0, 1), 10, math.nan, 1000,
+                            seed=1)], ids=[
+    "psi_normalizer", "brownian_exit-x", "brownian_exit-sigma",
+    "brownian_exit-n", "fuk_nagaev-u", "fuk_nagaev-v", "mc_max_abs_walk-u"])
+def test_nan_inputs_raise(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # -- smoothing kernel -----------------------------------------------------------
