@@ -436,10 +436,10 @@ def mc_scaled_cdf_curve(law: IncrementLaw, x: float, n: int, t_grid,
 
 def mc_max_abs_walk(law: IncrementLaw, n: int, u: float, samples: int,
                     seed: int, threads: int | None = None) -> McEstimate:
-    """P(max_{k<=n} |S_k| > u) for the free (unkilled) walk; u >= 0."""
+    """P(max_{k<=n} |S_k| > u) for the free (unkilled) walk; u not NaN."""
     _check_start(0.0, n)
-    if not u >= 0.0:
-        raise DomainError(f"require u >= 0, got u={u!r}")
+    if math.isnan(u):
+        raise DomainError("u must not be NaN")
 
     def work(rng, m):
         best = np.zeros(m)

@@ -10,7 +10,7 @@ from condwalk import (DomainError, IncrementLaw, KernelSpec, brownian_exit,
                       kernel_fourier, kernel_fourier_exact, levy_psi,
                       levy_psi_integral, mc_max_abs_walk, psi_normalizer,
                       rayleigh, rayleigh_levy_integral, smoothing_kernel)
-from condwalk.special import norm_cdf, quad, rayleigh_cdf, rayleigh_density
+from condwalk.special import norm_cdf, quad, rayleigh_density
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -188,6 +188,22 @@ def test_brownian_exit_keeps_relative_accuracy_in_the_far_tail():
         assert got > 0.0 and abs(got / exact - 1.0) <= 1e-12, a
 
 
+@pytest.mark.parametrize("x, a, b", [
+    (100.0, 1.0, math.inf), (60.0, 0.5, math.inf), (500.0, 0.0, 1e6),
+    (50.0, 0.0, 50.0), (100.0, 0.0, 1e9), (1.0, 20.0, 1e9)])
+def test_brownian_exit_finds_the_mass_far_from_the_boundary(x, a, b):
+    # one quadrature spread over a wide interval puts no node near the
+    # peak at x and returns 0 (x = 100 on [1, inf))
+    up = lambda z: float(norm_cdf(-z))  # upper tails: nothing cancels
+    exact = up(a - x) - up(b - x) - up(a + x) + up(b + x)
+    assert abs(brownian_exit(x, 1.0, 1.0, a, b) / exact - 1.0) <= 1e-12
+
+
+def test_brownian_exit_refuses_an_infinite_start():
+    with pytest.raises(DomainError):
+        brownian_exit(math.inf, 1.0, 1.0, 1.0)
+
+
 def test_meander_masses_keep_relative_accuracy_at_small_arguments():
     # 2 Phi(x) - 1 cancels as x -> 0 (1.1e-7 off at 1e-9), 1 - e^{-t^2/2}
     # underflows to 0 at t = 1e-8
@@ -195,7 +211,8 @@ def test_meander_masses_keep_relative_accuracy_at_small_arguments():
     for got in (levy_psi_integral(math.inf, 1e-9),
                 brownian_exit(1e-9, 1.0, 1.0)):
         assert abs(got / exact - 1.0) <= 1e-15
-    assert abs(rayleigh(1e-8)[1] / rayleigh_cdf(1e-8) - 1.0) <= 1e-15
+    # 1 - e^{-t^2/2} = t^2/2 - t^4/8 + ..., and t^4/8 is below the ulp
+    assert rayleigh(1e-8)[1] == pytest.approx(5e-17, rel=1e-15)
 
 
 @pytest.mark.parametrize("call", [
