@@ -37,19 +37,14 @@ def _parse_stat(args) -> Statistic:
                if getattr(args, a) is None]
     if missing:
         raise CondwalkError(f"--stat {kind} needs {' and '.join(missing)}")
-    if kind == "survival":
-        return Statistic.survival(dual=args.dual)
-    if kind == "exit_at_n":
-        return Statistic.exit_at_n(dual=args.dual)
     if kind == "interval":
-        return Statistic.interval(args.y, args.delta, dual=args.dual)
+        return Statistic.interval(args.y, args.delta)
     if kind == "target":
-        return Statistic.target(parse_target(args.target), args.y or 0.0,
-                                dual=args.dual)
+        return Statistic.target(parse_target(args.target), args.y or 0.0)
     if kind == "scaled_cdf":
-        return Statistic.scaled_cdf(args.t, dual=args.dual)
-    if kind == "killed_position":
-        return Statistic.killed_position(dual=args.dual)
+        return Statistic.scaled_cdf(args.t)
+    if kind in ("survival", "exit_at_n", "killed_position"):
+        return getattr(Statistic, kind)()
     raise CondwalkError(f"unknown statistic {kind!r}")
 
 
@@ -57,7 +52,7 @@ def _cmd_simulate(args) -> int:
     law = parse_law(args.law)
     stat = _parse_stat(args)
     est = mc_estimate(law, args.x, args.n, stat, args.samples, args.seed,
-                      threads=args.threads)
+                      threads=args.threads, dual=args.dual)
     print(json.dumps({"mean": est.mean, "stderr": est.stderr,
                       "count": est.count, "seed": est.seed}))
     return 0

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import CensoringExcess, DomainError, DriftedLaw, \
     QuadratureFailure
 from .increments import FINITE, _breaks, _cdf_partial_mean, _is_symmetric, \
-    _mirror, left_exit_prob
+    _mirror, _zero_drift, left_exit_prob
 from .special import quad  # unused here; perfbench/layers.py patches it
 from .walk import McEstimate, Statistic, _advance, _check_start, _check_x, \
     _chunked, _integer, _mc_many, _sum_m2
@@ -55,9 +55,9 @@ class LadderEstimate(McEstimate):
     censor_rate: float = 0.0
 
 
-def _require_zero_mean(sampler):
-    if abs(sampler.mean) > 1e-10:
-        raise DriftedLaw(f"law has mean {sampler.mean!r}; tilt it first")
+def _require_zero_mean(law):
+    if not _zero_drift(law):
+        raise DriftedLaw(f"law has mean {law.mean!r}; tilt it first")
 
 
 def estimate_V_ladder(law, x: float, cap: int = 10 ** 6, samples: int = 10 ** 5,
@@ -99,8 +99,8 @@ def estimate_V_killed(law, x: float, n: int, samples: int, seed: int,
                       dual: bool = False, threads: int | None = None) -> McEstimate:
     """E(x + S_n; tau_x > n), a monotone-in-n lower approximant of V(x)."""
     _require_zero_mean(law)
-    return _mc_many(law, x, n, [Statistic.killed_position(dual=dual)],
-                    samples, seed, threads)[0]
+    return _mc_many(law, x, n, [Statistic.killed_position()], samples, seed,
+                    threads, dual=dual)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ and the exponential change of measure
 
 where ``lam`` is the Cramér root solving E[X exp(lam*X)] = 0 and
 ``Lambda(lam) = log E[exp(lam*X)]``.  ``cramer_tilt`` returns the walked
-law: the law itself when its mean is zero, else a mean-zero ``TiltedLaw``
+law: the law itself when its mean is within 1e-10 sigma of zero (the
+one zero-drift rule, ``_zero_drift``), else a mean-zero ``TiltedLaw``
 that samples and integrates as an ``IncrementLaw`` (``lam = 0``) does.
 Every closed form of a density family lives here and takes either law:
 density, F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's
@@ -516,16 +517,24 @@ def _increasing_root(g, sigma):
     return 0.5 * (lo + hi)
 
 
+def _zero_drift(law) -> bool:
+    """Whether ``law`` is walked as it is: its mean is within 1e-10 sigma
+    of zero, as a Cramér tilt's is (within 1e-12 sigma).  Scale-free, so a law
+    and its rescaling get the same answer."""
+    return abs(law.mean) <= 1e-10 * law.sigma
+
+
 def cramer_tilt(law: IncrementLaw) -> IncrementLaw | TiltedLaw:
-    """The walked law: ``law`` itself when its mean is zero, else the
-    TiltedLaw of the root of E[X e^{lam X}] = 0.
+    """The walked law: ``law`` itself when it has zero drift
+    (``_zero_drift``), else the TiltedLaw of the root of E[X e^{lam X}] = 0.
 
     Closed-form root for gaussian and laplace; otherwise bisection on the
     closed-form Lambda'(lam) (uniform) or the finite sum E[X e^{lam X}],
     both increasing in lam, once a sign change is bracketed.  A uniform
     law whose support has one sign has none.  No quadrature is involved.
+    The tilted law's mean must lie within 1e-12 sigma of zero.
     """
-    if abs(law.mean) <= 1e-13 * max(1.0, law.sigma):
+    if _zero_drift(law):
         return law
     if law.variance == 0.0:
         raise NoTiltExists(
@@ -547,11 +556,11 @@ def cramer_tilt(law: IncrementLaw) -> IncrementLaw | TiltedLaw:
             return float(np.dot(x, w))
         lam = _increasing_root(g, law.sigma)
 
-    residual = tilted_mean(law, lam)
-    if abs(residual) > 1e-12:
-        raise NoTiltExists(
-            f"root residual {residual:.3e} exceeds 1e-12 at lam={lam!r}")
-    return TiltedLaw(law, float(lam), log_mgf(law, lam))
+    walked = TiltedLaw(law, float(lam), log_mgf(law, lam))
+    if abs(walked.mean) > 1e-12 * walked.sigma:
+        raise NoTiltExists(f"tilted mean {walked.mean:.3e} exceeds 1e-12 "
+                           f"sigma at lam={lam!r}")
+    return walked
 
 
 # ---------------------------------------------------------------------------

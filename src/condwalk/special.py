@@ -108,7 +108,10 @@ def psi_normalizer(x: float) -> float:
 
 def levy_psi_integral(t: float, x: float) -> float:
     """The meander distribution: psi(., x) integrated over [0, t]; t = inf
-    gives 2 Phi(x) - 1."""
+    gives 2 Phi(x) - 1.  x must be >= 0 and t a number."""
+    if not (x >= 0.0 and not math.isnan(t)):
+        raise DomainError(f"levy_psi_integral requires x >= 0 and a number "
+                          f"t, got t={t!r}, x={x!r}")
     return _meander_mass(x, 0.0, t)
 
 

@@ -94,64 +94,64 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class Statistic:
-    """Functional of the killed walk evaluated at the horizon."""
+    """Functional of the killed walk evaluated at the horizon.  It names
+    what is read off the paths, not the walk: the walk of -X is the
+    estimator's ``dual`` argument."""
 
     kind: str
     f: TargetFunction | None = None
     y: float = 0.0
     delta: float = 0.0
     t: float = 0.0
-    dual: bool = False
 
     @classmethod
-    def survival(cls, dual=False):
-        return cls("survival", dual=dual)
+    def survival(cls):
+        return cls("survival")
 
     @classmethod
-    def exit_at_n(cls, dual=False):
-        return cls("exit_at_n", dual=dual)
+    def exit_at_n(cls):
+        return cls("exit_at_n")
 
     @classmethod
-    def target(cls, f: TargetFunction, y_shift: float = 0.0, dual=False):
-        return cls("target", f=TargetFunction.shifted(f, y_shift), dual=dual)
+    def target(cls, f: TargetFunction, y_shift: float = 0.0):
+        return cls("target", f=TargetFunction.shifted(f, y_shift))
 
     @classmethod
-    def interval(cls, y: float, delta: float, dual=False):
+    def interval(cls, y: float, delta: float):
         y, delta = float(y), float(delta)
         if not (math.isfinite(y) and math.isfinite(delta) and delta > 0):
             raise DomainError(f"interval needs a finite y and a finite "
                               f"positive width, got y={y!r}, delta={delta!r}")
-        return cls("interval", y=y, delta=delta, dual=dual)
+        return cls("interval", y=y, delta=delta)
 
     @classmethod
-    def scaled_cdf(cls, t: float, dual=False):
+    def scaled_cdf(cls, t: float):
         t = float(t)
         if math.isnan(t):
             raise DomainError("scaled_cdf threshold must be a number, got nan")
-        return cls("scaled_cdf", t=t, dual=dual)
+        return cls("scaled_cdf", t=t)
 
     @classmethod
-    def killed_position(cls, dual=False):
-        return cls("killed_position", dual=dual)
+    def killed_position(cls):
+        return cls("killed_position")
 
 
 def _stat_eval(stat: Statistic, sigma: float, n: int):
-    """(survivor evaluator, horizon-exit evaluator) for one statistic."""
-    if stat.kind == "survival":
-        return (lambda p: np.ones(p.size)), None
-    if stat.kind == "exit_at_n":
-        return None, (lambda p: np.ones(p.size))
+    """The evaluator of one statistic, from positions to values: of the
+    paths that exit at n for ``exit_at_n``, of the survivors otherwise."""
+    if stat.kind in ("survival", "exit_at_n"):
+        return lambda p: np.ones(p.size)
     if stat.kind == "interval":
         lo, hi = stat.y, stat.y + stat.delta
-        return (lambda p: ((p >= lo) & (p <= hi)).astype(float)), None
+        return lambda p: ((p >= lo) & (p <= hi)).astype(float)
     if stat.kind == "target":
         f = stat.f
-        return (lambda p: np.asarray(eval_target(f, p), dtype=float)), None
+        return lambda p: np.asarray(eval_target(f, p), dtype=float)
     if stat.kind == "scaled_cdf":
         thr = stat.t * sigma * math.sqrt(n)
-        return (lambda p: (p <= thr).astype(float)), None
+        return lambda p: (p <= thr).astype(float)
     if stat.kind == "killed_position":
-        return (lambda p: p.astype(float)), None
+        return lambda p: p.astype(float)
     raise DomainError(f"unknown statistic kind {stat.kind!r}")
 
 
@@ -321,18 +321,17 @@ def _chunked(samples, seed, threads, work):
 
 
 def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
-             weight=None):
+             weight=None, dual=False):
     """Shared-path estimates of several statistics at once.
 
-    ``weight`` maps terminal positions to path weights (importance
-    sampling); it applies to survivor and horizon-exit evaluations alike.
+    ``dual`` walks -X in place of X.  ``weight`` maps terminal positions
+    to path weights (importance sampling); it applies to survivor and
+    horizon-exit evaluations alike.
     """
     _check_start(x, n)
     evals = [_stat_eval(s, sampler.sigma, n) for s in stats]
-    negate = [s.dual for s in stats]
-    if any(negate) and not all(negate):
-        raise DomainError("cannot mix dual and primal statistics in one pass")
-    if not kill and any(s.kind == "exit_at_n" for s in stats):
+    reads_exit = [s.kind == "exit_at_n" for s in stats]
+    if not kill and any(reads_exit):
         raise DomainError("exit_at_n needs the killed walk")
 
     def work(rng, m):
@@ -345,17 +344,16 @@ def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
                 at_n = rows[neg[rows].argmax(axis=1) == b - 1]
                 exits.append(d[at_n, b - 1])
 
-        surv = _advance(sampler, np.broadcast_to(float(x), m), n, rng,
-                        negate[0], kill, horizon_exits if kill else None)
-        exits = np.concatenate(exits) if exits else np.empty(0)
-        w_s = weight(surv) if (weight is not None and surv.size) else None
-        w_e = weight(exits) if (weight is not None and exits.size) else None
+        surv = _advance(sampler, np.broadcast_to(float(x), m), n, rng, dual,
+                        kill, horizon_exits if any(reads_exit) else None)
+        # indexed by reads_exit: the survivors, then the exits at n
+        at = (surv, np.concatenate(exits) if exits else np.empty(0))
+        w = [weight(p) if weight is not None and p.size else None for p in at]
         pairs = []
-        for sf, ef in evals:
-            at, w, f = (surv, w_s, sf) if sf is not None else (exits, w_e, ef)
-            v = f(at) if at.size else at
-            if w is not None:
-                v = v * w
+        for f, e in zip(evals, reads_exit):
+            v = f(at[e]) if at[e].size else at[e]
+            if w[e] is not None:
+                v = v * w[e]
             pairs.append(_sum_m2(v, m))
         return pairs
 
@@ -379,15 +377,19 @@ def simulate_exit(law: IncrementLaw, x: float, horizon: int,
 
 
 def mc_estimate(law: IncrementLaw, x: float, n: int, stat: Statistic,
-                samples: int, seed: int, threads: int | None = None) -> McEstimate:
-    """Unbiased Monte Carlo estimate of one killed-walk functional."""
-    return _mc_many(law, x, n, [stat], samples, seed, threads)[0]
+                samples: int, seed: int, threads: int | None = None,
+                dual: bool = False) -> McEstimate:
+    """Unbiased Monte Carlo estimate of one killed-walk functional; with
+    ``dual``, of the walk x - S_k of -X."""
+    return _mc_many(law, x, n, [stat], samples, seed, threads, dual=dual)[0]
 
 
 def mc_estimates(law: IncrementLaw, x: float, n: int, stats, samples: int,
-                 seed: int, threads: int | None = None):
-    """Several statistics evaluated on one shared set of paths."""
-    return _mc_many(law, x, n, list(stats), samples, seed, threads)
+                 seed: int, threads: int | None = None, dual: bool = False):
+    """Several statistics evaluated on one shared set of paths, of the
+    walk of -X with ``dual``."""
+    return _mc_many(law, x, n, list(stats), samples, seed, threads,
+                    dual=dual)
 
 
 def mc_unconditioned(law: IncrementLaw, n: int, stat: Statistic, samples: int,

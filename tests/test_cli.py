@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from condwalk import Statistic, mc_estimate, parse_law
 from condwalk.cli import main
 
 
@@ -28,6 +30,21 @@ def test_simulate_threads_flag_only_changes_walltime(capsys):
     _, out1 = run_cli(capsys, *args, "--threads", "1")
     _, out2 = run_cli(capsys, *args, "--threads", "4")
     assert out1 == out2
+
+
+def test_simulate_dual_walks_minus_x(capsys):
+    law = parse_law("gaussian:-0.5,1")
+    stat = Statistic.interval(0.5, 1.0)
+    args = ["simulate", "--law", "gaussian:-0.5,1", "--x", "1", "--n", "5",
+            "--stat", "interval", "--y", "0.5", "--delta", "1", "--samples",
+            "20000", "--seed", "8"]
+    _, dual = run_cli(capsys, *args, "--dual")
+    _, primal = run_cli(capsys, *args)
+    assert json.loads(dual) == dataclasses.asdict(
+        mc_estimate(law, 1.0, 5, stat, 20000, 8, dual=True))
+    assert json.loads(primal) == dataclasses.asdict(
+        mc_estimate(law, 1.0, 5, stat, 20000, 8))
+    assert dual != primal
 
 
 def test_predict_roundtrip(capsys):

@@ -306,7 +306,7 @@ def _fake_walks(monkeypatch):
 
 # a changed value for every field of a Statistic and of its target
 _STAT_CHANGES = {"kind": "exit_at_n", "f": TargetFunction.indicator(0.0, 1.0),
-                 "y": 1.0, "delta": 1.0, "t": 1.0, "dual": True}
+                 "y": 1.0, "delta": 1.0, "t": 1.0}
 _TARGET_CHANGES = {"breaks": (1.0,), "values": (1.0,), "rate": 0.25,
                    "origin": 1.0}
 

@@ -3,9 +3,9 @@
 ``import condwalk`` and a Monte Carlo run load numpy alone; scipy comes in
 on the first quadrature, table solve or gaussian CDF.  Each
 check runs in a fresh interpreter, since the test process has scipy
-loaded already.  Two more checks read the sources: only ``increments``
-names a density family, and ``harmonic`` and ``oracle`` reduce without
-BLAS.
+loaded already.  Three more checks read the sources: only ``increments``
+names a density family or decides whether a law has zero drift, and
+``harmonic`` and ``oracle`` reduce without BLAS.
 """
 
 import ast
@@ -92,6 +92,20 @@ def test_only_increments_names_a_density_family():
         names |= {node.attr for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute)}
         assert not names & families, path.name
+
+
+def test_only_increments_decides_zero_drift():
+    # one scale-free rule, increments._zero_drift, says whether a law has
+    # zero drift; an abs(law.mean) test elsewhere would be a second one
+    for path in sorted((SRC / "condwalk").glob("*.py")):
+        if path.name == "increments.py":
+            continue
+        calls = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "abs"
+                 and any(isinstance(arg, ast.Attribute) and arg.attr == "mean"
+                         for arg in node.args)]
+        assert not calls, path.name
 
 
 def test_harmonic_and_oracle_reduce_without_blas():

@@ -1,13 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condwalk import (DomainError, IncrementLaw, NoTiltExists, cramer_tilt,
-                      format_law, is_lattice, left_exit_prob, log_mgf,
-                      parse_law, tilted_mean)
+from condwalk import (CensoringExcess, DomainError, IncrementLaw,
+                      NoTiltExists, build_harmonic_table, cramer_tilt,
+                      estimate_V_ladder, format_law, is_lattice,
+                      left_exit_prob, log_mgf, parse_law, tilted_mean)
 from condwalk import increments, special
 from condwalk.rngstream import chunk_generator
 
@@ -233,6 +235,47 @@ def test_residual_grid_around_root():
     assert abs(tilted_mean(law, t.lam)) <= 1e-12
     # tilted mean is increasing through the root
     assert tilted_mean(law, t.lam - 0.05) < 0 < tilted_mean(law, t.lam + 0.05)
+
+
+_DRIFTED_AT_SCALE = {
+    "gaussian": lambda c: IncrementLaw.gaussian(-0.5 * c, c),
+    "laplace": lambda c: IncrementLaw.laplace(-0.3 * c, c),
+    "uniform": lambda c: IncrementLaw.uniform(-c, 1.1 * c),
+    "finite": lambda c: IncrementLaw.finite([-c, c], [0.6, 0.4]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DRIFTED_AT_SCALE))
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
+def test_tilt_is_scale_free(family, c):
+    # X c tilts by lam / c, and V of the walk of X c is c V: an absolute
+    # residual tolerance refused the tilt at c = 1e3 (uniform) and c = 1e6
+    # (uniform, finite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CensoringExcess)
+        values = []
+        for scale in (1.0, c):
+            walked = cramer_tilt(_DRIFTED_AT_SCALE[family](scale))
+            values.append(walked.lam * scale)
+            if family == "finite":  # no table: one ladder point, off the lattice
+                v = estimate_V_ladder(walked, 0.5 * scale, cap=1000,
+                                      samples=2000, seed=5)
+            else:
+                v = build_harmonic_table(walked).values[0]
+            values.append(v.mean / scale)
+    assert values[2:] == pytest.approx(values[:2], rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", ["uniform:-1e3,1.1e3", "laplace:-3e6,1e7",
+                                  "finite:-1e7,0.6;1e7,0.4",
+                                  "gaussian:1e-8,1e6"])
+def test_wide_laws_tilt_and_build(spec):
+    # the last one's mean is 1e-14 sigma: zero drift for the tilt and the
+    # table alike, where an absolute 1e-10 refused to solve it untilted
+    walked = cramer_tilt(parse_law(spec))
+    assert abs(walked.mean) <= 1e-12 * walked.sigma
+    if not spec.startswith("finite"):  # a finite law has no table
+        assert build_harmonic_table(walked).values[0].mean > 0.0
 
 
 @pytest.mark.parametrize("family", ["uniform", "laplace", "gaussian", "finite"])

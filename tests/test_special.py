@@ -223,9 +223,14 @@ def test_meander_masses_keep_relative_accuracy_at_small_arguments():
     lambda: fuk_nagaev_bound(math.nan, 1.0, 10, IncrementLaw.gaussian(0, 1)),
     lambda: fuk_nagaev_bound(1.0, math.nan, 10, IncrementLaw.gaussian(0, 1)),
     lambda: mc_max_abs_walk(IncrementLaw.gaussian(0, 1), 10, math.nan, 1000,
-                            seed=1)], ids=[
+                            seed=1),
+    lambda: levy_psi_integral(math.nan, 1.0),
+    lambda: levy_psi_integral(math.inf, math.nan),
+    lambda: levy_psi_integral(1.0, -1.0)], ids=[
     "psi_normalizer", "brownian_exit-x", "brownian_exit-sigma",
-    "brownian_exit-n", "fuk_nagaev-u", "fuk_nagaev-v", "mc_max_abs_walk-u"])
+    "brownian_exit-n", "fuk_nagaev-u", "fuk_nagaev-v", "mc_max_abs_walk-u",
+    "levy_psi_integral-t", "levy_psi_integral-x",
+    "levy_psi_integral-negative-x"])
 def test_nan_inputs_raise(call):
     with pytest.raises(DomainError):
         call()

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import sys
 import tracemalloc
@@ -292,17 +294,17 @@ _GAUSS = IncrementLaw.gaussian(0.0, 1.0)
 _DRIFTED = IncrementLaw.laplace(-0.3, 1.0)
 
 
-def _three(dual):
-    return [Statistic.survival(dual), Statistic.exit_at_n(dual),
-            Statistic.interval(0.5, 1.5, dual)]
+def _three():
+    return [Statistic.survival(), Statistic.exit_at_n(),
+            Statistic.interval(0.5, 1.5)]
 
 
 # every estimator family on a few thousand paths
 _TILE_CASES = {
-    "primal": lambda: mc_estimates(_GAUSS, 0.0, 400, _three(False), 3000,
+    "primal": lambda: mc_estimates(_GAUSS, 0.0, 400, _three(), 3000,
                                    seed=21),
     "dual": lambda: mc_estimates(IncrementLaw.uniform(-1.0, 1.0), 1.0, 60,
-                                 _three(True), 3000, seed=22),
+                                 _three(), 3000, seed=22, dual=True),
     "unconditioned": lambda: [mc_unconditioned(
         _GAUSS, 150, Statistic.interval(0.0, 3.0), 3000, seed=23)],
     "max_abs": lambda: [mc_max_abs_walk(_GAUSS, 150, 8.0, 3000, seed=24)],
@@ -458,9 +460,33 @@ def test_exit_at_consistency_with_survival_differencing(gauss_law):
 
 def test_dual_symmetry_for_symmetric_law(gauss_law):
     a = mc_estimate(gauss_law, 0.5, 8, Statistic.survival(), 3 * 10 ** 5, seed=91)
-    b = mc_estimate(gauss_law, 0.5, 8, Statistic.survival(dual=True),
-                    3 * 10 ** 5, seed=92)
+    b = mc_estimate(gauss_law, 0.5, 8, Statistic.survival(), 3 * 10 ** 5,
+                    seed=92, dual=True)
     assert abs(combined_z(a, b)) <= 4.0
+
+
+def test_dual_walk_is_the_mirror_law_walk():
+    # the walk of -X for X ~ N(-0.5, 1) is the walk of N(0.5, 1)
+    a = mc_estimate(IncrementLaw.gaussian(-0.5, 1.0), 1.0, 5,
+                    Statistic.survival(), 2 * 10 ** 5, seed=93, dual=True)
+    b = mc_estimate(IncrementLaw.gaussian(0.5, 1.0), 1.0, 5,
+                    Statistic.survival(), 2 * 10 ** 5, seed=94)
+    assert abs(combined_z(a, b)) <= 4.0
+    assert a.mean > 0.8
+
+
+def test_dual_is_an_argument_of_the_walk():
+    # a statistic carried its own dual flag, and mc_tilted_survival walked
+    # -X under the weight of X: 0.3119 for a dual survival of 0.8581
+    # (gaussian:-0.5,1 from x = 1, n = 3)
+    assert [f.name for f in dataclasses.fields(Statistic)] == [
+        "kind", "f", "y", "delta", "t"]
+    with pytest.raises(TypeError):
+        Statistic.survival(dual=True)
+    for fn in (mc_tilted_survival, mc_unconditioned, mc_scaled_cdf_curve):
+        assert "dual" not in inspect.signature(fn).parameters
+    for fn in (mc_estimate, mc_estimates):
+        assert inspect.signature(fn).parameters["dual"].default is False
 
 
 def test_target_statistic_matches_interval(gauss_law):
@@ -567,9 +593,6 @@ _BAD_STATISTICS = {
         TargetFunction.exponential(math.nan)),
     "unknown_kind": lambda law: mc_estimate(
         law, 0.0, 5, Statistic("median"), 1000, seed=1),
-    "dual_and_primal": lambda law: mc_estimates(
-        law, 0.0, 5, [Statistic.survival(), Statistic.survival(dual=True)],
-        1000, seed=1),
     "unkilled_exit_at_n": lambda law: mc_unconditioned(
         law, 5, Statistic.exit_at_n(), 1000, seed=1),
     "tilted_interval": lambda law: mc_tilted_survival(
@@ -633,8 +656,8 @@ def _pin_case(name):
             n, seed=12)
     if name == "uniform_dual_killed":
         unif = IncrementLaw.uniform(-1.0, 1.0)
-        dual_killed = Statistic.killed_position(dual=True)
-        return [mc_estimate(unif, 0.5, 50, dual_killed, n, seed=13)]
+        return [mc_estimate(unif, 0.5, 50, Statistic.killed_position(), n,
+                            seed=13, dual=True)]
     if name == "unconditioned":
         return [mc_unconditioned(gauss, 30, Statistic.interval(0.0, 3.0), n,
                                  seed=14, threads=2)]
