@@ -36,12 +36,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .asymptotics import THEOREMS, md_point, predict
-from .errors import DomainError, InsufficientSweep, MissingIngredient, \
-    UnknownTheorem
+from .errors import DomainError, DriftedLaw, InsufficientSweep, \
+    MissingIngredient, UnknownTheorem
 from .harmonic import HarmonicTable, build_harmonic_table, \
     estimate_V_ladder, is_solved, kappa_constant, weighted_table_integral
-from .increments import _is_symmetric, cramer_tilt, format_law, \
-    is_lattice, parse_law
+from .increments import _is_symmetric, _zero_drift, cramer_tilt, \
+    format_law, is_lattice, parse_law
 from .rngstream import STREAM_VERSION, mix64
 from .targets import TargetFunction
 from .walk import McEstimate, Statistic, _integer, mc_estimate, \
@@ -280,8 +280,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     is read off it, and the statistic and the walk come from its left
     side.  Under a tilt both tables, and so V, are those of the tilted
     law.  A lattice law, a finite-support law under an id that needs a
-    table ingredient, a y given to an id that reads none, and a prediction
-    that is not positive are DomainErrors, raised before any path is drawn.
+    table ingredient, an x other than 0 under a free-walk id (LLT and MD
+    read S_n from 0), a y given to an id that reads none, and a prediction
+    that is not positive are DomainErrors; a law with drift under an id
+    that is not tilted is a DriftedLaw.  All are raised before any path is
+    drawn.
     Each row's estimate is read from ``cache`` when an earlier run wrote
     it, else walked and written there before the next row is walked.
     """
@@ -304,6 +307,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None,
     if theorem.left == "exp_target" and cfg.a is None:
         raise MissingIngredient(f"{tid} requires a in the config")
     tilted = theorem.walk == "tilted"
+    if not tilted and not _zero_drift(law):
+        raise DriftedLaw(f"{tid} predicts a zero-drift walk, and "
+                         f"{cfg.law!r} has mean {law.mean!r}; a drifted law "
+                         f"runs under a tilted id")
+    if theorem.walk == "free" and cfg.x != 0:
+        raise DomainError(f"{tid} reads S_n from 0, got x={cfg.x!r}")
     walked = cramer_tilt(law) if tilted else law
     # every ingredient is the walked law's: the tilted one under a tilt;
     # f_int is the integral of the indicator of [y, y + delta]

@@ -14,7 +14,8 @@ one zero-drift rule, ``_zero_drift``), else a mean-zero ``TiltedLaw``
 that samples and integrates as an ``IncrementLaw`` (``lam = 0``) does.
 Every closed form of a density family lives here and takes either law:
 density, F(t) = P(X <= t), M(t) = E[X; X <= t] (the harmonic solver's
-weights), the law of -X, the density's kinks, and Lambda with its first
+weights), the law of -X, the law of S_n where the family is closed
+under convolution, the density's kinks, and Lambda with its first
 two derivatives, so the tilt needs no quadrature.
 A lam outside the strip where E[exp(lam*X)] is finite raises DomainError.
 """
@@ -171,6 +172,15 @@ class IncrementLaw:
         if shift != 0.0:
             out += shift
         return out
+
+    def convolution(self, n: int):
+        """The law of S_n = X_1 + ... + X_n when the family is closed under
+        convolution, else None: a gaussian law, tilted or not, gives the
+        gaussian of mean n * mean and scale sqrt(n) * b."""
+        if self.family != GAUSSIAN:
+            return None
+        return IncrementLaw.gaussian(n * _gaussian_mean(self),
+                                     math.sqrt(n) * self.b)
 
     # -- distribution --------------------------------------------------
 
@@ -461,6 +471,7 @@ class TiltedLaw:
     variance = IncrementLaw.variance
     sigma = IncrementLaw.sigma
     sample_block = IncrementLaw.sample_block
+    convolution = IncrementLaw.convolution
     density = IncrementLaw.density
     support_bounds = IncrementLaw.support_bounds
 

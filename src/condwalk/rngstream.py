@@ -8,7 +8,8 @@ passes, so nearby (seed, chunk) pairs get unrelated keys (the per-(seed,
 stream) keying of Salmon et al., SC'11), and results are independent of
 how chunks are scheduled across worker threads.  This is random stream
 version ``STREAM_VERSION``; version 2 drew from the slower Philox
-generator under the same keys.
+generator under the same keys, and version 3 walked every step of a
+gaussian free walk where version 4 draws S_n from its normal law.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .errors import DomainError
 CHUNK_SIZE = 1 << 16
 
 # The random stream's version: the generator and its keys here, and the
-# block schedule, samplers' transforms and summation order of ``walk``.
+# block schedule, samplers' transforms, summation order and closed-form
+# free walks of ``walk``.
 # Bumped with any change to them that changes an estimate, which also
 # retires every estimate an experiment cached under the old stream.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 

@@ -26,13 +26,20 @@ arrays kept for the next walk: about 1.6 MiB for each walk that runs at
 once.  Whatever an estimator needs beyond the surviving positions (exits
 at the horizon, the value at first exit, a running maximum) it reads
 from each tile, with the tile's first row, through a small observer.
+An unkilled walk reads nothing but x + S_n, so where the law is closed
+under convolution (a gaussian, tilted or not) it draws S_n ~ N(n mean,
+n b^2) from its law, one normal per path, and walks no step: the least
+work that gives that distribution exactly (Devroye, Non-Uniform Random
+Variate Generation, 1986).  A laplace, uniform or finite free walk
+still walks its steps.
 ``_chunked`` splits the paths into fixed chunks of 2^16; chunk i draws
 from an SFC64 stream keyed by (seed, i), and the chunks' (sum, M2)
 pairs are merged in chunk order, so every estimate is bit-identical for
 a given seed whatever the worker-thread count.
 
-The generator, the block schedule, the samplers' transforms and the
-summation order make up the random stream, whose version is
+The generator, the block schedule, the samplers' transforms, the
+summation order and which free walks draw S_n whole make up the random
+stream, whose version is
 ``rngstream.STREAM_VERSION``: a change to any of them changes estimates,
 so it is one deliberate change that bumps that constant.  The tile size
 and the step-major width are not part of it.
@@ -326,13 +333,16 @@ def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
 
     ``dual`` walks -X in place of X.  ``weight`` maps terminal positions
     to path weights (importance sampling); it applies to survivor and
-    horizon-exit evaluations alike.
+    horizon-exit evaluations alike.  An unkilled walk reads only x + S_n,
+    so where ``sampler.convolution(n)`` gives the law of S_n it draws that
+    once per path and walks no step.
     """
     _check_start(x, n)
     evals = [_stat_eval(s, sampler.sigma, n) for s in stats]
     reads_exit = [s.kind == "exit_at_n" for s in stats]
     if not kill and any(reads_exit):
         raise DomainError("exit_at_n needs the killed walk")
+    whole = None if kill else sampler.convolution(n)
 
     def work(rng, m):
         exits = []
@@ -344,8 +354,15 @@ def _mc_many(sampler, x, n, stats, samples, seed, threads=None, kill=True,
                 at_n = rows[neg[rows].argmax(axis=1) == b - 1]
                 exits.append(d[at_n, b - 1])
 
-        surv = _advance(sampler, np.broadcast_to(float(x), m), n, rng, dual,
-                        kill, horizon_exits if any(reads_exit) else None)
+        if whole is None:
+            surv = _advance(sampler, np.broadcast_to(float(x), m), n, rng,
+                            dual, kill,
+                            horizon_exits if any(reads_exit) else None)
+        else:
+            # one draw of S_n per path; no ``out``, which a timing
+            # wrapper of sample_block does not take
+            d = whole.sample_block(rng, m)
+            surv = np.subtract(x, d, out=d) if dual else np.add(x, d, out=d)
         # indexed by reads_exit: the survivors, then the exits at n
         at = (surv, np.concatenate(exits) if exits else np.empty(0))
         w = [weight(p) if weight is not None and p.size else None for p in at]
@@ -394,7 +411,11 @@ def mc_estimates(law: IncrementLaw, x: float, n: int, stats, samples: int,
 
 def mc_unconditioned(law: IncrementLaw, n: int, stat: Statistic, samples: int,
                      seed: int, threads: int | None = None) -> McEstimate:
-    """Same functionals without the killing boundary (plain S_n)."""
+    """Same functionals without the killing boundary (plain S_n, from 0).
+
+    A gaussian law, tilted or not, draws S_n ~ N(n mean, n b^2) directly,
+    one normal per path; every other family walks its n steps.
+    """
     return _mc_many(law, 0.0, n, [stat], samples, seed, threads, kill=False)[0]
 
 

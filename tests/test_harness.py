@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from condwalk import (CensoringExcess, CondwalkError, DomainError,
-                      ExperimentConfig, IngredientCache, InsufficientSweep,
+                      DriftedLaw, ExperimentConfig, IngredientCache, InsufficientSweep,
                       MissingIngredient, TargetFunction, UnknownTheorem,
                       band_pass, build_harmonic_table, convergence_sweep,
                       cramer_tilt, emit_report, estimate_V_ladder,
@@ -490,10 +490,10 @@ _PINNED_ROWS = {
                              "0.000809149185517389")],
     "survival_small_x": [(400, "0.028198000000000001",
                           "0.00016553821371182001", "0.028209481231895102")],
-    "unconditioned_llt": [(100, "0.039746999999999998",
-                           "0.00019536431137291726", "0.039894228040143274"),
-                          (400, "0.019855999999999999",
-                           "0.00013950540751439969", "0.019947114020071637")]}
+    "unconditioned_llt": [(100, "0.03986", "0.00019563031122813937",
+                           "0.039894228040143274"),
+                          (400, "0.020028000000000001",
+                           "0.00014009603435821745", "0.019947114020071637")]}
 
 
 @pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda p: p.stem)
@@ -665,6 +665,27 @@ def test_lattice_law_refused(computes_nothing, tid):
     # sum (AA001D read 1.83, TAU-S 0.0 on this law), so no id runs on one
     with pytest.raises(DomainError, match="lattice"):
         run_experiment(_any_id_cfg("finite:-1,0.5;1,0.5", tid))
+
+
+@pytest.mark.parametrize("tid", [k for k in _RUNNABLE
+                                 if THEOREMS[k].walk != "tilted"])
+def test_drifted_law_refused_unless_tilted(computes_nothing, tid):
+    # a drift moves every left side off its zero-drift prediction (at
+    # n = 100, LLT read 0.145 of it, MD 0.552 and BB001D at x = y = 10
+    # 0.155), so only a tilted id walks a drifted law
+    with pytest.raises(DriftedLaw, match="gaussian:0.2,1"):
+        run_experiment(_any_id_cfg("gaussian:0.2,1", tid))
+
+
+@pytest.mark.parametrize("tid", [k for k in _RUNNABLE
+                                 if THEOREMS[k].walk == "free"])
+def test_free_walk_ids_refuse_a_start(computes_nothing, tid):
+    # LLT and MD read S_n from 0: at x = 3 LLT's row read 0.0398 where
+    # P(3 + S_100 in [0, 1]) is 0.0386
+    cfg = dataclasses.replace(_any_id_cfg("gaussian:0,1", tid), x=3.0,
+                              y=None if tid == "MD" else 0.0)
+    with pytest.raises(DomainError, match="x=3.0"):
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("tid", [k for k in _RUNNABLE if {

@@ -171,6 +171,23 @@ def test_tilted_law_draws_and_integrates_as_the_plain_law(spec):
     assert t.support_bounds() == plain.support_bounds()
 
 
+@pytest.mark.parametrize("law, mean", [
+    (parse_law("gaussian:0.3,2"), 30.0),
+    (cramer_tilt(parse_law("gaussian:-0.5,2")), 0.0)], ids=["plain", "tilted"])
+def test_gaussian_convolution_is_the_normal_law_of_s_n(law, mean):
+    # S_100 ~ N(100 mean, 100 b^2); the tilt's mean is -0.5 + lam b^2 = 0
+    assert law.convolution(100) == IncrementLaw.gaussian(mean, 20.0)
+
+
+@pytest.mark.parametrize("law", [
+    parse_law("laplace:0,1"), parse_law("uniform:-1,1"),
+    parse_law("finite:-1,0.5;1,0.5"), cramer_tilt(parse_law("laplace:-0.3,1")),
+    cramer_tilt(parse_law("uniform:-1,2"))],
+    ids=["laplace", "uniform", "finite", "tilted_laplace", "tilted_uniform"])
+def test_other_families_have_no_closed_form_sum(law):
+    assert law.convolution(50) is None
+
+
 def test_zero_mean_identity_tilt():
     law = IncrementLaw.gaussian(0.0, 2.0)
     t = cramer_tilt(law)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from condwalk import harness, increments
+from condwalk.rngstream import CHUNK_SIZE
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = PERFBENCH.parent / "src"
@@ -93,3 +94,26 @@ def test_benchmark_selftest_passes():
     out = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                          capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_traced_bulk_pass_matches_the_untraced_one(perfbench, tmp_path):
+    """``--trace 1`` times ``sample_block`` through a wrapper that takes
+    no ``out``: a bulk pass through it must draw the same estimates, and
+    its free leg one S_n per path."""
+    workloads, layers = perfbench["workloads"], perfbench["layers"]
+    plan = workloads.setup("bulk", 20211011, tmp_path)
+    plain = workloads.canonical(workloads.run_pass(plan, 1, tmp_path))
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        traced = workloads.canonical(workloads.run_pass(plan, 1, tmp_path))
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    by_id = {s.sid: s for s in tracer.spans}
+    # (walk, elements) of every block drawn
+    blocks = [(layers._ancestor(by_id, s, "walk.").name, s.attrs["elems"])
+              for s in tracer.spans if s.name == "increments.sample_block"]
+    assert [e for w, e in blocks if w == "walk.mc_unconditioned"] == \
+        [CHUNK_SIZE] * (workloads.BULK_PATHS // CHUNK_SIZE)
+    assert any(w == "walk.mc_estimates" for w, _ in blocks)

@@ -307,6 +307,9 @@ _TILE_CASES = {
                                  _three(), 3000, seed=22, dual=True),
     "unconditioned": lambda: [mc_unconditioned(
         _GAUSS, 150, Statistic.interval(0.0, 3.0), 3000, seed=23)],
+    "unconditioned_uniform": lambda: [mc_unconditioned(
+        IncrementLaw.uniform(-1.0, 1.0), 150, Statistic.interval(0.0, 3.0),
+        3000, seed=27)],
     "max_abs": lambda: [mc_max_abs_walk(_GAUSS, 150, 8.0, 3000, seed=24)],
     "tilted": lambda: [mc_tilted_survival(
         _DRIFTED, cramer_tilt(_DRIFTED), 0.0, 100, Statistic.survival(), 3000,
@@ -332,6 +335,9 @@ def test_tiles_give_the_same_bits(name, monkeypatch):
 _GUARDED = {
     "unkilled": lambda law: mc_unconditioned(
         law, 400, Statistic.interval(0.0, 1.0), CHUNK_SIZE, seed=31),
+    "unkilled_uniform": lambda law: mc_unconditioned(
+        IncrementLaw.uniform(-1.0, 1.0), 400, Statistic.interval(0.0, 1.0),
+        CHUNK_SIZE, seed=34),
     "killed_far": lambda law: mc_estimates(
         law, 20.0, 400, [Statistic.survival(), Statistic.interval(20.0, 1.0)],
         CHUNK_SIZE, seed=32),
@@ -576,6 +582,62 @@ def test_unconditioned_interval_matches_normal_mass(gauss_law):
         mc_unconditioned(gauss_law, 10, Statistic.exit_at_n(), 1000, seed=1)
 
 
+# a drifted gaussian, and the mean-zero Cramér tilt of another
+_FREE_GAUSSIANS = {
+    "drifted": IncrementLaw.gaussian(0.3, 2.0),
+    "tilted": cramer_tilt(IncrementLaw.gaussian(-0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FREE_GAUSSIANS))
+def test_free_gaussian_walk_draws_the_normal_law_of_s_n(name):
+    from condwalk.special import norm_cdf
+    law, n = _FREE_GAUSSIANS[name], 100
+    mean, sd = n * law.mean, math.sqrt(n) * law.sigma
+    for y, delta in ((mean - 0.5 * sd, 0.3 * sd), (mean + sd, 2.0 * sd)):
+        est = mc_unconditioned(law, n, Statistic.interval(y, delta),
+                               2 * 10 ** 5, seed=56)
+        exact = float(norm_cdf((y + delta - mean) / sd)
+                      - norm_cdf((y - mean) / sd))
+        assert within_stderr(est, exact), (y, delta)
+    est = mc_unconditioned(law, n, Statistic.killed_position(), 2 * 10 ** 5,
+                           seed=57)
+    assert within_stderr(est, mean)
+    # the walk of -X ends at x - S_n
+    mirrored = walk._mc_many(law, 0.0, n, [Statistic.killed_position()],
+                             2 * 10 ** 5, 57, kill=False, dual=True)[0]
+    assert mirrored.mean == -est.mean and mirrored.stderr == est.stderr
+
+
+def test_free_tilted_gaussian_scaled_cdf_is_phi():
+    from condwalk.special import norm_cdf
+    law = _FREE_GAUSSIANS["tilted"]
+    for t in (-1.0, 0.5):
+        est = mc_unconditioned(law, 100, Statistic.scaled_cdf(t), 2 * 10 ** 5,
+                               seed=58)
+        assert within_stderr(est, float(norm_cdf(t))), t
+
+
+def test_free_gaussian_walk_bits_ignore_threads():
+    law = _FREE_GAUSSIANS["drifted"]
+    args = (law, 100, Statistic.interval(25.0, 10.0), 3 * CHUNK_SIZE + 5, 59)
+    assert mc_unconditioned(*args, threads=2) == \
+        mc_unconditioned(*args, threads=1)
+
+
+def test_free_gaussian_walk_takes_no_step(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step was walked")
+
+    monkeypatch.setattr(walk, "_advance", refuse)
+    for law in (*_FREE_GAUSSIANS.values(), IncrementLaw.gaussian(0.0, 1.0)):
+        mc_unconditioned(law, 400, Statistic.interval(0.0, 1.0), 3000,
+                         seed=60)
+    with pytest.raises(AssertionError, match="step"):
+        mc_unconditioned(IncrementLaw.uniform(-1.0, 1.0), 400,
+                         Statistic.interval(0.0, 1.0), 3000, seed=60)
+
+
 # -- invalid statistics -------------------------------------------------------
 
 _BAD_STATISTICS = {
@@ -661,6 +723,10 @@ def _pin_case(name):
     if name == "unconditioned":
         return [mc_unconditioned(gauss, 30, Statistic.interval(0.0, 3.0), n,
                                  seed=14, threads=2)]
+    if name == "unconditioned_uniform":
+        unif = IncrementLaw.uniform(-1.0, 1.0)
+        return [mc_unconditioned(unif, 30, Statistic.interval(0.0, 3.0), n,
+                                 seed=18, threads=2)]
     if name == "tilted":
         drifted = IncrementLaw.laplace(-0.3, 1.0)
         return [mc_tilted_survival(drifted, cramer_tilt(drifted), 0.0, 40,
@@ -709,7 +775,10 @@ _PINNED = {
         "0x1.8222e3a04a42ep-1", "0x1.0637b7d788137p-7",
     ],
     "unconditioned": [
-        "0x1.a877acc49f38cp-3", "0x1.9ca2b1b382147p-10",
+        "0x1.af3b257b3cf40p-3", "0x1.9f0af5999bc18p-10",
+    ],
+    "unconditioned_uniform": [
+        "0x1.4d60272924215p-2", "0x1.dd03c3913b059p-10",
     ],
     "tilted": [
         "0x1.31dd126304f94p-7", "0x1.4ca8dda6d6932p-13",
@@ -733,7 +802,7 @@ _PINNED = {
 def test_stream_pinned(name):
     # re-pinning the stream bumps its version, which retires every
     # cached row estimate
-    assert rngstream.STREAM_VERSION == 3
+    assert rngstream.STREAM_VERSION == 4
     got = _pin_values(_pin_case(name))
     if name == "tilted":
         # the tilt's quadratures may move in the last digits
